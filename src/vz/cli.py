@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import ec, emotions, learner
-from .errors import SourceError, VzError
+from .errors import ParseError, SourceError, VzError
 from .generalize import FIRST_ORDER, HIGHER_ORDER, anti_unify, generalize_sets
 from .inference import KnowledgeBase, saturate
 from .printer import print_formula, print_real, print_term
@@ -229,30 +229,42 @@ def cmd_learn(args, rep):
 
 def parse_traits(text: str, doc) -> list:
     """Read a trait file against the scenario's symbol table."""
-    from .scenario import _FormulaParser
+    from .scenario import _FormulaParser, _expect_sym, _section_arg
     fp = _FormulaParser(doc.symbols)
     traits = []
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items
                 and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
-            raise VzError("trait file entries must be (trait ...) records")
+            raise ParseError("trait file entries must be (trait ...) records", sx.line, sx.col)
         fp.fresh_scope()
         pattern, action, exemplar, sources = (), None, None, ()
         for part in sx.items[1:]:
+            if not (isinstance(part, SList) and part.items and isinstance(part.items[0], SSym)):
+                raise ParseError("expected a (section ...) entry", part.line, part.col)
             key = part.items[0].text
             if key == "pattern":
                 pattern = tuple(fp.formula(f) for f in part.items[1:])
             elif key == "action":
-                action = fp.term(part.items[1], Sort.ACTION_TYPE)
+                action = fp.term(_section_arg(part, "action type"), Sort.ACTION_TYPE)
             elif key == "exemplar":
-                name = part.items[1].text
+                name = _expect_sym(_section_arg(part, "agent"), "agent name")
                 exemplar = doc.symbols.constants.get(name)
             elif key == "sources":
-                sources = tuple(i.text for i in part.items[1:])
+                sources = tuple(_expect_sym(i, "situation id") for i in part.items[1:])
         if action is None:
-            raise VzError("trait record lacks an (action ...) section")
+            raise ParseError("trait record lacks an (action ...) section", sx.line, sx.col)
         traits.append(learner.LearntTrait(pattern, action, exemplar, sources))
     return traits
+
+
+def _load_traits(path: str, doc) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_traits(text, doc)
+    except SourceError as exc:
+        exc.path = path
+        raise
 
 
 def _apply_to_queries(doc, traits, lrn, rep):
@@ -269,8 +281,7 @@ def cmd_act(args, rep):
     doc = _load(args.file, args)
     if not args.traits:
         raise VzError("act requires --traits PATH")
-    with open(args.traits, "r", encoding="utf-8") as fh:
-        traits = parse_traits(fh.read(), doc)
+    traits = _load_traits(args.traits, doc)
     _apply_to_queries(doc, traits, _learner_agent(doc), rep)
 
 
@@ -289,8 +300,7 @@ def cmd_run(args, rep):
     for t in traits:
         _emit_trait(t, rep)
     if args.traits:
-        with open(args.traits, "r", encoding="utf-8") as fh:
-            traits = parse_traits(fh.read(), doc)
+        traits = _load_traits(args.traits, doc)
     _apply_to_queries(doc, traits, lrn, rep)
 
 
@@ -329,7 +339,7 @@ def main(argv=None) -> int:
     try:
         _COMMANDS[args.command](args, rep)
     except SourceError as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
+        print(f"{exc.path or args.file}:{exc}", file=sys.stderr)
         return 1
     except VzError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ec import Timeline
-from .errors import UnknownOccurrence
+from .errors import InvalidRecord, UnknownOccurrence
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Term
 from .utility import NuTable, UtilityConfig, mu, mu_bar, nu_bar
@@ -86,8 +86,9 @@ class EmotionRecord:
     hold_time: int
 
     def __post_init__(self):
-        if self.kind in _OTHER_DIRECTED:
-            assert self.object is not None and self.object != self.subject
+        if self.kind in _OTHER_DIRECTED and (self.object is None
+                                             or self.object == self.subject):
+            raise InvalidRecord(f"{self.kind.value} needs an object other than its subject")
 
     @property
     def valence(self) -> str:

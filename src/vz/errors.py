@@ -15,6 +15,7 @@ class SourceError(VzError):
         self.message = message
         self.line = line
         self.col = col
+        self.path = None  # the file the location is in, when not the scenario
 
     def __str__(self):
         if self.line is not None:
@@ -67,6 +68,10 @@ class UnsupportedFragment(VzError):
 
 
 class DepthExceeded(VzError):
+    pass
+
+
+class InvalidRecord(VzError):
     pass
 
 

@@ -11,14 +11,14 @@ reuse the same variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula, print_term
 from .subst import Substitution, apply_substitution, match
 from .terms import (And, Application, Atom, Constant, Exists, ForAll, Formula,
                     FunctionSymbol, Iff, Implies, Modal, Not, Or, Ought, Sort,
-                    SymbolVariable, Term, Variable, free_variables)
+                    SymbolVariable, Term, Variable, free_variables, sort_of)
 
 FIRST_ORDER = "fo"
 HIGHER_ORDER = "ho"
@@ -56,13 +56,8 @@ class VarNamer:
         return out
 
 
-def _term_sort(t: Term) -> Sort:
-    from .terms import sort_of
-    return sort_of(t)
-
-
 def _common_sort(terms) -> Sort:
-    sorts = {_term_sort(t) for t in terms}
+    sorts = {sort_of(t) for t in terms}
     if len(sorts) == 1:
         return sorts.pop()
     if sorts <= {Sort.ACTION, Sort.EVENT}:
@@ -160,19 +155,12 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
     if not inputs:
         raise Incompatible("anti-unification needs at least one input")
     inputs = tuple(inputs)
-    own_namer = namer is None
     namer = namer or VarNamer()
-    before = dict(namer.vars), dict(namer.syms)
     if _is_formula(inputs[0]):
         pattern = _au_formulas(inputs, mode, namer)
     else:
         pattern = _au_terms(inputs, mode, namer)
-    if own_namer:
-        subs = namer.substitutions(len(inputs))
-    else:
-        # report only bindings relevant to this call plus shared earlier ones
-        subs = namer.substitutions(len(inputs))
-    return Generalization(pattern, tuple(subs), mode)
+    return Generalization(pattern, tuple(namer.substitutions(len(inputs))), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +200,18 @@ def _structure_key(f, mode: str) -> str:
     return walk(f)
 
 
-def _count_new_vars(tuples, mode) -> int:
+def _namer_keys(tup, mode):
+    """The memo keys anti-unifying one aligned tuple introduces, or None
+    when the tuple is incompatible. Which keys _au_formulas reaches never
+    depends on the variables the namer hands back, so the variables a set
+    of tuples introduces with one shared namer are the union of their
+    keys."""
     namer = VarNamer()
     try:
-        for tup in tuples:
-            _au_formulas(tup, mode, namer)
+        _au_formulas(tup, mode, namer)
     except Incompatible:
-        return 10 ** 9
-    return len(namer.vars) + len(namer.syms)
+        return None
+    return {("v", w) for w in namer.vars} | {("s", w) for w in namer.syms}
 
 
 @dataclass(frozen=True)
@@ -268,13 +260,16 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
         chosen = [base]
         for lst in lists[1:]:
             if len(lst) <= 5 and width > 1:
+                # keys[i][k]: what row i costs with lst[k] appended
+                keys = [[_namer_keys(row + (g,), mode) for g in lst]
+                        for row in zip(*chosen)]
                 best, best_cost = None, None
-                for perm in itertools.permutations(lst, width):
-                    cost = _count_new_vars(
-                        [tuple(row) + (perm[i],) for i, row in enumerate(zip(*chosen))], mode)
+                for perm in itertools.permutations(range(len(lst)), width):
+                    rows = [keys[i][k] for i, k in enumerate(perm)]
+                    cost = 10 ** 9 if None in rows else len(set().union(*rows))
                     if best_cost is None or cost < best_cost:
                         best, best_cost = perm, cost
-                chosen.append(list(best))
+                chosen.append([lst[k] for k in best])
             else:
                 chosen.append(lst[:width])
         for i in range(width):

@@ -8,14 +8,14 @@ their witnessing ground values agree across all inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .emotions import EmotionKind, EmotionRecord
 from .errors import NoAlignment, UnboundActionVariable, UnsupportedFragment
 from .generalize import FIRST_ORDER, VarNamer, anti_unify, generalize_sets
 from .inference import horn_closure
-from .printer import print_formula, print_term
+from .printer import print_term
 from .subst import Substitution, apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
                     Constant, Formula, Not, Sort, Term, Variable,
@@ -168,22 +168,29 @@ def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
                        tuple(s.id for s in situations))
 
 
-def _match_all(patterns, formulas, binding: Substitution):
-    """Yield substitutions matching every pattern against some formula."""
-    if not patterns:
+def _match_all(patterns, formulas, keep, binding: Substitution, i: int = 0):
+    """Yield the bindings that match patterns[i:] against some formula
+    each. After pattern i a binding is cut down to keep[i], the variables
+    that a later pattern or the action still reads; a cut-down binding
+    already explored at this level is skipped, since everything below it
+    would repeat."""
+    if i == len(patterns):
         yield binding
         return
-    head, rest = patterns[0], patterns[1:]
-    grounded = apply_substitution(binding, head)
+    grounded = apply_substitution(binding, patterns[i])
+    explored = set()
     for f in formulas:
         s = match(grounded, f)
         if s is None:
             continue
-        merged = dict(binding.var_bindings)
-        merged.update(s.vars)
-        symmerged = dict(binding.sym_bindings)
-        symmerged.update(s.symbols)
-        yield from _match_all(rest, formulas, Substitution.of(merged, symmerged))
+        merged = {v: t for v, t in binding.var_bindings + s.var_bindings if v in keep[i]}
+        symmerged = {v: t for v, t in binding.sym_bindings + s.sym_bindings if v in keep[i]}
+        key = (frozenset(merged.items()), frozenset(symmerged.items()))
+        if key in explored:
+            continue
+        explored.add(key)
+        yield from _match_all(patterns, formulas, keep,
+                              Substitution.of(merged, symmerged), i + 1)
 
 
 def apply_trait(trait: LearntTrait, sigma: Situation,
@@ -191,18 +198,20 @@ def apply_trait(trait: LearntTrait, sigma: Situation,
     """Proposed events: for every substitution making all pattern
     formulas match the situation, the learner performs the instantiated
     action at the situation's time, provided consistency holds."""
+    keep = [free_variables(trait.action_pattern)]
+    for p in reversed(trait.pattern[1:]):
+        keep.append(keep[-1] | free_variables(p))
+    keep.reverse()
     proposals = []
     seen = set()
-    for s in _match_all(list(trait.pattern), list(sigma.formulas), Substitution()):
+    for s in _match_all(trait.pattern, sigma.formulas, keep, Substitution()):
         action_type = apply_substitution(s, trait.action_pattern)
-        if not is_ground(action_type):
+        key = print_term(action_type)
+        if key in seen or not is_ground(action_type):
             continue
-        if not check_consistency(sigma, action_type, learner):
-            continue
-        event = Application(ACTION, (learner, action_type))
-        key = print_term(event)
-        if key not in seen:
-            seen.add(key)
-            proposals.append(event)
+        # consistency depends on the action type alone: check each once
+        seen.add(key)
+        if check_consistency(sigma, action_type, learner):
+            proposals.append(Application(ACTION, (learner, action_type)))
     proposals.sort(key=print_term)
     return proposals

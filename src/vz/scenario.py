@@ -173,7 +173,9 @@ class ScenarioDoc:
 
     @property
     def happens(self):
-        return [(f.event, f.time) for f in self._of(HappensFact)]
+        """Distinct (event, time) occurrences in first-seen order: happens
+        is a predicate, so a repeated fact states nothing new."""
+        return list(dict.fromkeys((f.event, f.time) for f in self._of(HappensFact)))
 
     @property
     def nu_facts(self):
@@ -522,6 +524,14 @@ def _parse_item(sx, doc, table, fp):
         raise ParseError(f"unknown item {head!r}", *loc)
 
 
+def _section_arg(sec, what):
+    """The single argument of a (key arg) section."""
+    items = sec.items[1:]
+    if len(items) != 1:
+        raise ParseError(f"({sec.items[0].text} ...) takes one {what}", *_loc(sec))
+    return items[0]
+
+
 def _sections(body, loc, allowed):
     out = {}
     for part in body:
@@ -544,16 +554,13 @@ def _parse_observe(sx, body, fp) -> ObserveFact:
     secs = _sections(body[1:], loc, {"agent", "time", "formulas", "alternatives", "performed"})
     agent = None
     if "agent" in secs:
-        agent = fp.term(secs["agent"].items[1], Sort.AGENT)
-    time = _expect_nat(secs["time"].items[1]) if "time" in secs else 0
+        agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT)
+    time = _expect_nat(_section_arg(secs["time"], "moment")) if "time" in secs else 0
     formulas = tuple(fp.formula(f) for f in secs.get("formulas", SList((None,), *loc)).items[1:])
     alts = tuple(fp.term(t, Sort.ACTION_TYPE) for t in secs.get("alternatives", SList((None,), *loc)).items[1:])
     performed = None
     if "performed" in secs:
-        items = secs["performed"].items[1:]
-        if len(items) != 1:
-            raise ParseError("(performed ...) takes one action type", *_loc(secs["performed"]))
-        performed = fp.term(items[0], Sort.ACTION_TYPE)
+        performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE)
     return ObserveFact(oid, agent, time, formulas, alts, performed)
 
 
@@ -563,7 +570,7 @@ def _parse_query(sx, body, fp) -> QueryFact:
         raise ParseError("(query ...) needs an id", *loc)
     qid = _expect_sym(body[0], "situation id")
     secs = _sections(body[1:], loc, {"time", "formulas"})
-    time = _expect_nat(secs["time"].items[1]) if "time" in secs else 0
+    time = _expect_nat(_section_arg(secs["time"], "moment")) if "time" in secs else 0
     formulas = tuple(fp.formula(f) for f in secs.get("formulas", SList((None,), *loc)).items[1:])
     return QueryFact(qid, time, formulas)
 

@@ -1,7 +1,7 @@
 """Substitutions and one-sided matching."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SortMismatch
 from .terms import (And, Application, Atom, Constant, Exists, ForAll, Formula,

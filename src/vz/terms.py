@@ -7,7 +7,7 @@ everything else is flat.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import ArityMismatch, SortMismatch, UnknownSymbol

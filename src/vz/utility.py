@@ -1,7 +1,7 @@
 """Agent-specific and agent-neutral utilities and their event totals."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ec import Timeline
 from .errors import SortMismatch, UnknownOccurrence

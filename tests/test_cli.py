@@ -43,6 +43,39 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("text, where", [
+        ("(query q (time))\n", "1:10: (time ...) takes one moment"),
+        ("(observe s (agent))\n", "1:12: (agent ...) takes one agent"),
+        ("(observe s (time))\n", "1:12: (time ...) takes one moment"),
+    ])
+    def test_empty_section(self, capsys, tmp_path, text, where):
+        p = tmp_path / "bad.vz"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert code == 1 and out == ""
+        assert err == f"{p}:{where}\n"
+
+    @pytest.mark.parametrize("text, where", [
+        ("(trait foo)\n", "1:8: expected a (section ...) entry"),
+        ("trait\n", "1:1: trait file entries must be (trait ...) records"),
+        ("(trait (pattern (holds ?x ?t)))\n",
+         "1:1: trait record lacks an (action ...) section"),
+        ("(trait (action))\n", "1:8: (action ...) takes one action type"),
+        ("(trait (action (utter (broken))) (exemplar (seller)))\n",
+         "1:44: expected agent name"),
+        ("(trait (action (utter (broken))) (sources (s1)))\n",
+         "1:43: expected situation id"),
+    ])
+    def test_malformed_trait_file(self, capsys, tmp_path, text, where):
+        traits = tmp_path / "traits.vz"
+        traits.write_text(text)
+        code, out, err = run_cli(capsys, "act", MARKETPLACE, "--traits", str(traits))
+        assert code == 1 and out == ""
+        # the location is in the trait file, not in the scenario
+        assert err == f"{traits}:{where}\n"
+
+
 class TestSubcommands:
     def test_check_counts_facts(self, capsys):
         code, out, _ = run_cli(capsys, "check", MARKETPLACE)
@@ -109,6 +142,18 @@ class TestSubcommands:
         assert code == 0
         assert out.splitlines()[-1] == \
             "(proposal fresh (happens (action observer (utter (broken))) 5))"
+
+    def test_duplicate_happens_collapses(self, capsys, tmp_path):
+        # happens is a predicate: stating an occurrence twice changes nothing
+        text = open(MARKETPLACE).read()
+        line = "(happens (action seller (utter (broken))) 1)\n"
+        assert text.count(line) == 1
+        p = tmp_path / "twice.vz"
+        p.write_text(text.replace(line, line * 2))
+        for extra in ([], ["--json"]):
+            _, want, _ = run_cli(capsys, "run", MARKETPLACE, *extra)
+            code, got, _ = run_cli(capsys, "run", str(p), *extra)
+            assert code == 0 and got == want
 
     def test_run_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "run", MARKETPLACE)

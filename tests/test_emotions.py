@@ -5,7 +5,7 @@ from vz.emotions import (EmotionKind, EmotionRecord, Theta, World,
                          eval_admiration, eval_distress, eval_happy_for,
                          eval_joy, eval_occ_table_emotion, sweep_emotions,
                          world_from_doc)
-from vz.errors import UnknownOccurrence
+from vz.errors import InvalidRecord, UnknownOccurrence
 from vz.scenario import HappensFact, parse_scenario
 from vz.terms import ACTION, Application, Sort
 from vz.utility import NuTable
@@ -275,3 +275,16 @@ def test_eval_matches_reference_interpreter(rng):
                         assert eval_admiration(a, b, ev.args[1], t, t2, w) \
                             == reference_eval(EmotionKind.ADMIRATION_FOR,
                                               a, b, occ, t2, w)
+
+
+@pytest.mark.parametrize("kind", [EmotionKind.HAPPY_FOR, EmotionKind.GLOATING,
+                                  EmotionKind.PITY_FOR, EmotionKind.RESENTMENT,
+                                  EmotionKind.ADMIRATION_FOR])
+def test_other_directed_record_needs_another_object(kind):
+    doc = make_doc(1, 1)
+    a0, a1 = doc.symbols.constants["ag0"], doc.symbols.constants["ag1"]
+    e = doc.events[0]
+    EmotionRecord(kind, a0, a1, e, 1, 2)
+    for obj in (None, a0):
+        with pytest.raises(InvalidRecord):
+            EmotionRecord(kind, a0, obj, e, 1, 2)

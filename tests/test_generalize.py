@@ -4,13 +4,13 @@ import pytest
 
 from vz.errors import Incompatible, NoAlignment
 from vz.generalize import (FIRST_ORDER, HIGHER_ORDER, Generalization,
-                           SetGeneralization, VarNamer, anti_unify,
-                           generalize_sets)
+                           SetGeneralization, VarNamer, _au_formulas,
+                           _structure_key, anti_unify, generalize_sets)
 from vz.printer import print_formula, print_term
 from vz.subst import apply_substitution, match
-from vz.terms import (Application, Atom, Constant, ForAll, Implies, Sort,
-                      SymbolVariable, Variable, alpha_equal, free_variables,
-                      renaming_equal)
+from vz.terms import (Application, Atom, Constant, ForAll, FunctionSymbol,
+                      Implies, Not, Sort, SymbolVariable, Variable,
+                      alpha_equal, free_variables, renaming_equal)
 
 from conftest import (A, B, F2, G1, HONESTY, HUNGRY, JACK, JILL, JIM, LIKES,
                       LOVES, TALKING_WITH)
@@ -250,3 +250,107 @@ class TestGeneralizeSets:
         assert g.total
         printed = sorted(print_formula(p) for p in g.patterns)
         assert "(hungry jack)" in printed
+
+
+# ---------------------------------------------------------------------------
+# generalize_sets against an alignment that re-anti-unifies every whole row
+# of every candidate permutation under a fresh namer.
+
+
+def reference_generalize_sets(gammas, mode):
+    """generalize_sets as first written; returns the result (or the
+    exception type) and whether some permutation beat the input order."""
+    def count_new_vars(rows):
+        namer = VarNamer()
+        try:
+            for row in rows:
+                _au_formulas(row, mode, namer)
+        except Incompatible:
+            return 10 ** 9
+        return len(namer.vars) + len(namer.syms)
+
+    gammas = [tuple(g) for g in gammas]
+    keyed = []
+    for g in gammas:
+        d = {}
+        for f in g:
+            d.setdefault(_structure_key(f, mode), []).append(f)
+        for fs in d.values():
+            fs.sort(key=print_formula)
+        keyed.append(d)
+    common = sorted(set(keyed[0]).intersection(*[set(k) for k in keyed[1:]]))
+    aligned, used, reordered = [], [set() for _ in gammas], False
+    for key in common:
+        lists = [k[key] for k in keyed]
+        width = min(len(l) for l in lists)
+        chosen = [lists[0][:width]]
+        for lst in lists[1:]:
+            if len(lst) <= 5 and width > 1:
+                best, best_cost = None, None
+                for perm in itertools.permutations(lst, width):
+                    cost = count_new_vars(
+                        [tuple(row) + (perm[i],) for i, row in enumerate(zip(*chosen))])
+                    if best_cost is None or cost < best_cost:
+                        best, best_cost = perm, cost
+                reordered |= list(best) != lst[:width]
+                chosen.append(list(best))
+            else:
+                chosen.append(lst[:width])
+        for i in range(width):
+            tup = tuple(c[i] for c in chosen)
+            aligned.append(tup)
+            for j, f in enumerate(tup):
+                used[j].add(print_formula(f))
+    if not aligned:
+        return NoAlignment, reordered
+    namer = VarNamer()
+    try:
+        patterns = tuple(_au_formulas(tup, mode, namer) for tup in aligned)
+    except Incompatible:
+        return Incompatible, reordered
+    total = all(len(used[j]) == len({print_formula(f) for f in g})
+                for j, g in enumerate(gammas))
+    if total:
+        total = all(any(match(p, f) is not None for p in patterns)
+                    for g in gammas for f in g)
+    return SetGeneralization(patterns, tuple(namer.substitutions(len(gammas))), mode,
+                             total, tuple(namer.vars.values())), reordered
+
+
+# "hungry" over fluents: aligns with hungry/1 in first-order mode, where
+# anti-unifying the two cannot succeed
+HUNGRY_FL = FunctionSymbol("hungry", (Sort.FLUENT,), Sort.BOOLEAN)
+GOOD = FunctionSymbol("good", (Sort.FLUENT, Sort.AGENT), Sort.BOOLEAN)
+
+
+def random_formula_maker(rng):
+    agent = lambda: rng.choice([JACK, JILL, JIM])
+    return rng.choice([
+        lambda: Atom(HUNGRY(agent())),
+        lambda: Atom(rng.choice([LIKES, LOVES])(agent(), agent())),
+        lambda: Atom(GOOD(random_term(rng, 2), agent())),
+        lambda: Not(Atom(HUNGRY(agent()))),
+        lambda: imp(agent()),
+        lambda: Atom(HUNGRY_FL(rng.choice([A, B]))),
+    ])
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_generalize_sets_matches_whole_row_alignment(rng, mode):
+    reordered = outcomes = 0
+    for _ in range(400):
+        # few formula kinds, so that one alignment key offers several candidates
+        makers = [random_formula_maker(rng) for _ in range(2)]
+        gammas = [[rng.choice(makers)() for _ in range(rng.randint(1, 6))]
+                  for _ in range(rng.randint(2, 4))]
+        want, moved = reference_generalize_sets(gammas, mode)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                generalize_sets(gammas, mode)
+            continue
+        assert generalize_sets(gammas, mode) == want, [
+            [print_formula(f) for f in g] for g in gammas]
+        outcomes += 1
+        reordered += moved
+    # the permutation search decides the alignment in a good share of cases
+    assert outcomes > 100 and reordered > 30

@@ -6,8 +6,10 @@ from vz.learner import (ExemplarRecord, LearntTrait, Situation, TraitCriteria,
                         apply_trait, check_consistency, detect_trait,
                         identify_exemplars, learn_trait)
 from vz.printer import print_formula, print_term
+from vz.subst import Substitution, apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, Application, Atom, Constant,
-                      FunctionSymbol, Implies, Not, Sort, Variable, moment)
+                      FunctionSymbol, Implies, Not, Sort, SymbolVariable,
+                      Variable, free_variables, is_ground, moment)
 
 from conftest import JACK, JILL, TALKING_WITH
 
@@ -215,3 +217,125 @@ class TestApplyTrait:
         sigma = sit("fresh", 5, [holds(BROKEN(), moment(5)), rule,
                                  Not(Atom(LIED()))])
         assert apply_trait(self.trait(), sigma, OBSERVER) == []
+
+
+# ---------------------------------------------------------------------------
+# apply_trait against the unpruned join: every substitution enumerated,
+# consistency checked per substitution, events deduplicated by printed form.
+
+
+def reference_apply_trait(trait, sigma, learner):
+    def match_all(patterns, binding):
+        if not patterns:
+            yield binding
+            return
+        grounded = apply_substitution(binding, patterns[0])
+        for f in sigma.formulas:
+            s = match(grounded, f)
+            if s is None:
+                continue
+            merged = dict(binding.vars)
+            merged.update(s.vars)
+            symmerged = dict(binding.symbols)
+            symmerged.update(s.symbols)
+            yield from match_all(patterns[1:], Substitution.of(merged, symmerged))
+
+    proposals, seen = [], set()
+    for s in match_all(list(trait.pattern), Substitution()):
+        action_type = apply_substitution(s, trait.action_pattern)
+        if not is_ground(action_type) or not check_consistency(sigma, action_type, learner):
+            continue
+        event = Application(ACTION, (learner, action_type))
+        if print_term(event) not in seen:
+            seen.add(print_term(event))
+            proposals.append(event)
+    proposals.sort(key=print_term)
+    return proposals
+
+
+P1 = FunctionSymbol("p", (Sort.FLUENT,), Sort.BOOLEAN)
+R1 = FunctionSymbol("r", (Sort.FLUENT,), Sort.BOOLEAN)
+Q2 = FunctionSymbol("q", (Sort.FLUENT, Sort.FLUENT), Sort.BOOLEAN)
+G1F = FunctionSymbol("g", (Sort.FLUENT,), Sort.FLUENT)
+H1F = FunctionSymbol("h", (Sort.FLUENT,), Sort.FLUENT)
+SAY2 = FunctionSymbol("say", (Sort.FLUENT, Sort.FLUENT), Sort.ACTION_TYPE)
+FLUENTS = [Constant(n, Sort.FLUENT) for n in ("a", "b", "c")]
+XS = [Variable(f"X{i}", Sort.FLUENT) for i in range(4)]
+PRED_VAR = SymbolVariable("P0", (Sort.FLUENT,), Sort.BOOLEAN)
+FUN_VAR = SymbolVariable("P1", (Sort.FLUENT,), Sort.FLUENT)
+
+
+def random_arg(rng, leaves, ho):
+    leaf = rng.choice(leaves)
+    if rng.random() < 0.3:
+        return Application(rng.choice([G1F, H1F, FUN_VAR] if ho else [G1F, H1F]), (leaf,))
+    return leaf
+
+
+def random_atom(rng, leaves, ho):
+    if rng.random() < 0.4:
+        return Atom(Q2(random_arg(rng, leaves, ho), random_arg(rng, leaves, ho)))
+    pred = rng.choice([P1, R1, PRED_VAR] if ho else [P1, R1])
+    return Atom(Application(pred, (random_arg(rng, leaves, ho),)))
+
+
+def random_trait_case(rng, ho):
+    # patterns share variables by drawing their leaves from a small pool
+    pool = XS[:rng.randint(1, 4)]
+    pattern = tuple(random_atom(rng, pool + FLUENTS[:1], ho)
+                    for _ in range(rng.randint(1, 3)))
+    free = set().union(*map(free_variables, pattern))
+    bound = sorted(free & set(XS), key=lambda v: v.name)
+    if not bound:
+        pattern += (Atom(P1(pool[0])),)
+        bound = [pool[0]]
+    if FUN_VAR in free and rng.random() < 0.5:
+        action = UTTER(Application(FUN_VAR, (rng.choice(bound),)))
+    elif rng.random() < 0.5:
+        action = UTTER(rng.choice(bound))
+    else:
+        action = SAY2(rng.choice(bound), rng.choice(bound))
+    formulas = [random_atom(rng, FLUENTS, False) for _ in range(rng.randint(3, 10))]
+    if rng.random() < 0.3:
+        formulas.append(holds(BROKEN(), TVAR))
+        formulas.append(Atom(P1(Variable("s", Sort.FLUENT))))
+    if rng.random() < 0.5:
+        # one utterance contradicts the situation
+        blocked = UTTER(rng.choice(FLUENTS))
+        formulas += [Implies(happens_action(OBSERVER, blocked, 4), Atom(LIED())),
+                     Not(Atom(LIED()))]
+    rng.shuffle(formulas)
+    return LearntTrait(pattern, action), sit("q", 4, formulas)
+
+
+@pytest.mark.parametrize("ho", [False, True])
+def test_apply_trait_matches_unpruned_join(rng, ho):
+    proposing = 0
+    for _ in range(500):
+        trait, sigma = random_trait_case(rng, ho)
+        got = apply_trait(trait, sigma, OBSERVER)
+        assert got == reference_apply_trait(trait, sigma, OBSERVER), (
+            [print_formula(p) for p in trait.pattern], print_term(trait.action_pattern),
+            [print_formula(f) for f in sigma.formulas])
+        proposing += len(got) > 1
+    assert proposing > 30  # the generator does reach multi-proposal cases
+
+
+def test_apply_trait_disjoint_patterns_one_proposal(monkeypatch):
+    # only the anchor reaches the action: every other pattern matches
+    # three ways, yet the action is proposed once and checked once
+    trait = LearntTrait((Atom(P1(XS[0])), Atom(R1(XS[1])), Atom(Q2(XS[2], XS[3]))),
+                        UTTER(XS[1]))
+    formulas = ([Atom(P1(f)) for f in FLUENTS] + [Atom(R1(FLUENTS[0]))]
+                + [Atom(Q2(f, f)) for f in FLUENTS])
+    sigma = sit("q", 4, formulas)
+    checked = []
+
+    def counting(sigma, alpha, agent):
+        checked.append(alpha)
+        return check_consistency(sigma, alpha, agent)
+
+    monkeypatch.setattr("vz.learner.check_consistency", counting)
+    (event,) = apply_trait(trait, sigma, OBSERVER)
+    assert print_term(event) == "(action observer (utter a))"
+    assert checked == [UTTER(FLUENTS[0])]
