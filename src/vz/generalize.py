@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula, print_term
 from .subst import Substitution, apply_substitution, match
-from .terms import (And, Application, Atom, Constant, Exists, ForAll, Formula,
-                    FunctionSymbol, Iff, Implies, Modal, Not, Or, Ought, Sort,
-                    SymbolVariable, Term, Variable, free_variables, sort_of)
+from .terms import (KEYWORDS, TERMS, And, Application, Atom, Exists, ForAll,
+                    FunctionSymbol, Modal, Or, Sort, SymbolVariable, Term,
+                    Variable, children, free_variables, rebuild, sort_of)
 
 FIRST_ORDER = "fo"
 HIGHER_ORDER = "ho"
@@ -87,8 +87,12 @@ def _au_terms(terms: tuple, mode: str, namer: VarNamer) -> Term:
     return namer.variable(terms, _common_sort(terms))
 
 
-def _au_formulas(fs: tuple, mode: str, namer: VarNamer) -> Formula:
+def _au_formulas(fs: tuple, mode: str, namer: VarNamer):
+    """Anti-unify a tuple of formulas (or, by handing them to _au_terms,
+    of terms)."""
     first = fs[0]
+    if isinstance(first, TERMS):
+        return _au_terms(fs, mode, namer)
     if all(f == first for f in fs[1:]):
         return first
     kinds = {type(f) for f in fs}
@@ -99,18 +103,8 @@ def _au_formulas(fs: tuple, mode: str, namer: VarNamer) -> Formula:
         if not isinstance(pred, Application):
             raise Incompatible("atoms cannot generalize to a bare variable")
         return Atom(pred)
-    if isinstance(first, Not):
-        return Not(_au_formulas(tuple(f.body for f in fs), mode, namer))
-    if isinstance(first, (And, Or)):
-        n = len(first.parts)
-        if any(len(f.parts) != n for f in fs[1:]):
-            raise Incompatible("connectives of different arity")
-        parts = tuple(_au_formulas(tuple(f.parts[i] for f in fs), mode, namer)
-                      for i in range(n))
-        return type(first)(parts)
-    if isinstance(first, (Implies, Iff)):
-        return type(first)(_au_formulas(tuple(f.lhs for f in fs), mode, namer),
-                           _au_formulas(tuple(f.rhs for f in fs), mode, namer))
+    if isinstance(first, (And, Or)) and any(len(f.parts) != len(first.parts) for f in fs[1:]):
+        raise Incompatible("connectives of different arity")
     if isinstance(first, (ForAll, Exists)):
         n = len(first.vars)
         if any(len(f.vars) != n for f in fs[1:]) or \
@@ -122,23 +116,11 @@ def _au_formulas(fs: tuple, mode: str, namer: VarNamer) -> Formula:
             ren = Substitution.of({fv: pv for fv, pv in zip(f.vars, first.vars)})
             bodies.append(apply_substitution(ren, f.body))
         return type(first)(first.vars, _au_formulas(tuple(bodies), mode, namer))
-    if isinstance(first, Modal):
-        if any(f.op is not first.op or len(f.agents) != len(first.agents) for f in fs[1:]):
-            raise Incompatible("modal operators disagree")
-        agents = tuple(_au_terms(tuple(f.agents[i] for f in fs), mode, namer)
-                       for i in range(len(first.agents)))
-        time = _au_terms(tuple(f.time for f in fs), mode, namer)
-        return Modal(first.op, agents, time, _au_formulas(tuple(f.body for f in fs), mode, namer))
-    if isinstance(first, Ought):
-        return Ought(_au_terms(tuple(f.agent for f in fs), mode, namer),
-                     _au_terms(tuple(f.time for f in fs), mode, namer),
-                     _au_formulas(tuple(f.condition for f in fs), mode, namer),
-                     _au_formulas(tuple(f.body for f in fs), mode, namer))
-    raise Incompatible(f"cannot generalize {first!r}")
-
-
-def _is_formula(x) -> bool:
-    return not isinstance(x, (Variable, Constant, Application))
+    if isinstance(first, Modal) and \
+            any(f.op is not first.op or len(f.agents) != len(first.agents) for f in fs[1:]):
+        raise Incompatible("modal operators disagree")
+    return rebuild(first, [_au_formulas(col, mode, namer)
+                           for col in zip(*(children(f) for f in fs))])
 
 
 @dataclass(frozen=True)
@@ -156,10 +138,7 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
         raise Incompatible("anti-unification needs at least one input")
     inputs = tuple(inputs)
     namer = namer or VarNamer()
-    if _is_formula(inputs[0]):
-        pattern = _au_formulas(inputs, mode, namer)
-    else:
-        pattern = _au_terms(inputs, mode, namer)
+    pattern = _au_formulas(inputs, mode, namer)
     return Generalization(pattern, tuple(namer.substitutions(len(inputs))), mode)
 
 
@@ -180,22 +159,14 @@ def _structure_key(f, mode: str) -> str:
             # predicate symbol and arity only; term arguments are blanked
             # so differing constants still align
             return f"({sym(node.pred.symbol)}/{len(node.pred.args)})"
-        if isinstance(node, Not):
-            return f"(not {walk(node.body)})"
-        if isinstance(node, (And, Or)):
-            kw = "and" if isinstance(node, And) else "or"
-            return f"({kw} {' '.join(walk(p) for p in node.parts)})"
-        if isinstance(node, (Implies, Iff)):
-            kw = "implies" if isinstance(node, Implies) else "iff"
-            return f"({kw} {walk(node.lhs)} {walk(node.rhs)})"
+        subs = [walk(sub) for sub in children(node) if not isinstance(sub, TERMS)]
         if isinstance(node, (ForAll, Exists)):
-            kw = "forall" if isinstance(node, ForAll) else "exists"
-            return f"({kw}/{len(node.vars)} {walk(node.body)})"
-        if isinstance(node, Modal):
-            return f"({node.op.value}/{len(node.agents)} {walk(node.body)})"
-        if isinstance(node, Ought):
-            return f"(ought {walk(node.condition)} {walk(node.body)})"
-        raise TypeError(f"not a formula: {node!r}")
+            head = f"{KEYWORDS[type(node)]}/{len(node.vars)}"
+        elif isinstance(node, Modal):
+            head = f"{node.op.value}/{len(node.agents)}"
+        else:
+            head = KEYWORDS[type(node)]
+        return f"({' '.join([head, *subs])})"
 
     return walk(f)
 
@@ -276,7 +247,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             tup = tuple(chosen[j][i] for j in range(len(gammas)))
             aligned.append(tup)
             for j, f in enumerate(tup):
-                used[j].add(id_key(f))
+                used[j].add(print_formula(f))
 
     if not aligned:
         raise NoAlignment("input sets share no alignable formula")
@@ -285,7 +256,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
     for tup in aligned:
         patterns.append(_au_formulas(tup, mode, namer))
 
-    total = all(len(used[j]) == len({id_key(f) for f in gammas[j]})
+    total = all(len(used[j]) == len({print_formula(f) for f in gammas[j]})
                 for j in range(len(gammas)))
     if total:
         # mechanical verification: every input formula is an instance of
@@ -299,6 +270,3 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
     return SetGeneralization(tuple(patterns), tuple(namer.substitutions(len(gammas))),
                              mode, total, introduced)
 
-
-def id_key(f) -> str:
-    return print_formula(f)

@@ -8,27 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, UnsupportedFragment
-from .terms import (And, Atom, Exists, ForAll, Formula, Iff, Implies, Modal,
-                    ModalOp, Not, Or, Ought, moment, moment_value)
+from .errors import DepthExceeded, SortMismatch, UnsupportedFragment
+from .terms import (TERMS, And, Atom, Constant, Formula, Implies, Modal,
+                    ModalOp, Not, Ought, Sort, children, moment, moment_value)
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, Atom):
+    """Nesting depth of modal and deontic operators."""
+    if isinstance(f, (Atom, TERMS)):
         return 0
-    if isinstance(f, Not):
-        return modal_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(modal_depth(p) for p in f.parts)
-    if isinstance(f, (Implies, Iff)):
-        return max(modal_depth(f.lhs), modal_depth(f.rhs))
-    if isinstance(f, (ForAll, Exists)):
-        return modal_depth(f.body)
-    if isinstance(f, Modal):
-        return 1 + modal_depth(f.body)
-    if isinstance(f, Ought):
-        return 1 + max(modal_depth(f.condition), modal_depth(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    depth = max(map(modal_depth, children(f)), default=0)
+    return depth + 1 if isinstance(f, (Modal, Ought)) else depth
 
 
 def _is_literal(f) -> bool:
@@ -99,39 +89,19 @@ class KnowledgeBase:
         return cls(frozenset(formulas), max_depth, horizon)
 
 
-def _moments_of(f, out):
-    from .terms import Application, Constant, Sort, Variable
-    if isinstance(f, Constant):
-        if f.sort is Sort.MOMENT:
-            out.add(int(f.name))
-    elif isinstance(f, Application):
-        for a in f.args:
-            _moments_of(a, out)
-    elif isinstance(f, Atom):
-        _moments_of(f.pred, out)
-    elif isinstance(f, Not):
-        _moments_of(f.body, out)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _moments_of(p, out)
-    elif isinstance(f, (Implies, Iff)):
-        _moments_of(f.lhs, out)
-        _moments_of(f.rhs, out)
-    elif isinstance(f, (ForAll, Exists)):
-        _moments_of(f.body, out)
-    elif isinstance(f, Modal):
-        _moments_of(f.time, out)
-        _moments_of(f.body, out)
-    elif isinstance(f, Ought):
-        _moments_of(f.time, out)
-        _moments_of(f.condition, out)
-        _moments_of(f.body, out)
+def _moments_of(x, out):
+    if isinstance(x, Constant):
+        if x.sort is Sort.MOMENT:
+            out.add(moment_value(x))
+    else:
+        for sub in children(x):
+            _moments_of(sub, out)
 
 
 def _try_moment(t):
     try:
         return moment_value(t)
-    except Exception:
+    except SortMismatch:
         return None
 
 

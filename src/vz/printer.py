@@ -7,9 +7,8 @@ prefix.
 """
 from __future__ import annotations
 
-from .terms import (And, Application, Atom, Constant, Exists, ForAll, Iff,
-                    Implies, Modal, ModalOp, Not, Or, Ought, Sort,
-                    SymbolVariable, Variable)
+from .terms import (KEYWORDS, Application, Atom, Constant, Exists, ForAll,
+                    Modal, SymbolVariable, Variable, children)
 
 
 def print_real(x: float) -> str:
@@ -22,45 +21,29 @@ def print_real(x: float) -> str:
     return s
 
 
-def print_term(t, bound=frozenset()) -> str:
-    if isinstance(t, Variable):
-        return t.name if t in bound else f"?{t.name}"
-    if isinstance(t, Constant):
-        return t.name
-    if isinstance(t, Application):
-        name = t.symbol.name
-        if isinstance(t.symbol, SymbolVariable):
-            name = f"?{name}"
-        if not t.args:
-            return f"({name})"
-        return f"({name} {' '.join(print_term(a, bound) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
+def print_term(x, bound=frozenset()) -> str:
+    """Print a term or formula; ``bound`` holds the variables bound by
+    enclosing quantifiers."""
+    if isinstance(x, Variable):
+        return x.name if x in bound else f"?{x.name}"
+    if isinstance(x, Constant):
+        return x.name
+    if isinstance(x, Atom):
+        return print_term(x.pred, bound)
+    if isinstance(x, Application):
+        head = f"?{x.symbol.name}" if isinstance(x.symbol, SymbolVariable) else x.symbol.name
+    elif isinstance(x, (ForAll, Exists)):
+        binders = " ".join(f"({v.name} {v.sort.value})" for v in x.vars)
+        head = f"{KEYWORDS[type(x)]} ({binders})"
+        bound = bound | set(x.vars)
+    elif isinstance(x, Modal):
+        head = x.op.value
+    else:
+        head = KEYWORDS[type(x)]
+    parts = [head]
+    for sub in children(x):
+        parts.append(print_term(sub, bound))
+    return f"({' '.join(parts)})"
 
 
-def print_formula(f, bound=frozenset()) -> str:
-    if isinstance(f, Atom):
-        return print_term(f.pred, bound)
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.body, bound)})"
-    if isinstance(f, And):
-        return f"(and {' '.join(print_formula(p, bound) for p in f.parts)})"
-    if isinstance(f, Or):
-        return f"(or {' '.join(print_formula(p, bound) for p in f.parts)})"
-    if isinstance(f, Implies):
-        return f"(implies {print_formula(f.lhs, bound)} {print_formula(f.rhs, bound)})"
-    if isinstance(f, Iff):
-        return f"(iff {print_formula(f.lhs, bound)} {print_formula(f.rhs, bound)})"
-    if isinstance(f, (ForAll, Exists)):
-        kw = "forall" if isinstance(f, ForAll) else "exists"
-        binders = " ".join(f"({v.name} {v.sort.value})" for v in f.vars)
-        return f"({kw} ({binders}) {print_formula(f.body, bound | set(f.vars))})"
-    if isinstance(f, Modal):
-        parts = [f.op.value]
-        parts += [print_term(a, bound) for a in f.agents]
-        parts.append(print_term(f.time, bound))
-        parts.append(print_formula(f.body, bound))
-        return f"({' '.join(parts)})"
-    if isinstance(f, Ought):
-        return (f"(ought {print_term(f.agent, bound)} {print_term(f.time, bound)} "
-                f"{print_formula(f.condition, bound)} {print_formula(f.body, bound)})")
-    raise TypeError(f"not a formula: {f!r}")
+print_formula = print_term

@@ -14,25 +14,14 @@ from .errors import (DuplicateDeclaration, ParseError, SortMismatch,
                      UndeclaredSymbol)
 from .printer import print_formula, print_real, print_term
 from .sexpr import SList, SNum, SSym, read_all
-from .terms import (BUILTIN_SYMBOLS, And, Application, Atom, Constant, Exists,
-                    ForAll, Formula, FunctionSymbol, Iff, Implies, Modal,
-                    ModalOp, Not, Or, Ought, Sort, Term, Variable,
-                    check_formula, fits, moment, sort_of)
+from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
+                    Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
+                    Implies, Modal, ModalOp, Not, Or, Ought, Sort, Term,
+                    Variable, check_formula, fits, moment)
 
 SORT_NAMES = {s.value: s for s in Sort}
 
-_MODAL_BY_NAME = {
-    "perceives": ModalOp.PERCEIVES,
-    "knows": ModalOp.KNOWS,
-    "believes": ModalOp.BELIEVES,
-    "desires": ModalOp.DESIRES,
-    "intends": ModalOp.INTENDS,
-    "common": ModalOp.COMMON,
-    "says": ModalOp.SAYS,
-    "says-to": ModalOp.SAYS_TO,
-}
-
-_CONNECTIVES = {"not", "and", "or", "implies", "iff", "forall", "exists", "ought"}
+_MODAL_BY_NAME = {op.value: op for op in ModalOp}
 
 
 class SymbolTable:
@@ -373,7 +362,7 @@ class _FormulaParser:
                 raise SortMismatch(str(exc), *_loc(sx))
         if name in _MODAL_BY_NAME:
             op = _MODAL_BY_NAME[name]
-            nagents = {ModalOp.COMMON: 0, ModalOp.SAYS_TO: 2}.get(op, 1)
+            nagents = MODAL_ARITY[op]
             if name == "says" and len(body) == 4:
                 op, nagents = ModalOp.SAYS_TO, 2
             if len(body) != nagents + 2:
@@ -439,6 +428,10 @@ def _parse_item(sx, doc, table, fp):
         need(2)
         name = _expect_sym(body[0])
         sort = _parse_sort(body[1])
+        if sort is Sort.MOMENT:
+            # moments are the numerals 0, 1, 2, ...; a name cannot be one
+            raise SortMismatch(f"moment constant {name!r}: moments are written as numerals",
+                               *_loc(body[1]))
         table.declare_constant(name, sort, loc)
         doc.declarations.append(Declaration("constant", name, sort=sort))
     elif head in ("declare-action-type", "declare-fluent", "declare-predicate"):

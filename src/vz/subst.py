@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SortMismatch
-from .terms import (And, Application, Atom, Constant, Exists, ForAll, Formula,
-                    FunctionSymbol, Iff, Implies, Modal, Not, Or, Ought,
-                    SymbolVariable, Term, Variable, fits, sort_of)
+from .errors import SortMismatch, VzError
+from .terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
+                    Modal, SymbolVariable, Term, Variable, children, fits,
+                    rebuild, sort_of)
 
 
 @dataclass(frozen=True)
@@ -61,35 +61,12 @@ def _apply(vb, sb, node):
         return vb.get(node, node)
     if isinstance(node, Constant):
         return node
-    if isinstance(node, Application):
-        sym = node.symbol
-        if isinstance(sym, SymbolVariable):
-            sym = sb.get(sym, sym)
-        return Application(sym, tuple(_apply(vb, sb, a) for a in node.args))
-    if isinstance(node, Atom):
-        return Atom(_apply(vb, sb, node.pred))
-    if isinstance(node, Not):
-        return Not(_apply(vb, sb, node.body))
-    if isinstance(node, And):
-        return And(tuple(_apply(vb, sb, p) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(_apply(vb, sb, p) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(_apply(vb, sb, node.lhs), _apply(vb, sb, node.rhs))
-    if isinstance(node, Iff):
-        return Iff(_apply(vb, sb, node.lhs), _apply(vb, sb, node.rhs))
     if isinstance(node, (ForAll, Exists)):
-        inner = {v: t for v, t in vb.items() if v not in node.vars}
-        return type(node)(node.vars, _apply(inner, sb, node.body))
-    if isinstance(node, Modal):
-        return Modal(node.op,
-                     tuple(_apply(vb, sb, a) for a in node.agents),
-                     _apply(vb, sb, node.time),
-                     _apply(vb, sb, node.body))
-    if isinstance(node, Ought):
-        return Ought(_apply(vb, sb, node.agent), _apply(vb, sb, node.time),
-                     _apply(vb, sb, node.condition), _apply(vb, sb, node.body))
-    raise TypeError(f"not a term or formula: {node!r}")
+        vb = {v: t for v, t in vb.items() if v not in node.vars}
+    kids = [_apply(vb, sb, sub) for sub in children(node)]
+    if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
+        return Application(sb.get(node.symbol, node.symbol), tuple(kids))
+    return rebuild(node, kids)
 
 
 def match(pattern, target) -> Substitution | None:
@@ -115,15 +92,15 @@ def _match(p, t, vb, sb, bound_map):
         try:
             if not fits(sort_of(t), p.sort):
                 return False
-        except Exception:
+        except VzError:
             return False
         vb[p] = t
         return True
     if isinstance(p, Constant):
         return p == t
+    if type(p) is not type(t):
+        return False
     if isinstance(p, Application):
-        if not isinstance(t, Application):
-            return False
         psym = p.symbol
         if isinstance(psym, SymbolVariable):
             tsym = t.symbol
@@ -138,37 +115,14 @@ def _match(p, t, vb, sb, bound_map):
                 sb[psym] = tsym
         elif psym != t.symbol:
             return False
-        if len(p.args) != len(t.args):
-            return False
-        return all(_match(pa, ta, vb, sb, bound_map) for pa, ta in zip(p.args, t.args))
-    if isinstance(p, Atom):
-        return isinstance(t, Atom) and _match(p.pred, t.pred, vb, sb, bound_map)
-    if isinstance(p, Not):
-        return isinstance(t, Not) and _match(p.body, t.body, vb, sb, bound_map)
-    if isinstance(p, (And, Or)):
-        return (type(p) is type(t) and len(p.parts) == len(t.parts)
-                and all(_match(pp, tp, vb, sb, bound_map) for pp, tp in zip(p.parts, t.parts)))
-    if isinstance(p, (Implies, Iff)):
-        return (type(p) is type(t)
-                and _match(p.lhs, t.lhs, vb, sb, bound_map)
-                and _match(p.rhs, t.rhs, vb, sb, bound_map))
-    if isinstance(p, (ForAll, Exists)):
-        if type(p) is not type(t) or len(p.vars) != len(t.vars):
+    elif isinstance(p, (ForAll, Exists)):
+        if len(p.vars) != len(t.vars):
             return False
         if any(pv.sort != tv.sort for pv, tv in zip(p.vars, t.vars)):
             return False
-        inner = dict(bound_map)
-        inner.update({tv: pv for pv, tv in zip(p.vars, t.vars)})
-        return _match(p.body, t.body, vb, sb, inner)
-    if isinstance(p, Modal):
-        return (isinstance(t, Modal) and p.op == t.op and len(p.agents) == len(t.agents)
-                and all(_match(pa, ta, vb, sb, bound_map) for pa, ta in zip(p.agents, t.agents))
-                and _match(p.time, t.time, vb, sb, bound_map)
-                and _match(p.body, t.body, vb, sb, bound_map))
-    if isinstance(p, Ought):
-        return (isinstance(t, Ought)
-                and _match(p.agent, t.agent, vb, sb, bound_map)
-                and _match(p.time, t.time, vb, sb, bound_map)
-                and _match(p.condition, t.condition, vb, sb, bound_map)
-                and _match(p.body, t.body, vb, sb, bound_map))
-    raise TypeError(f"not a term or formula: {p!r}")
+        bound_map = dict(bound_map)
+        bound_map.update({tv: pv for pv, tv in zip(p.vars, t.vars)})
+    elif isinstance(p, Modal) and p.op != t.op:
+        return False
+    pk, tk = children(p), children(t)
+    return len(pk) == len(tk) and all(_match(a, b, vb, sb, bound_map) for a, b in zip(pk, tk))

@@ -88,6 +88,9 @@ class Application:
 
 
 Term = Union[Variable, Constant, Application]
+# The same classes as a tuple: isinstance on a tuple is much faster than on
+# a typing.Union.
+TERMS = (Variable, Constant, Application)
 
 
 def moment(n: int) -> Constant:
@@ -239,35 +242,73 @@ class Ought:
 Formula = Union[Atom, Not, And, Or, Implies, Iff, ForAll, Exists, Modal, Ought]
 
 
+# The s-expression keyword of each connective; a Modal's keyword is its
+# op's value.
+KEYWORDS = {Not: "not", And: "and", Or: "or", Implies: "implies", Iff: "iff",
+            ForAll: "forall", Exists: "exists", Ought: "ought"}
+
+
+def children(node) -> tuple:
+    """The subterms and subformulas of a term or formula in field order;
+    () for variables and constants."""
+    if isinstance(node, Application):
+        return node.args
+    if isinstance(node, (Variable, Constant)):
+        return ()
+    if isinstance(node, Atom):
+        return (node.pred,)
+    if isinstance(node, (Not, ForAll, Exists)):
+        return (node.body,)
+    if isinstance(node, (And, Or)):
+        return node.parts
+    if isinstance(node, (Implies, Iff)):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Modal):
+        return node.agents + (node.time, node.body)
+    if isinstance(node, Ought):
+        return (node.agent, node.time, node.condition, node.body)
+    raise UnknownSymbol(f"not a term or formula: {node!r}")
+
+
+def rebuild(node, kids):
+    """A copy of ``node`` whose children (in the order ``children`` gives
+    them) are ``kids``; the symbol, binders and modal operator are kept."""
+    kids = tuple(kids)
+    if isinstance(node, Application):
+        return Application(node.symbol, kids)
+    if isinstance(node, (Variable, Constant)):
+        return node
+    if isinstance(node, (Atom, Not, Implies, Iff, Ought)):
+        return type(node)(*kids)
+    if isinstance(node, (And, Or)):
+        return type(node)(kids)
+    if isinstance(node, (ForAll, Exists)):
+        return type(node)(node.vars, *kids)
+    if isinstance(node, Modal):
+        return Modal(node.op, kids[:-2], kids[-2], kids[-1])
+    raise UnknownSymbol(f"not a term or formula: {node!r}")
+
+
 def check_formula(f: Formula) -> None:
     """Sort-check every atom inside a formula."""
+    if isinstance(f, TERMS):
+        raise UnknownSymbol(f"not a formula: {f!r}")
     if isinstance(f, Atom):
         if sort_of(f.pred) is not Sort.BOOLEAN:
             raise SortMismatch(f"atom is not boolean: {f.pred!r}")
-    elif isinstance(f, Not):
-        check_formula(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            check_formula(p)
-    elif isinstance(f, (Implies, Iff)):
-        check_formula(f.lhs)
-        check_formula(f.rhs)
-    elif isinstance(f, (ForAll, Exists)):
-        check_formula(f.body)
-    elif isinstance(f, Modal):
+        return
+    if isinstance(f, Modal):
         for a in f.agents:
             if not fits(sort_of(a), Sort.AGENT):
                 raise SortMismatch(f"modal agent must be Agent, got {a!r}")
         if not fits(sort_of(f.time), Sort.MOMENT):
             raise SortMismatch(f"modal time must be Moment, got {f.time!r}")
-        check_formula(f.body)
     elif isinstance(f, Ought):
         if not fits(sort_of(f.agent), Sort.AGENT):
             raise SortMismatch("ought agent must be Agent")
-        check_formula(f.condition)
-        check_formula(f.body)
-    else:
-        raise UnknownSymbol(f"not a formula: {f!r}")
+    for sub in children(f):
+        if not isinstance(sub, TERMS):
+            check_formula(sub)
 
 
 def free_variables(x) -> set:
@@ -278,37 +319,13 @@ def free_variables(x) -> set:
         if isinstance(node, Variable):
             if node not in bound:
                 out.add(node)
-        elif isinstance(node, Constant):
-            pass
-        elif isinstance(node, Application):
-            if isinstance(node.symbol, SymbolVariable):
-                out.add(node.symbol)
-            for a in node.args:
-                walk(a, bound)
-        elif isinstance(node, Atom):
-            walk(node.pred, bound)
-        elif isinstance(node, Not):
-            walk(node.body, bound)
-        elif isinstance(node, (And, Or)):
-            for p in node.parts:
-                walk(p, bound)
-        elif isinstance(node, (Implies, Iff)):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
+            return
+        if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
+            out.add(node.symbol)
         elif isinstance(node, (ForAll, Exists)):
-            walk(node.body, bound | set(node.vars))
-        elif isinstance(node, Modal):
-            for a in node.agents:
-                walk(a, bound)
-            walk(node.time, bound)
-            walk(node.body, bound)
-        elif isinstance(node, Ought):
-            walk(node.agent, bound)
-            walk(node.time, bound)
-            walk(node.condition, bound)
-            walk(node.body, bound)
-        else:
-            raise UnknownSymbol(f"not a term or formula: {node!r}")
+            bound = bound | set(node.vars)
+        for sub in children(node):
+            walk(sub, bound)
 
     walk(x, frozenset())
     return out
@@ -325,22 +342,6 @@ def is_ground(x) -> bool:
 def _canon(node, env, counter):
     if isinstance(node, Variable):
         return env.get(node, node)
-    if isinstance(node, Constant):
-        return node
-    if isinstance(node, Application):
-        return Application(node.symbol, tuple(_canon(a, env, counter) for a in node.args))
-    if isinstance(node, Atom):
-        return Atom(_canon(node.pred, env, counter))
-    if isinstance(node, Not):
-        return Not(_canon(node.body, env, counter))
-    if isinstance(node, And):
-        return And(tuple(_canon(p, env, counter) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(_canon(p, env, counter) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(_canon(node.lhs, env, counter), _canon(node.rhs, env, counter))
-    if isinstance(node, Iff):
-        return Iff(_canon(node.lhs, env, counter), _canon(node.rhs, env, counter))
     if isinstance(node, (ForAll, Exists)):
         env2 = dict(env)
         fresh = []
@@ -351,17 +352,7 @@ def _canon(node, env, counter):
             fresh.append(nv)
         body = _canon(node.body, env2, counter)
         return type(node)(tuple(fresh), body)
-    if isinstance(node, Modal):
-        return Modal(node.op,
-                     tuple(_canon(a, env, counter) for a in node.agents),
-                     _canon(node.time, env, counter),
-                     _canon(node.body, env, counter))
-    if isinstance(node, Ought):
-        return Ought(_canon(node.agent, env, counter),
-                     _canon(node.time, env, counter),
-                     _canon(node.condition, env, counter),
-                     _canon(node.body, env, counter))
-    raise UnknownSymbol(f"not a term or formula: {node!r}")
+    return rebuild(node, [_canon(sub, env, counter) for sub in children(node)])
 
 
 def canonical(x):
@@ -387,32 +378,14 @@ def _canon_free(root):
                 env[node] = Variable(f"·f{counter[0]}", node.sort)
                 counter[0] += 1
             return env[node]
-        if isinstance(node, Constant):
-            return node
-        if isinstance(node, Application):
+        if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
             sym = node.symbol
-            if isinstance(sym, SymbolVariable):
-                if sym not in senv:
-                    senv[sym] = SymbolVariable(f"·p{len(senv)}", sym.arg_sorts, sym.result_sort)
-                sym = senv[sym]
-            return Application(sym, tuple(walk(a, bound) for a in node.args))
-        if isinstance(node, Atom):
-            return Atom(walk(node.pred, bound))
-        if isinstance(node, Not):
-            return Not(walk(node.body, bound))
-        if isinstance(node, (And, Or)):
-            return type(node)(tuple(walk(p, bound) for p in node.parts))
-        if isinstance(node, (Implies, Iff)):
-            return type(node)(walk(node.lhs, bound), walk(node.rhs, bound))
+            if sym not in senv:
+                senv[sym] = SymbolVariable(f"·p{len(senv)}", sym.arg_sorts, sym.result_sort)
+            return Application(senv[sym], tuple(walk(a, bound) for a in node.args))
         if isinstance(node, (ForAll, Exists)):
-            return type(node)(node.vars, walk(node.body, bound | set(node.vars)))
-        if isinstance(node, Modal):
-            return Modal(node.op, tuple(walk(a, bound) for a in node.agents),
-                         walk(node.time, bound), walk(node.body, bound))
-        if isinstance(node, Ought):
-            return Ought(walk(node.agent, bound), walk(node.time, bound),
-                         walk(node.condition, bound), walk(node.body, bound))
-        raise UnknownSymbol(f"not a term or formula: {node!r}")
+            bound = bound | set(node.vars)
+        return rebuild(node, [walk(sub, bound) for sub in children(node)])
 
     return walk(root, frozenset())
 

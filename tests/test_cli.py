@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import glob
+import io
 import json
 import os
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vz.cli import main
+from vz.cli import _COMMANDS, main
+from vz.sexpr import SList, read_all
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 MARKETPLACE = os.path.join(CORPUS, "marketplace.vz")
@@ -74,6 +82,17 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         # the location is in the trait file, not in the scenario
         assert err == f"{traits}:{where}\n"
+
+
+    def test_moment_constant_rejected(self, capsys, tmp_path):
+        # moments are numerals; a named one used to crash `vz infer`
+        p = tmp_path / "noon.vz"
+        p.write_text("(declare-agent a)\n(declare-predicate p ())\n"
+                     "(declare-constant noon moment)\n(assert (believes a noon (p)))\n")
+        for command in ("check", "infer"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:3:24: moment constant 'noon': moments are written as numerals\n"
 
 
 class TestSubcommands:
@@ -203,3 +222,69 @@ class TestOverrides:
         code, out, _ = run_cli(capsys, "project", MARKETPLACE, "--horizon", "4")
         assert code == 0
         assert out.splitlines()[0] == "(horizon 4)"
+
+
+# Mutation test: corpus s-expressions with items dropped, duplicated,
+# swapped or replaced by another atom of the same file must end in exit 0
+# or exit 1 with a diagnostic, never in an exception.
+
+
+def _tree(sx):
+    return [_tree(i) for i in sx.items] if isinstance(sx, SList) else sx.text
+
+
+def _text(node):
+    return f"({' '.join(_text(i) for i in node)})" if isinstance(node, list) else node
+
+
+def _lists(node):
+    yield node
+    for item in node:
+        if isinstance(item, list):
+            yield from _lists(item)
+
+
+CORPUS_TREES = [[_tree(sx) for sx in read_all(pathlib.Path(path).read_text())]
+                for path in sorted(glob.glob(os.path.join(CORPUS, "*.vz")))]
+TRAIT = "(trait (pattern (holds ?X0 ?t)) (action (utter ?X0)))\n"
+
+
+@st.composite
+def mutated_scenarios(draw):
+    forms = copy.deepcopy(draw(st.sampled_from(CORPUS_TREES)))
+    atoms = sorted({a for l in _lists(forms) for a in l if not isinstance(a, list)})
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+        slots = [(l, i) for l in _lists(forms) for i in range(len(l))
+                 if op != "replace" or not isinstance(l[i], list)]
+        if not slots:
+            continue
+        target, i = draw(st.sampled_from(slots))
+        if op == "drop":
+            del target[i]
+        elif op == "duplicate":
+            target.insert(i, copy.deepcopy(target[i]))
+        elif op == "swap":
+            j = draw(st.integers(0, len(target) - 1))
+            target[i], target[j] = target[j], target[i]
+        else:
+            target[i] = draw(st.sampled_from(atoms))
+    return "\n".join(_text(f) for f in forms) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_scenarios(), st.sampled_from(sorted(_COMMANDS)),
+       st.sampled_from(["fo", "ho"]), st.booleans())
+def test_mutated_corpus_never_raises(tmp_path_factory, text, command, mode, as_json):
+    work = tmp_path_factory.mktemp("mutant")
+    scenario, traits = work / "s.vz", work / "traits.vz"
+    scenario.write_text(text)
+    traits.write_text(TRAIT)
+    argv = [command, str(scenario), "--mode", mode] + (["--json"] if as_json else [])
+    if command in ("learn", "act"):
+        argv += ["--traits", str(traits)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert (code == 1) == bool(err.getvalue())

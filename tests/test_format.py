@@ -10,9 +10,10 @@ from vz.printer import print_formula, print_term
 from vz.scenario import (NuFact, SymbolTable, _FormulaParser, parse_scenario,
                          print_scenario)
 from vz.sexpr import read_all
-from vz.terms import (And, Atom, Constant, ForAll, FunctionSymbol, Implies,
-                      Modal, ModalOp, Not, Or, Sort, Variable, alpha_equal,
-                      moment)
+from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
+                      Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
+                      ModalOp, Not, Or, Ought, Sort, Variable, alpha_equal,
+                      children, moment, rebuild)
 
 HEADER = """
 (declare-agent jack)
@@ -101,19 +102,33 @@ class TestRoundTrip:
         assert alpha_equal(parse_one_formula(print_formula(f)), f)
 
 
-# Random formula generator over the declared header vocabulary.
+# Random formula generator over the declared header vocabulary; it builds
+# every formula class and every modal operator.
 AGENTS = [Constant("jack", Sort.AGENT), Constant("jill", Sort.AGENT)]
 BROKEN = FunctionSymbol("broken", (), Sort.FLUENT)
+UTTER = FunctionSymbol("utter", (Sort.FLUENT,), Sort.ACTION_TYPE)
 TALKING = FunctionSymbol("talkingWith", (Sort.AGENT,), Sort.BOOLEAN)
 HONESTY = FunctionSymbol("Honesty", (), Sort.BOOLEAN)
-HOLDS_ = __import__("vz.terms", fromlist=["HOLDS"]).HOLDS
+X = Variable("x", Sort.AGENT)
 
 agent_terms = st.sampled_from(AGENTS)
+moments = st.integers(0, 9).map(moment)
 atoms = st.one_of(
     st.builds(lambda a: Atom(TALKING(a)), agent_terms),
     st.just(Atom(HONESTY())),
-    st.builds(lambda t: Atom(HOLDS_(BROKEN(), moment(t))), st.integers(0, 9)),
+    st.builds(lambda t: Atom(HOLDS(BROKEN(), t)), moments),
 )
+# the deontic body of an ought: a possibly negated happens(action ...) atom
+utterances = st.builds(lambda a, t: Atom(HAPPENS(ACTION(a, UTTER(BROKEN())), t)),
+                       agent_terms, moments)
+deontic_bodies = st.one_of(utterances, st.builds(Not, utterances))
+
+
+@st.composite
+def modals(draw, sub):
+    op = draw(st.sampled_from(list(ModalOp)))
+    agents = tuple(draw(agent_terms) for _ in range(MODAL_ARITY[op]))
+    return Modal(op, agents, draw(moments), draw(sub))
 
 
 def formulas(depth=3):
@@ -126,11 +141,11 @@ def formulas(depth=3):
         st.builds(lambda a, b: And((a, b)), sub, sub),
         st.builds(lambda a, b: Or((a, b)), sub, sub),
         st.builds(Implies, sub, sub),
-        st.builds(lambda a, t, f: Modal(ModalOp.BELIEVES, (a,), moment(t), f),
-                  agent_terms, st.integers(0, 9), sub),
-        st.builds(lambda a, f: ForAll((Variable("x", Sort.AGENT),),
-                                      Implies(Atom(TALKING(Variable("x", Sort.AGENT))), f)),
-                  agent_terms, sub),
+        st.builds(Iff, sub, sub),
+        modals(sub),
+        st.builds(Ought, agent_terms, moments, sub, deontic_bodies),
+        st.builds(lambda f: ForAll((X,), Implies(Atom(TALKING(X)), f)), sub),
+        st.builds(lambda f: Exists((X,), And((Atom(TALKING(X)), f))), sub),
     )
 
 
@@ -141,3 +156,16 @@ def test_random_formula_round_trip(f):
     again = parse_one_formula(text)
     assert alpha_equal(again, f)
     assert print_formula(again) == text
+
+
+def _subnodes(x):
+    yield x
+    for sub in children(x):
+        yield from _subnodes(sub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_rebuild_from_children_is_identity(f):
+    for x in _subnodes(f):
+        assert rebuild(x, children(x)) == x

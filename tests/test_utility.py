@@ -4,7 +4,7 @@ import pytest
 
 from vz.ec import project
 from vz.errors import SortMismatch, UnknownOccurrence
-from vz.scenario import HappensFact
+from vz.scenario import HappensFact, parse_scenario
 from vz.utility import NuTable, UtilityConfig, mu, mu_bar, nu, nu_bar
 
 from conftest import add_effects, make_doc
@@ -39,6 +39,14 @@ class TestPointUtilities:
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(SortMismatch):
                 NuTable.of({(a0, f, 1): bad})
+
+    def test_duplicate_nu_facts_are_summed(self):
+        # each (nu a f t v) fact adds v, so stating one twice reads 2v
+        doc = parse_scenario("(declare-agent jack)\n(declare-fluent lit ())\n"
+                             "(nu jack (lit) 2 1.5)\n(nu jack (lit) 2 1.5)\n")
+        jack = doc.symbols.constants["jack"]
+        lit = doc.nu_facts[0].fluent
+        assert nu(NuTable.from_doc(doc), jack, lit, 2) == 3.0
 
 
 class TestEventTotals:
