@@ -12,10 +12,11 @@ import sys
 
 from . import ec, emotions, learner
 from .errors import ParseError, SourceError, VzError
-from .generalize import FIRST_ORDER, HIGHER_ORDER, anti_unify, generalize_sets
+from .generalize import FIRST_ORDER, anti_unify, generalize_sets
 from .inference import KnowledgeBase, saturate
 from .printer import print_formula, print_real, print_term
-from .scenario import parse_scenario
+from .scenario import (_FormulaParser, _expect_sym, _section_arg, _section_items,
+                       _sections, check_setting, parse_scenario)
 from .sexpr import SList, SSym, read_all
 from .subst import Substitution
 from .terms import Constant, Sort
@@ -38,37 +39,25 @@ class Report:
             print(line, file=out)
 
 
+# settings that a command-line flag of the same name overrides
+_OVERRIDES = ("n", "m", "gamma", "mode")
+
+
 def _load(path: str, args):
     with open(path, "r", encoding="utf-8") as fh:
         doc = parse_scenario(fh.read())
     if args.horizon is not None:
         doc.horizon = args.horizon
-    for key, flag in (("n", args.n), ("m", args.m), ("gamma", args.gamma)):
-        if flag is not None:
-            doc.config[key] = flag
-    if args.mode is not None:
-        doc.config["mode"] = args.mode
+    for key in _OVERRIDES:
+        if getattr(args, key) is not None:
+            doc.config[key] = getattr(args, key)
     return doc
 
 
-def _mode(doc) -> str:
-    return {"fo": FIRST_ORDER, "ho": HIGHER_ORDER}.get(doc.config.get("mode", "fo"), FIRST_ORDER)
-
-
-def _criteria(doc):
-    return learner.TraitCriteria.from_config(doc.config)
-
-
 def _learner_agent(doc) -> Constant:
-    name = doc.config.get("learner")
-    if name is not None:
-        c = doc.symbols.constants.get(name)
-        if c is None or c.sort is not Sort.AGENT:
-            raise VzError(f"learner {name!r} is not a declared agent")
-        return c
     if not doc.agents:
         raise VzError("scenario declares no agents")
-    return doc.agents[0]
+    return doc.config.get("learner", doc.agents[0])
 
 
 def cmd_check(args, rep):
@@ -112,15 +101,19 @@ def cmd_utility(args, rep):
                      agent=a.name, event=ev, time=occ.time, value=v)
 
 
-def cmd_emotions(args, rep):
-    doc = _load(args.file, args)
-    world = emotions.world_from_doc(doc, ec.project(doc))
-    for r in emotions.sweep_emotions(world):
+def _emit_records(records, rep):
+    for r in records:
         rep.emit("emotion", emotions.print_record(r),
                  kind=r.kind.value, subject=r.subject.name,
                  object=r.object.name if r.object else None,
                  event=print_term(r.event), event_time=r.event_time,
                  hold_time=r.hold_time)
+
+
+def cmd_emotions(args, rep):
+    doc = _load(args.file, args)
+    world = emotions.world_from_doc(doc, ec.project(doc))
+    _emit_records(emotions.sweep_emotions(world), rep)
 
 
 def cmd_infer(args, rep):
@@ -140,7 +133,7 @@ def _print_subst(s: Substitution) -> str:
 
 def cmd_generalize(args, rep):
     doc = _load(args.file, args)
-    mode = _mode(doc)
+    mode = doc.config.get("mode", FIRST_ORDER)
     if doc.groups:
         gen = generalize_sets(doc.groups, mode)
         for p in gen.closed_patterns():
@@ -161,7 +154,8 @@ def _learn_pipeline(doc):
     tl = ec.project(doc)
     world = emotions.world_from_doc(doc, tl)
     records = emotions.sweep_emotions(world)
-    crit = _criteria(doc)
+    mode = doc.config.get("mode", FIRST_ORDER)
+    crit = learner.TraitCriteria.from_config(doc.config)
     lrn = _learner_agent(doc)
     exemplars = learner.identify_exemplars(records, lrn, crit)
     situations = [learner.Situation.from_observation(o) for o in doc.observations]
@@ -181,7 +175,7 @@ def _learn_pipeline(doc):
                       if s.performed is not None and s.performed.symbol == alpha]
             chosen.sort(key=lambda s: (s.time, s.id))
             trait = learner.learn_trait(chosen, [s.performed for s in chosen],
-                                        _mode(doc), exemplar=ex.exemplar,
+                                        mode, exemplar=ex.exemplar,
                                         min_situations=crit.min_situations)
             traits.append(trait)
     return tl, records, exemplars, traits, lrn
@@ -229,7 +223,6 @@ def cmd_learn(args, rep):
 
 def parse_traits(text: str, doc) -> list:
     """Read a trait file against the scenario's symbol table."""
-    from .scenario import _FormulaParser, _expect_sym, _section_arg
     fp = _FormulaParser(doc.symbols)
     traits = []
     for sx in read_all(text):
@@ -237,22 +230,16 @@ def parse_traits(text: str, doc) -> list:
                 and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
             raise ParseError("trait file entries must be (trait ...) records", sx.line, sx.col)
         fp.fresh_scope()
-        pattern, action, exemplar, sources = (), None, None, ()
-        for part in sx.items[1:]:
-            if not (isinstance(part, SList) and part.items and isinstance(part.items[0], SSym)):
-                raise ParseError("expected a (section ...) entry", part.line, part.col)
-            key = part.items[0].text
-            if key == "pattern":
-                pattern = tuple(fp.formula(f) for f in part.items[1:])
-            elif key == "action":
-                action = fp.term(_section_arg(part, "action type"), Sort.ACTION_TYPE)
-            elif key == "exemplar":
-                name = _expect_sym(_section_arg(part, "agent"), "agent name")
-                exemplar = doc.symbols.constants.get(name)
-            elif key == "sources":
-                sources = tuple(_expect_sym(i, "situation id") for i in part.items[1:])
-        if action is None:
+        secs = _sections(sx.items[1:], {"pattern", "action", "exemplar", "sources"})
+        pattern = tuple(fp.formula(f) for f in _section_items(secs, "pattern"))
+        if "action" not in secs:
             raise ParseError("trait record lacks an (action ...) section", sx.line, sx.col)
+        action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
+        exemplar = None
+        if "exemplar" in secs:
+            arg = _section_arg(secs["exemplar"], "agent")
+            exemplar = doc.symbols.agent(_expect_sym(arg, "agent name"), (arg.line, arg.col))
+        sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
         traits.append(learner.LearntTrait(pattern, action, exemplar, sources))
     return traits
 
@@ -289,12 +276,7 @@ def cmd_run(args, rep):
     doc = _load(args.file, args)
     tl, records, exemplars, traits, lrn = _learn_pipeline(doc)
     _emit_timeline(tl, rep)
-    for r in records:
-        rep.emit("emotion", emotions.print_record(r),
-                 kind=r.kind.value, subject=r.subject.name,
-                 object=r.object.name if r.object else None,
-                 event=print_term(r.event), event_time=r.event_time,
-                 hold_time=r.hold_time)
+    _emit_records(records, rep)
     for ex in exemplars:
         _emit_exemplar(ex, rep)
     for t in traits:
@@ -327,14 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--mode", choices=["fo", "ho"], default=None)
+        p.add_argument("--mode", default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--traits", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for key in ("horizon",) + _OVERRIDES:
+        if getattr(args, key) is not None:
+            try:
+                check_setting(key, getattr(args, key))
+            except SourceError as exc:
+                parser.error(f"argument --{key}: {exc.message}")
     rep = Report(args.json)
     try:
         _COMMANDS[args.command](args, rep)

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConflictingEffects, HorizonExceeded
+from .errors import ConflictingEffects, HorizonExceeded, UnknownOccurrence
 from .printer import print_term
-from .scenario import InitiatesRule, ScenarioDoc, TerminatesRule
+from .scenario import ScenarioDoc
 from .subst import Substitution, apply_substitution, match
 from .terms import Term, Variable, is_ground, moment
 
@@ -31,11 +31,11 @@ class Timeline:
     def holds(self, fluent: Term, t: int) -> bool:
         return (fluent, t) in self.holds_set
 
-    def occurrence(self, event: Term, t: int) -> Occurrence | None:
+    def occurrence(self, event: Term, t: int) -> Occurrence:
         for occ in self.occurrences:
             if occ.event == event and occ.time == t:
                 return occ
-        return None
+        raise UnknownOccurrence(f"no occurrence of {print_term(event)} at {t}")
 
 
 def _rule_effects(rules, event: Term, time: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ec import Timeline
-from .errors import InvalidRecord, UnknownOccurrence
+from .errors import InvalidRecord
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Term
 from .utility import NuTable, UtilityConfig, mu, mu_bar, nu_bar
@@ -115,20 +115,13 @@ class World:
         return UtilityConfig(self.horizon)
 
 
-def _occurrence(world: World, event: Term, t: int):
-    occ = world.timeline.occurrence(event, t)
-    if occ is None:
-        raise UnknownOccurrence(f"no occurrence of {print_term(event)} at {t}")
-    return occ
-
-
 def _no_initiated(occ, pred) -> bool:
     """True iff no initiated fluent satisfies pred at any moment."""
     return not any(pred(f) for f in occ.initiated)
 
 
 def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
-    occ = _occurrence(world, event, t)
+    occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
     return (world.theta.holds(a, t2)
             and nu_bar(a, event, t, world.timeline, world.nu, world.cfg) > 0
@@ -136,7 +129,7 @@ def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
 
 
 def eval_distress(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
-    occ = _occurrence(world, event, t)
+    occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
     return (world.theta.holds(a, t2)
             and nu_bar(a, event, t, world.timeline, world.nu, world.cfg) < 0
@@ -147,7 +140,7 @@ def _other_directed(a, b, event, t, t2, world, desirable: bool) -> bool:
     """Shared utility conditions of the other-directed table rows:
     desirable = positive total for b with no negative consequences for b;
     undesirable is the mirror image."""
-    occ = _occurrence(world, event, t)
+    occ = world.timeline.occurrence(event, t)
     if not world.theta.holds(a, t2) or a == b:
         return False
     total = nu_bar(b, event, t, world.timeline, world.nu, world.cfg)
@@ -176,7 +169,7 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     """a admires b's action iff the action's agent-neutral total utility
     is positive with no agent-neutral negative consequences."""
     event = Application(ACTION, (b, action_type))
-    occ = _occurrence(world, event, t)
+    occ = world.timeline.occurrence(event, t)
     if not world.theta.holds(a, t2) or a == b:
         return False
     if mu_bar(event, t, world.timeline, world.nu, world.agents, world.cfg) <= 0:

@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 from .errors import (DuplicateDeclaration, ParseError, SortMismatch,
                      UndeclaredSymbol)
+from .generalize import FIRST_ORDER, HIGHER_ORDER
 from .printer import print_formula, print_real, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
@@ -49,6 +50,12 @@ class SymbolTable:
         f = FunctionSymbol(name, tuple(arg_sorts), result_sort)
         self.functions[name] = f
         return f
+
+    def agent(self, name, loc=(None, None)) -> Constant:
+        c = self.constants.get(name)
+        if c is None or c.sort is not Sort.AGENT:
+            raise UndeclaredSymbol(f"undeclared agent {name!r}", *loc)
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +111,6 @@ class TerminatesRule:
 
 
 @dataclass(frozen=True)
-class HornRule:
-    antecedents: tuple[Formula, ...]
-    consequent: Formula
-
-
-@dataclass(frozen=True)
 class AssertFact:
     formula: Formula
 
@@ -137,8 +138,7 @@ class QueryFact:
 
 
 Fact = Union[InitiallyFact, HappensFact, NuFact, ThetaFact, InitiatesRule,
-             TerminatesRule, HornRule, AssertFact, GroupFact, ObserveFact,
-             QueryFact]
+             TerminatesRule, AssertFact, GroupFact, ObserveFact, QueryFact]
 
 
 @dataclass
@@ -181,10 +181,6 @@ class ScenarioDoc:
     @property
     def terminates_rules(self):
         return self._of(TerminatesRule)
-
-    @property
-    def horn_rules(self):
-        return self._of(HornRule)
 
     @property
     def asserts(self):
@@ -306,13 +302,14 @@ class _FormulaParser:
                                f"and {expected.value}", *loc)
         return v
 
-    def moment_term(self, sx, env=None) -> Term:
-        """A moment position that may also be a bare (implicitly declared)
-        moment variable, as in effect rules."""
+    def effect_time(self, sx) -> Term:
+        """The moment of an initiates/terminates rule, the one position where
+        a bare name is an (implicitly declared) moment variable; everywhere
+        else a bare name must be declared."""
         if isinstance(sx, SSym) and not sx.text.startswith("?") \
-                and sx.text not in self.table.constants and sx.text not in (env or {}):
+                and sx.text not in self.table.constants:
             return self._variable(sx.text, Sort.MOMENT, _loc(sx))
-        return self.term(sx, Sort.MOMENT, env)
+        return self.term(sx, Sort.MOMENT)
 
     def formula(self, sx, env=None) -> Formula:
         env = env or {}
@@ -353,7 +350,7 @@ class _FormulaParser:
         if name == "ought":
             self._arity(sx, 4)
             agent = self.term(body[0], Sort.AGENT, env)
-            time = self.moment_term(body[1], env)
+            time = self.term(body[1], Sort.MOMENT, env)
             cond = self.formula(body[2], env)
             deontic = self.formula(body[3], env)
             try:
@@ -368,7 +365,7 @@ class _FormulaParser:
             if len(body) != nagents + 2:
                 raise ParseError(f"({name} ...) has wrong arity", *_loc(sx))
             agents = tuple(self.term(b, Sort.AGENT, env) for b in body[:nagents])
-            time = self.moment_term(body[nagents], env)
+            time = self.term(body[nagents], Sort.MOMENT, env)
             return Modal(op, agents, time, self.formula(body[nagents + 1], env))
         # plain atom
         t = self.term(sx, Sort.BOOLEAN, env)
@@ -380,18 +377,26 @@ class _FormulaParser:
         if len(sx.items) != n + 1:
             raise ParseError(f"({sx.items[0].text} ...) expects {n} parts", *_loc(sx))
 
-    def literal(self, sx, env=None) -> Formula:
-        if isinstance(sx, SList) and sx.items and \
-                isinstance(sx.items[0], SSym) and sx.items[0].text == "not":
-            self._arity(sx, 1)
-            return Not(self.literal(sx.items[1], env))
-        f = self.formula(sx, env)
-        if not isinstance(f, Atom):
-            raise ParseError("expected an atom", *_loc(sx))
-        return f
-
 
 _CONFIG_KEYS = {"n", "m", "gamma", "learner", "max-depth", "mode"}
+
+
+def check_setting(key, value, loc=(None, None), table=None):
+    """The one check of every setting, shared by (set key value) and the
+    command-line overrides (which also set the horizon). Returns the value
+    to store, for learner the declared agent itself; raises ParseError at
+    loc when the value is out of range."""
+    if key in ("n", "m") and value < 1:
+        raise ParseError(f"{key} must be at least 1", *loc)
+    if key == "horizon" and value < 0:
+        raise ParseError("horizon must be non-negative", *loc)
+    if key == "gamma" and not 0 < value <= 1:  # also rejects nan
+        raise ParseError("gamma must lie in (0, 1]", *loc)
+    if key == "mode" and value not in (FIRST_ORDER, HIGHER_ORDER):
+        raise ParseError("mode must be fo or ho", *loc)
+    if key == "learner":
+        return table.agent(value, loc)
+    return value
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -456,13 +461,14 @@ def _parse_item(sx, doc, table, fp):
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", *loc)
         if key in ("n", "m", "max-depth"):
-            doc.config[key] = _expect_nat(body[1])
+            value = _expect_nat(body[1])
         elif key == "gamma":
             if not isinstance(body[1], SNum):
                 raise ParseError("gamma must be a number", *loc)
-            doc.config[key] = float(body[1].value)
+            value = float(body[1].value)
         else:
-            doc.config[key] = _expect_sym(body[1])
+            value = _expect_sym(body[1])
+        doc.config[key] = check_setting(key, value, _loc(body[1]), table)
     elif head == "initially":
         need(1)
         doc.facts.append(InitiallyFact(fp.term(body[0], Sort.FLUENT)))
@@ -495,24 +501,16 @@ def _parse_item(sx, doc, table, fp):
         need(3)
         ev = fp.term(body[0], Sort.EVENT)
         fl = fp.term(body[1], Sort.FLUENT)
-        tm = fp.moment_term(body[2])
+        tm = fp.effect_time(body[2])
         cls = InitiatesRule if head == "initiates" else TerminatesRule
         doc.facts.append(cls(ev, fl, tm))
-    elif head == "rule":
-        need(2)
-        if not isinstance(body[0], SList):
-            raise ParseError("expected antecedent list", *_loc(body[0]))
-        ants = tuple(fp.literal(a) for a in body[0].items)
-        doc.facts.append(HornRule(ants, fp.literal(body[1])))
     elif head == "assert":
         need(1)
         doc.facts.append(AssertFact(fp.formula(body[0])))
     elif head == "group":
         doc.facts.append(GroupFact(tuple(fp.formula(f) for f in body)))
-    elif head == "observe":
-        doc.facts.append(_parse_observe(sx, body, fp))
-    elif head == "query":
-        doc.facts.append(_parse_query(sx, body, fp))
+    elif head in _SITUATION_SECTIONS:
+        doc.facts.append(_parse_situation(head, body, loc, fp))
     else:
         raise ParseError(f"unknown item {head!r}", *loc)
 
@@ -525,11 +523,17 @@ def _section_arg(sec, what):
     return items[0]
 
 
-def _sections(body, loc, allowed):
+def _section_items(secs, key):
+    """The arguments of an optional (key ...) section; none when it is absent."""
+    return secs[key].items[1:] if key in secs else ()
+
+
+def _sections(body, allowed):
+    """The (key ...) sections of a record by key; each key at most once."""
     out = {}
     for part in body:
         if not (isinstance(part, SList) and part.items and isinstance(part.items[0], SSym)):
-            raise ParseError("expected a (section ...) entry", *loc)
+            raise ParseError("expected a (section ...) entry", *_loc(part))
         key = part.items[0].text
         if key not in allowed:
             raise ParseError(f"unknown section {key!r}", *_loc(part))
@@ -539,41 +543,33 @@ def _sections(body, loc, allowed):
     return out
 
 
-def _parse_observe(sx, body, fp) -> ObserveFact:
-    loc = _loc(sx)
+_SITUATION_SECTIONS = {"observe": {"agent", "time", "formulas", "alternatives", "performed"},
+                       "query": {"time", "formulas"}}
+
+
+def _parse_situation(head, body, loc, fp):
+    """An (observe id ...) or (query id ...) item; a query has only the
+    time and formulas sections."""
     if not body:
-        raise ParseError("(observe ...) needs an id", *loc)
-    oid = _expect_sym(body[0], "situation id")
-    secs = _sections(body[1:], loc, {"agent", "time", "formulas", "alternatives", "performed"})
+        raise ParseError(f"({head} ...) needs an id", *loc)
+    sid = _expect_sym(body[0], "situation id")
+    secs = _sections(body[1:], _SITUATION_SECTIONS[head])
     agent = None
     if "agent" in secs:
         agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT)
     time = _expect_nat(_section_arg(secs["time"], "moment")) if "time" in secs else 0
-    formulas = tuple(fp.formula(f) for f in secs.get("formulas", SList((None,), *loc)).items[1:])
-    alts = tuple(fp.term(t, Sort.ACTION_TYPE) for t in secs.get("alternatives", SList((None,), *loc)).items[1:])
+    formulas = tuple(fp.formula(f) for f in _section_items(secs, "formulas"))
+    if head == "query":
+        return QueryFact(sid, time, formulas)
+    alts = tuple(fp.term(t, Sort.ACTION_TYPE) for t in _section_items(secs, "alternatives"))
     performed = None
     if "performed" in secs:
         performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE)
-    return ObserveFact(oid, agent, time, formulas, alts, performed)
-
-
-def _parse_query(sx, body, fp) -> QueryFact:
-    loc = _loc(sx)
-    if not body:
-        raise ParseError("(query ...) needs an id", *loc)
-    qid = _expect_sym(body[0], "situation id")
-    secs = _sections(body[1:], loc, {"time", "formulas"})
-    time = _expect_nat(_section_arg(secs["time"], "moment")) if "time" in secs else 0
-    formulas = tuple(fp.formula(f) for f in secs.get("formulas", SList((None,), *loc)).items[1:])
-    return QueryFact(qid, time, formulas)
+    return ObserveFact(sid, agent, time, formulas, alts, performed)
 
 
 def _sort_check_fact(fact):
-    if isinstance(fact, (HornRule,)):
-        for a in fact.antecedents:
-            check_formula(a)
-        check_formula(fact.consequent)
-    elif isinstance(fact, AssertFact):
+    if isinstance(fact, AssertFact):
         check_formula(fact.formula)
     elif isinstance(fact, GroupFact):
         for f in fact.formulas:
@@ -602,9 +598,6 @@ def print_fact(fact) -> str:
     if isinstance(fact, (InitiatesRule, TerminatesRule)):
         kw = "initiates" if isinstance(fact, InitiatesRule) else "terminates"
         return f"({kw} {print_term(fact.event)} {print_term(fact.fluent)} {print_term(fact.time)})"
-    if isinstance(fact, HornRule):
-        ants = " ".join(print_formula(a) for a in fact.antecedents)
-        return f"(rule ({ants}) {print_formula(fact.consequent)})"
     if isinstance(fact, AssertFact):
         return f"(assert {print_formula(fact.formula)})"
     if isinstance(fact, GroupFact):
@@ -640,6 +633,7 @@ def print_scenario(doc: ScenarioDoc) -> str:
     if doc.horizon is not None:
         lines.append(f"(horizon {doc.horizon})")
     for key in sorted(doc.config):
-        lines.append(f"(set {key} {doc.config[key]})")
+        value = doc.config[key]
+        lines.append(f"(set {key} {print_term(value) if key == 'learner' else value})")
     lines += [print_fact(f) for f in doc.facts]
     return "\n".join(lines) + "\n"

@@ -38,16 +38,10 @@ class Substitution:
     def symbols(self) -> dict:
         return dict(self.sym_bindings)
 
-    def is_empty(self) -> bool:
-        return not self.var_bindings and not self.sym_bindings
-
     def __repr__(self):
         items = [f"{v!r}->{t!r}" for v, t in self.var_bindings]
         items += [f"{sv!r}->{fs!r}" for sv, fs in self.sym_bindings]
         return "{" + ", ".join(items) + "}"
-
-
-EMPTY = Substitution()
 
 
 def apply_substitution(s: Substitution, x):

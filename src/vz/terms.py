@@ -55,7 +55,6 @@ class FunctionSymbol:
     name: str
     arg_sorts: tuple[Sort, ...]
     result_sort: Sort
-    kind: str = "user"  # "builtin" | "user"
 
     def __repr__(self):
         return self.name
@@ -106,14 +105,14 @@ def moment_value(t: Term) -> int:
 
 
 # Built-in event-calculus vocabulary.
-ACTION = FunctionSymbol("action", (Sort.AGENT, Sort.ACTION_TYPE), Sort.ACTION, kind="builtin")
-INITIALLY = FunctionSymbol("initially", (Sort.FLUENT,), Sort.BOOLEAN, kind="builtin")
-HOLDS = FunctionSymbol("holds", (Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
-HAPPENS = FunctionSymbol("happens", (Sort.EVENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
-CLIPPED = FunctionSymbol("clipped", (Sort.MOMENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
-INITIATES = FunctionSymbol("initiates", (Sort.EVENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
-TERMINATES = FunctionSymbol("terminates", (Sort.EVENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
-PRIOR = FunctionSymbol("prior", (Sort.MOMENT, Sort.MOMENT), Sort.BOOLEAN, kind="builtin")
+ACTION = FunctionSymbol("action", (Sort.AGENT, Sort.ACTION_TYPE), Sort.ACTION)
+INITIALLY = FunctionSymbol("initially", (Sort.FLUENT,), Sort.BOOLEAN)
+HOLDS = FunctionSymbol("holds", (Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN)
+HAPPENS = FunctionSymbol("happens", (Sort.EVENT, Sort.MOMENT), Sort.BOOLEAN)
+CLIPPED = FunctionSymbol("clipped", (Sort.MOMENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN)
+INITIATES = FunctionSymbol("initiates", (Sort.EVENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN)
+TERMINATES = FunctionSymbol("terminates", (Sort.EVENT, Sort.FLUENT, Sort.MOMENT), Sort.BOOLEAN)
+PRIOR = FunctionSymbol("prior", (Sort.MOMENT, Sort.MOMENT), Sort.BOOLEAN)
 
 BUILTIN_SYMBOLS = {
     s.name: s

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ec import Timeline
-from .errors import SortMismatch, UnknownOccurrence
+from .errors import SortMismatch
 from .printer import print_term
 from .terms import Constant, Term
 
@@ -55,18 +55,11 @@ def mu(fluent: Term, t: int, table: NuTable, agents) -> float:
     return sum(table.get(a, fluent, t) for a in agents)
 
 
-def _occurrence(timeline: Timeline, event: Term, t: int):
-    occ = timeline.occurrence(event, t)
-    if occ is None:
-        raise UnknownOccurrence(f"no occurrence of {print_term(event)} at {t}")
-    return occ
-
-
 def nu_bar(agent: Constant, event: Term, t: int, timeline: Timeline,
            table: NuTable, cfg: UtilityConfig) -> float:
     """Total utility for one agent of an event occurrence: future nu of
     initiated fluents minus future nu of terminated fluents, up to H."""
-    occ = _occurrence(timeline, event, t)
+    occ = timeline.occurrence(event, t)
     total = 0.0
     for y in range(t + 1, cfg.horizon + 1):
         total += sum(table.get(agent, f, y) for f in occ.initiated)
@@ -78,7 +71,7 @@ def mu_bar(event: Term, t: int, timeline: Timeline, table: NuTable,
            agents, cfg: UtilityConfig) -> float:
     """Total agent-neutral utility of an event occurrence; the same
     double sum as nu_bar but over mu."""
-    occ = _occurrence(timeline, event, t)
+    occ = timeline.occurrence(event, t)
     total = 0.0
     for y in range(t + 1, cfg.horizon + 1):
         total += sum(mu(f, y, table, agents) for f in occ.initiated)

@@ -74,6 +74,12 @@ class TestMalformedInput:
          "1:44: expected agent name"),
         ("(trait (action (utter (broken))) (sources (s1)))\n",
          "1:43: expected situation id"),
+        ("(trait (action (utter (broken))) (origin seller))\n",
+         "1:34: unknown section 'origin'"),
+        ("(trait (action (utter (broken))) (action (utter (unbroken))))\n",
+         "1:34: duplicate section 'action'"),
+        ("(trait (action (utter (broken))) (exemplar nobody))\n",
+         "1:44: undeclared agent 'nobody'"),
     ])
     def test_malformed_trait_file(self, capsys, tmp_path, text, where):
         traits = tmp_path / "traits.vz"
@@ -93,6 +99,52 @@ class TestMalformedInput:
             code, out, err = run_cli(capsys, command, str(p))
             assert code == 1 and out == ""
             assert err == f"{p}:3:24: moment constant 'noon': moments are written as numerals\n"
+
+    @pytest.mark.parametrize("item, where", [
+        ("(rule ((p)) (p))", "3:1: unknown item 'rule'"),
+        # a bare name is a moment variable only in initiates/terminates
+        ("(assert (believes jack one (p)))", "3:24: undeclared symbol 'one'"),
+        ("(assert (ought jack now (p) (happens (action jack (pay)) 2)))",
+         "3:21: undeclared symbol 'now'"),
+        ("(set n 0)", "3:8: n must be at least 1"),
+        ("(set m 0)", "3:8: m must be at least 1"),
+        ("(set gamma 0)", "3:12: gamma must lie in (0, 1]"),
+        ("(set gamma 1.5)", "3:12: gamma must lie in (0, 1]"),
+        ("(set mode xx)", "3:11: mode must be fo or ho"),
+        ("(set learner nobody)", "3:14: undeclared agent 'nobody'"),
+        ("(set learner p)", "3:14: undeclared agent 'p'"),
+        # a malformed section is reported where it stands
+        ("(observe s (time 1) foo)", "3:21: expected a (section ...) entry"),
+    ])
+    def test_rejected_item(self, capsys, tmp_path, item, where):
+        p = tmp_path / "bad.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-predicate p ())\n{item}\n"
+                     "(declare-action-type pay ())\n")
+        for command in ("check", "infer"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:{where}\n"
+
+    def test_modal_moment_variables_parse(self, capsys, tmp_path):
+        p = tmp_path / "moments.vz"
+        p.write_text("(declare-agent jack)\n(declare-predicate p ())\n"
+                     "(assert (believes jack ?t (p)))\n"
+                     "(assert (forall ((t moment)) (knows jack t (p))))\n")
+        code, out, _ = run_cli(capsys, "infer", str(p))
+        assert code == 0
+        assert out.splitlines() == ["(believes jack ?t (p))",
+                                    "(forall ((t moment)) (knows jack t (p)))"]
+
+    @pytest.mark.parametrize("flag", [("--n", "0"), ("--m", "0"), ("--gamma", "0"),
+                                      ("--gamma", "nan"), ("--horizon", "-1"),
+                                      ("--mode", "xx")])
+    def test_setting_flag_out_of_range(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", MARKETPLACE, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag[0]}: " in captured.err
 
 
 class TestSubcommands:
@@ -164,7 +216,8 @@ class TestSubcommands:
 
     def test_duplicate_happens_collapses(self, capsys, tmp_path):
         # happens is a predicate: stating an occurrence twice changes nothing
-        text = open(MARKETPLACE).read()
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
         line = "(happens (action seller (utter (broken))) 1)\n"
         assert text.count(line) == 1
         p = tmp_path / "twice.vz"

@@ -84,12 +84,24 @@ class TestRoundTrip:
 (nu jack (broken) 1 -2.0)
 (theta jack always)
 (initiates (action ?a (utter ?x)) (lit) t)
-(rule ((talkingWith jack)) (Honesty))
 """
         doc = parse_scenario(text)
         printed = print_scenario(doc)
         doc2 = parse_scenario(printed)
         assert print_scenario(doc2) == printed
+
+    def test_settings_round_trip(self):
+        text = HEADER + """
+(set learner jill)
+(set n 3)
+(set gamma 0.5)
+(set mode ho)
+"""
+        doc = parse_scenario(text)
+        assert doc.config["learner"] == Constant("jill", Sort.AGENT)
+        printed = print_scenario(doc)
+        assert "(set learner jill)" in printed.splitlines()
+        assert print_scenario(parse_scenario(printed)) == printed
 
     def test_formula_round_trip_example(self):
         f = parse_one_formula("(forall ((x agent)) (implies (talkingWith x) (Honesty)))")
