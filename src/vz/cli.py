@@ -13,7 +13,7 @@ import sys
 from . import ec, emotions, learner
 from .errors import ParseError, SourceError, VzError
 from .generalize import FIRST_ORDER, anti_unify, generalize_sets
-from .inference import KnowledgeBase, saturate
+from .inference import DEFAULT_MAX_DEPTH, KnowledgeBase, saturate
 from .printer import print_formula, print_real, print_term
 from .scenario import (_FormulaParser, _expect_sym, _section_arg, _section_items,
                        _sections, check_setting, parse_scenario)
@@ -118,7 +118,7 @@ def cmd_emotions(args, rep):
 
 def cmd_infer(args, rep):
     doc = _load(args.file, args)
-    kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config.get("max-depth", 3),
+    kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config.get("max-depth", DEFAULT_MAX_DEPTH),
                           horizon=doc.horizon)
     closed = saturate(kb)
     for line in sorted(print_formula(f) for f in closed.formulas):

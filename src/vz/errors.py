@@ -67,7 +67,7 @@ class UnsupportedFragment(VzError):
     pass
 
 
-class DepthExceeded(VzError):
+class DepthExceeded(SourceError):
     pass
 
 

@@ -78,14 +78,17 @@ def entails0(gamma, phi: Formula) -> bool:
     return holds(phi)
 
 
+DEFAULT_MAX_DEPTH = 3
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     formulas: frozenset
-    max_depth: int = 3
+    max_depth: int = DEFAULT_MAX_DEPTH
     horizon: int | None = None
 
     @classmethod
-    def of(cls, formulas, max_depth=3, horizon=None):
+    def of(cls, formulas, max_depth=DEFAULT_MAX_DEPTH, horizon=None):
         return cls(frozenset(formulas), max_depth, horizon)
 
 
@@ -107,7 +110,13 @@ def _try_moment(t):
 
 def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     """Least superset of kb closed under R_K, R_B, R_4, R_13, R_14 with
-    modal nesting capped at max_depth."""
+    modal nesting capped at max_depth.
+
+    Semi-naive: each round fires R_4 and R_13 on the formulas the previous
+    round added (the input counts as round 0's) and walks only the R_K/R_B
+    streams they touched. A round reads the index as it stood when the
+    round began, so the rounds are those of the naive loop, and a Horn
+    consequence derived before a non-Horn body reached its group stays."""
     for f in kb.formulas:
         if modal_depth(f) > kb.max_depth:
             raise DepthExceeded(f"input formula exceeds depth {kb.max_depth}: {f!r}")
@@ -117,59 +126,74 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
         _moments_of(f, moments)
     if kb.horizon is not None:
         moments |= set(range(kb.horizon + 1))
+    ascending = sorted(moments)
 
     formulas = set(kb.formulas)
+    # (op, agents) -> moment -> bodies, for KNOWS and BELIEVES at a moment
+    streams: dict = {}
+    oughts: list = []
+    added = set(kb.formulas)
 
-    def add(f):
-        if f not in formulas and modal_depth(f) <= kb.max_depth:
+    def add(f, depth):
+        if depth <= kb.max_depth and f not in formulas:
             formulas.add(f)
-            return True
-        return False
+            added.add(f)
 
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(formulas)
-
-        # R_4: knowledge implies truth.
-        for f in snapshot:
-            if isinstance(f, Modal) and f.op is ModalOp.KNOWS:
-                changed |= add(f.body)
-
-        # R_K / R_B: epistemic closure with temporal persistence.
-        for op in (ModalOp.KNOWS, ModalOp.BELIEVES):
-            groups: dict = {}
-            for f in snapshot:
-                if isinstance(f, Modal) and f.op is op:
-                    t = _try_moment(f.time)
-                    if t is not None:
-                        groups.setdefault((f.agents, t), set()).add(f.body)
-            for (agents, t1), gamma in groups.items():
-                try:
-                    derivable = set(horn_closure(gamma)) | gamma
-                except UnsupportedFragment:
-                    derivable = set(gamma)
-                for t2 in sorted(m for m in moments if m >= t1):
-                    for phi in derivable:
-                        changed |= add(Modal(op, agents, moment(t2), phi))
-
-        # R_13: intentions become perceptions at later moments.
-        for f in snapshot:
-            if isinstance(f, Modal) and f.op is ModalOp.INTENDS:
+    while added:
+        touched = set()
+        for f in added:
+            if isinstance(f, Ought):
+                oughts.append(f)
+            elif isinstance(f, Modal) and f.op in (ModalOp.KNOWS, ModalOp.BELIEVES):
                 t = _try_moment(f.time)
-                if t is None:
-                    continue
-                for t2 in sorted(m for m in moments if m > t):
-                    changed |= add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body))
+                if t is not None:
+                    streams.setdefault((f.op, f.agents), {}).setdefault(t, set()).add(f.body)
+                    touched.add((f.op, f.agents))
+        delta, added = added, set()
+
+        for f in delta:
+            if not isinstance(f, Modal):
+                continue
+            if f.op is ModalOp.KNOWS:
+                # R_4: knowledge implies truth.
+                add(f.body, modal_depth(f.body))
+            elif f.op is ModalOp.INTENDS:
+                # R_13: intentions become perceptions at later moments.
+                t = _try_moment(f.time)
+                if t is not None:
+                    for t2 in ascending:
+                        if t2 > t:
+                            add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body),
+                                modal_depth(f))
+
+        # R_K / R_B: epistemic closure with temporal persistence. A group
+        # at t1 persists to every moment t2 >= t1, so one walk up the
+        # moments carries the union of the groups seen so far, each body
+        # with the depth of op(agents, t, body).
+        for op, agents in touched:
+            groups = streams[op, agents]
+            carried: dict = {}
+            for t in ascending:
+                gamma = groups.get(t, ())
+                if gamma:
+                    try:
+                        bodies = horn_closure(gamma) | gamma
+                    except UnsupportedFragment:
+                        bodies = gamma
+                    for phi in bodies:
+                        if phi not in carried:
+                            carried[phi] = modal_depth(phi) + 1
+                for phi, depth in carried.items():
+                    if phi not in gamma:
+                        add(Modal(op, agents, moment(t), phi), depth)
 
         # R_14: believed obligations become known intentions.
-        for f in snapshot:
-            if not isinstance(f, Ought):
-                continue
+        for f in oughts:
             believed_cond = Modal(ModalOp.BELIEVES, (f.agent,), f.time, f.condition)
             believed_ought = Modal(ModalOp.BELIEVES, (f.agent,), f.time, f)
             if believed_cond in formulas and believed_ought in formulas:
                 intent = Modal(ModalOp.INTENDS, (f.agent,), f.time, f.body)
-                changed |= add(Modal(ModalOp.KNOWS, (f.agent,), f.time, intent))
+                k = Modal(ModalOp.KNOWS, (f.agent,), f.time, intent)
+                add(k, modal_depth(k))
 
     return KnowledgeBase(frozenset(formulas), kb.max_depth, kb.horizon)

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import (DuplicateDeclaration, ParseError, SortMismatch,
-                     UndeclaredSymbol)
+from .errors import (DepthExceeded, DuplicateDeclaration, ParseError,
+                     SortMismatch, UndeclaredSymbol)
 from .generalize import FIRST_ORDER, HIGHER_ORDER
+from .inference import DEFAULT_MAX_DEPTH, modal_depth
 from .printer import print_formula, print_real, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
@@ -405,12 +406,21 @@ def parse_scenario(text: str) -> ScenarioDoc:
     table = SymbolTable()
     doc = ScenarioDoc(table)
     fp = _FormulaParser(table)
+    asserts = []
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
             raise ParseError("expected a (keyword ...) item", *_loc(sx))
         _parse_item(sx, doc, table, fp)
+        if sx.items[0].text == "assert":
+            asserts.append((doc.facts[-1].formula, _loc(sx)))
     for fact in doc.facts:
         _sort_check_fact(fact)
+    # (set max-depth d) may follow the asserts it bounds
+    max_depth = doc.config.get("max-depth", DEFAULT_MAX_DEPTH)
+    for f, loc in asserts:
+        if modal_depth(f) > max_depth:
+            raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
+                                f"{print_formula(f)}", *loc)
     return doc
 
 

@@ -125,6 +125,26 @@ class TestMalformedInput:
             assert code == 1 and out == ""
             assert err == f"{p}:{where}\n"
 
+    @pytest.mark.parametrize("setting, where", [
+        # max-depth may follow the asserts it bounds
+        ("(set max-depth 0)", "4:1: modal depth 1 exceeds max-depth 0: (knows jack 1 (p))"),
+        ("(set max-depth 1)",
+         "5:1: modal depth 2 exceeds max-depth 1: (knows jack 1 (believes jack 2 (p)))"),
+        ("", "6:1: modal depth 4 exceeds max-depth 3: "
+             "(believes jack 1 (knows jack 1 (knows jack 1 (knows jack 1 (p)))))"),
+    ])
+    def test_assert_deeper_than_max_depth(self, capsys, tmp_path, setting, where):
+        p = tmp_path / "deep.vz"
+        p.write_text("(declare-agent jack)\n(declare-predicate p ())\n(assert (p))\n"
+                     "(assert (knows jack 1 (p)))\n"
+                     "(assert (knows jack 1 (believes jack 2 (p))))\n"
+                     "(assert (believes jack 1 (knows jack 1 (knows jack 1 (knows jack 1 (p))))))\n"
+                     f"{setting}\n")
+        for command in ("check", "infer"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:{where}\n"
+
     def test_modal_moment_variables_parse(self, capsys, tmp_path):
         p = tmp_path / "moments.vz"
         p.write_text("(declare-agent jack)\n(declare-predicate p ())\n"

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from vz.errors import DepthExceeded, UnsupportedFragment
-from vz.inference import (KnowledgeBase, entails0, horn_closure, modal_depth,
-                          saturate)
-from vz.terms import (ACTION, HAPPENS, And, Application, Atom, Constant,
-                      FunctionSymbol, Implies, Modal, ModalOp, Not, Or, Ought,
-                      Sort, moment)
+from vz.inference import (KnowledgeBase, _moments_of, _try_moment, entails0,
+                          horn_closure, modal_depth, saturate)
+from vz.terms import (ACTION, HAPPENS, MODAL_ARITY, And, Application, Atom,
+                      Constant, FunctionSymbol, Iff, Implies, Modal, ModalOp,
+                      Not, Or, Ought, Sort, Variable, moment)
 
 from conftest import HONESTY, HUNGRY, JACK, JILL, TALKING_WITH
 
@@ -146,6 +146,169 @@ def test_saturate_monotone_and_idempotent(rng):
         assert kb.formulas <= out.formulas
         again = saturate(out)
         assert again.formulas == out.formulas
+
+
+def test_saturate_keeps_horn_consequences_of_a_later_non_horn_group():
+    """jill's group at 2 is Horn in round 0, so q is derived and persisted;
+    R_4 then puts r or s into the same group, which from round 1 on carries
+    only its bodies. What round 0 derived stays."""
+    kb = KnowledgeBase.of([K(JILL, 2, P), K(JILL, 2, Implies(P, Q)),
+                           K(JACK, 1, K(JILL, 2, Or((R, S))))], horizon=3)
+    out = saturate(kb).formulas
+    assert K(JILL, 2, Or((R, S))) in out
+    assert K(JILL, 3, Or((R, S))) in out
+    assert K(JILL, 2, Q) in out
+    assert K(JILL, 3, Q) in out
+
+
+def _naive_saturate(kb: KnowledgeBase) -> KnowledgeBase:
+    """The naive saturation loop: every round re-derives every rule from
+    the whole KB and emits each R_K/R_B group to every later moment."""
+    for f in kb.formulas:
+        if modal_depth(f) > kb.max_depth:
+            raise DepthExceeded(f"input formula exceeds depth {kb.max_depth}: {f!r}")
+
+    moments: set[int] = set()
+    for f in kb.formulas:
+        _moments_of(f, moments)
+    if kb.horizon is not None:
+        moments |= set(range(kb.horizon + 1))
+
+    formulas = set(kb.formulas)
+
+    def add(f):
+        if f not in formulas and modal_depth(f) <= kb.max_depth:
+            formulas.add(f)
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(formulas)
+
+        for f in snapshot:
+            if isinstance(f, Modal) and f.op is ModalOp.KNOWS:
+                changed |= add(f.body)
+
+        for op in (ModalOp.KNOWS, ModalOp.BELIEVES):
+            groups: dict = {}
+            for f in snapshot:
+                if isinstance(f, Modal) and f.op is op:
+                    t = _try_moment(f.time)
+                    if t is not None:
+                        groups.setdefault((f.agents, t), set()).add(f.body)
+            for (agents, t1), gamma in groups.items():
+                try:
+                    derivable = set(horn_closure(gamma)) | gamma
+                except UnsupportedFragment:
+                    derivable = set(gamma)
+                for t2 in sorted(m for m in moments if m >= t1):
+                    for phi in derivable:
+                        changed |= add(Modal(op, agents, moment(t2), phi))
+
+        for f in snapshot:
+            if isinstance(f, Modal) and f.op is ModalOp.INTENDS:
+                t = _try_moment(f.time)
+                if t is None:
+                    continue
+                for t2 in sorted(m for m in moments if m > t):
+                    changed |= add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body))
+
+        for f in snapshot:
+            if not isinstance(f, Ought):
+                continue
+            believed_cond = Modal(ModalOp.BELIEVES, (f.agent,), f.time, f.condition)
+            believed_ought = Modal(ModalOp.BELIEVES, (f.agent,), f.time, f)
+            if believed_cond in formulas and believed_ought in formulas:
+                intent = Modal(ModalOp.INTENDS, (f.agent,), f.time, f.body)
+                changed |= add(Modal(ModalOp.KNOWS, (f.agent,), f.time, intent))
+
+    return KnowledgeBase(frozenset(formulas), kb.max_depth, kb.horizon)
+
+
+TVAR = Variable("t", Sort.MOMENT)
+_PERSISTENT = (ModalOp.KNOWS, ModalOp.BELIEVES)
+
+
+def oracle_kb(rng):
+    """A small KB over every modal operator at its arity, Horn and
+    non-Horn bodies (or, iff, an implication with an or antecedent),
+    modals nested over them, variable-time modals, and obligations with
+    and without the two beliefs R_14 needs."""
+    agents = [JACK, JILL]
+    atoms = [P, Q, R, S, Not(Q)]
+    ops = list(MODAL_ARITY)
+
+    def time():
+        return TVAR if rng.random() < 0.08 else moment(rng.randint(0, 3))
+
+    # a few (op, agents, time) groups that many formulas share, so that a
+    # group can gather a fact, a rule and, later, a non-Horn body
+    shared = [(rng.choice(_PERSISTENT), (rng.choice(agents),), moment(rng.randint(0, 3)))
+              for _ in range(2)]
+
+    def modal(op, body):
+        if op in _PERSISTENT and rng.random() < 0.6:
+            op, who, t = rng.choice(shared)
+            return Modal(op, who, t, body)
+        who = tuple(rng.choice(agents) for _ in range(MODAL_ARITY[op]))
+        return Modal(op, who, time(), body)
+
+    def non_horn():
+        return rng.choice([Or((rng.choice(atoms), rng.choice(atoms))),
+                           Iff(rng.choice(atoms), rng.choice(atoms)),
+                           Implies(Or((P, Q)), rng.choice(atoms))])
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(atoms)
+        if roll < 0.45:
+            return Implies(rng.choice([P, Q, And((P, R))]), rng.choice(atoms))
+        if roll < 0.57:
+            return non_horn()
+        if roll < 0.62:
+            return And((rng.choice(atoms), formula(depth - 1)))
+        op = rng.choice([ModalOp.KNOWS, ModalOp.BELIEVES] * 3 + ops)
+        return modal(op, formula(depth - 1))
+
+    fs = [formula(3) for _ in range(rng.randint(0, 7))]
+    for op, who, t in shared:
+        if rng.random() < 0.4:
+            fs += [Modal(op, who, t, P), Modal(op, who, t, Implies(P, Q))]
+        if rng.random() < 0.3:
+            # R_4 puts a non-Horn body into the group one round later
+            fs.append(modal(ModalOp.KNOWS, Modal(op, who, t, non_horn())))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        ought = Ought(rng.choice(agents), time(), rng.choice(atoms), DO_WAVE)
+        fs.append(ought)
+        for belief in (ought.condition, ought):
+            roll = rng.random()
+            if roll < 0.4:
+                fs.append(Modal(ModalOp.BELIEVES, (ought.agent,), ought.time, belief))
+            elif roll < 0.7:
+                # reaches the obligation's moment by R_B persistence or R_4
+                early = Modal(ModalOp.BELIEVES, (ought.agent,), moment(0), belief)
+                fs.append(rng.choice([early, modal(ModalOp.KNOWS, early)]))
+    return KnowledgeBase.of(fs, max_depth=rng.randint(0, 4),
+                            horizon=rng.choice([None, None, 0, 2, 5]))
+
+
+def test_saturate_matches_naive_rounds(rng):
+    derived = 0
+    for _ in range(2000):
+        kb = oracle_kb(rng)
+        try:
+            expected = _naive_saturate(kb)
+        except DepthExceeded:
+            with pytest.raises(DepthExceeded):
+                saturate(kb)
+            continue
+        out = saturate(kb)
+        assert out == expected
+        derived += len(out.formulas) - len(kb.formulas)
+    assert derived > 0
 
 
 # ---------------------------------------------------------------------------
