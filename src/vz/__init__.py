@@ -17,6 +17,6 @@ from .scenario import ScenarioDoc, parse_scenario, print_scenario
 from .subst import Substitution, apply_substitution, match
 from .terms import (Application, Atom, Constant, Formula, FunctionSymbol,
                     Sort, Term, Variable, alpha_equal, sort_of)
-from .utility import NuTable, UtilityConfig, mu, mu_bar, nu_bar
+from .utility import NuTable, mu, mu_bar, nu_bar
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .scenario import (_FormulaParser, _expect_sym, _section_arg, _section_items
 from .sexpr import SList, SSym, read_all
 from .subst import Substitution
 from .terms import Constant, Sort
-from .utility import NuTable, UtilityConfig, mu_bar, nu_bar
+from .utility import NuTable, mu_bar, nu_bar
 
 
 class Report:
@@ -89,14 +89,13 @@ def cmd_utility(args, rep):
     doc = _load(args.file, args)
     tl = ec.project(doc)
     table = NuTable.from_doc(doc)
-    cfg = UtilityConfig(tl.horizon)
     for occ in tl.occurrences:
         ev = print_term(occ.event)
-        total = mu_bar(occ.event, occ.time, tl, table, doc.agents, cfg)
+        total = mu_bar(occ.event, occ.time, tl, table, doc.agents, tl.horizon)
         rep.emit("mu-bar", f"(mu-bar {ev} {occ.time} {print_real(total)})",
                  event=ev, time=occ.time, value=total)
         for a in doc.agents:
-            v = nu_bar(a, occ.event, occ.time, tl, table, cfg)
+            v = nu_bar(a, occ.event, occ.time, tl, table, tl.horizon)
             rep.emit("nu-bar", f"(nu-bar {a.name} {ev} {occ.time} {print_real(v)})",
                      agent=a.name, event=ev, time=occ.time, value=v)
 
@@ -173,6 +172,10 @@ def _learn_pipeline(doc):
                 continue
             chosen = [s for s in history
                       if s.performed is not None and s.performed.symbol == alpha]
+            # with gamma < 1, detection can accept alpha on fewer than m
+            # performing situations, too few to learn from
+            if len(chosen) < crit.min_situations:
+                continue
             chosen.sort(key=lambda s: (s.time, s.id))
             trait = learner.learn_trait(chosen, [s.performed for s in chosen],
                                         mode, exemplar=ex.exemplar,

@@ -15,7 +15,7 @@ from .ec import Timeline
 from .errors import InvalidRecord
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Term
-from .utility import NuTable, UtilityConfig, mu, mu_bar, nu_bar
+from .utility import NuTable, mu, mu_bar, nu_bar
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,6 @@ class EmotionKind(enum.Enum):
     ADMIRATION_FOR = "admiration-for"
 
 
-# Valence metadata from the OCC table (pleased vs displeased); recorded
-# on the EmotionRecord, not a truth condition.
-VALENCE = {
-    EmotionKind.JOY: "pleased",
-    EmotionKind.DISTRESS: "displeased",
-    EmotionKind.HAPPY_FOR: "pleased",
-    EmotionKind.GLOATING: "pleased",
-    EmotionKind.PITY_FOR: "displeased",
-    EmotionKind.RESENTMENT: "displeased",
-    EmotionKind.ADMIRATION_FOR: "pleased",
-}
-
 _OTHER_DIRECTED = {EmotionKind.HAPPY_FOR, EmotionKind.GLOATING,
                    EmotionKind.PITY_FOR, EmotionKind.RESENTMENT,
                    EmotionKind.ADMIRATION_FOR}
@@ -90,10 +78,6 @@ class EmotionRecord:
                                              or self.object == self.subject):
             raise InvalidRecord(f"{self.kind.value} needs an object other than its subject")
 
-    @property
-    def valence(self) -> str:
-        return VALENCE[self.kind]
-
     def sort_key(self):
         return (self.kind.value, self.subject.name,
                 self.object.name if self.object else "",
@@ -110,10 +94,6 @@ class World:
     agents: tuple[Constant, ...]
     horizon: int
 
-    @property
-    def cfg(self) -> UtilityConfig:
-        return UtilityConfig(self.horizon)
-
 
 def _no_initiated(occ, pred) -> bool:
     """True iff no initiated fluent satisfies pred at any moment."""
@@ -124,7 +104,7 @@ def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
     occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
     return (world.theta.holds(a, t2)
-            and nu_bar(a, event, t, world.timeline, world.nu, world.cfg) > 0
+            and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) > 0
             and _no_initiated(occ, lambda f: any(world.nu.get(a, f, y) < 0 for y in moments)))
 
 
@@ -132,7 +112,7 @@ def eval_distress(a: Constant, event: Term, t: int, t2: int, world: World) -> bo
     occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
     return (world.theta.holds(a, t2)
-            and nu_bar(a, event, t, world.timeline, world.nu, world.cfg) < 0
+            and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) < 0
             and _no_initiated(occ, lambda f: any(world.nu.get(a, f, y) > 0 for y in moments)))
 
 
@@ -143,7 +123,7 @@ def _other_directed(a, b, event, t, t2, world, desirable: bool) -> bool:
     occ = world.timeline.occurrence(event, t)
     if not world.theta.holds(a, t2) or a == b:
         return False
-    total = nu_bar(b, event, t, world.timeline, world.nu, world.cfg)
+    total = nu_bar(b, event, t, world.timeline, world.nu, world.horizon)
     moments = range(world.horizon + 1)
     if desirable:
         return total > 0 and _no_initiated(
@@ -172,7 +152,7 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     occ = world.timeline.occurrence(event, t)
     if not world.theta.holds(a, t2) or a == b:
         return False
-    if mu_bar(event, t, world.timeline, world.nu, world.agents, world.cfg) <= 0:
+    if mu_bar(event, t, world.timeline, world.nu, world.agents, world.horizon) <= 0:
         return False
     moments = range(world.horizon + 1)
     return _no_initiated(

@@ -127,8 +127,6 @@ def _au_formulas(fs: tuple, mode: str, namer: VarNamer):
 class Generalization:
     pattern: object  # Term | Formula
     substitutions: tuple[Substitution, ...]
-    mode: str
-    total: bool = True
 
 
 def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -> Generalization:
@@ -139,7 +137,7 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
     inputs = tuple(inputs)
     namer = namer or VarNamer()
     pattern = _au_formulas(inputs, mode, namer)
-    return Generalization(pattern, tuple(namer.substitutions(len(inputs))), mode)
+    return Generalization(pattern, tuple(namer.substitutions(len(inputs))))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,6 @@ def _namer_keys(tup, mode):
 class SetGeneralization:
     patterns: tuple  # open formulas, free introduced variables
     substitutions: tuple[Substitution, ...]
-    mode: str
     total: bool
     introduced: tuple[Variable, ...]
 
@@ -268,5 +265,5 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
 
     introduced = tuple(namer.vars.values())
     return SetGeneralization(tuple(patterns), tuple(namer.substitutions(len(gammas))),
-                             mode, total, introduced)
+                             total, introduced)
 

@@ -109,8 +109,12 @@ def _try_moment(t):
 
 
 def saturate(kb: KnowledgeBase) -> KnowledgeBase:
-    """Least superset of kb closed under R_K, R_B, R_4, R_13, R_14 with
-    modal nesting capped at max_depth.
+    """Least superset of kb closed under R_K, R_B, R_4, R_13, R_14. The
+    input must be no deeper than max_depth, and no rule derives a formula
+    deeper than one it already holds: R_4 yields a body, R_13 a perception
+    as deep as the intention, R_K/R_B op(agents, t, phi) for a phi inside
+    a body held under op, and R_14 K(I(happens ...)), no deeper than the
+    B(ought ...) it needs.
 
     Semi-naive: each round fires R_4 and R_13 on the formulas the previous
     round added (the input counts as round 0's) and walks only the R_K/R_B
@@ -134,8 +138,8 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     oughts: list = []
     added = set(kb.formulas)
 
-    def add(f, depth):
-        if depth <= kb.max_depth and f not in formulas:
+    def add(f):
+        if f not in formulas:
             formulas.add(f)
             added.add(f)
 
@@ -156,23 +160,21 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                 continue
             if f.op is ModalOp.KNOWS:
                 # R_4: knowledge implies truth.
-                add(f.body, modal_depth(f.body))
+                add(f.body)
             elif f.op is ModalOp.INTENDS:
                 # R_13: intentions become perceptions at later moments.
                 t = _try_moment(f.time)
                 if t is not None:
                     for t2 in ascending:
                         if t2 > t:
-                            add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body),
-                                modal_depth(f))
+                            add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body))
 
         # R_K / R_B: epistemic closure with temporal persistence. A group
         # at t1 persists to every moment t2 >= t1, so one walk up the
-        # moments carries the union of the groups seen so far, each body
-        # with the depth of op(agents, t, body).
+        # moments carries the union of the groups seen so far.
         for op, agents in touched:
             groups = streams[op, agents]
-            carried: dict = {}
+            carried: set = set()
             for t in ascending:
                 gamma = groups.get(t, ())
                 if gamma:
@@ -180,12 +182,10 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                         bodies = horn_closure(gamma) | gamma
                     except UnsupportedFragment:
                         bodies = gamma
-                    for phi in bodies:
-                        if phi not in carried:
-                            carried[phi] = modal_depth(phi) + 1
-                for phi, depth in carried.items():
+                    carried |= bodies
+                for phi in carried:
                     if phi not in gamma:
-                        add(Modal(op, agents, moment(t), phi), depth)
+                        add(Modal(op, agents, moment(t), phi))
 
         # R_14: believed obligations become known intentions.
         for f in oughts:
@@ -193,7 +193,6 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
             believed_ought = Modal(ModalOp.BELIEVES, (f.agent,), f.time, f)
             if believed_cond in formulas and believed_ought in formulas:
                 intent = Modal(ModalOp.INTENDS, (f.agent,), f.time, f.body)
-                k = Modal(ModalOp.KNOWS, (f.agent,), f.time, intent)
-                add(k, modal_depth(k))
+                add(Modal(ModalOp.KNOWS, (f.agent,), f.time, intent))
 
     return KnowledgeBase(frozenset(formulas), kb.max_depth, kb.horizon)

@@ -7,6 +7,7 @@ position they appear in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -19,7 +20,7 @@ from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
                     Implies, Modal, ModalOp, Not, Or, Ought, Sort, Term,
-                    Variable, check_formula, fits, moment)
+                    Variable, fits, moment)
 
 SORT_NAMES = {s.value: s for s in Sort}
 
@@ -413,8 +414,6 @@ def parse_scenario(text: str) -> ScenarioDoc:
         _parse_item(sx, doc, table, fp)
         if sx.items[0].text == "assert":
             asserts.append((doc.facts[-1].formula, _loc(sx)))
-    for fact in doc.facts:
-        _sort_check_fact(fact)
     # (set max-depth d) may follow the asserts it bounds
     max_depth = doc.config.get("max-depth", DEFAULT_MAX_DEPTH)
     for f, loc in asserts:
@@ -475,7 +474,7 @@ def _parse_item(sx, doc, table, fp):
         elif key == "gamma":
             if not isinstance(body[1], SNum):
                 raise ParseError("gamma must be a number", *loc)
-            value = float(body[1].value)
+            value = float(body[1].text)
         else:
             value = _expect_sym(body[1])
         doc.config[key] = check_setting(key, value, _loc(body[1]), table)
@@ -493,7 +492,12 @@ def _parse_item(sx, doc, table, fp):
         t = _expect_nat(body[2])
         if not isinstance(body[3], SNum):
             raise ParseError("nu value must be a number", *_loc(body[3]))
-        doc.facts.append(NuFact(agent, fluent, t, float(body[3].value)))
+        # float of the literal text: a literal too large for a float reads
+        # as inf (float of its int would raise), and is rejected here
+        value = float(body[3].text)
+        if not math.isfinite(value):
+            raise ParseError(f"nu value must be finite, got {value}", *_loc(body[3]))
+        doc.facts.append(NuFact(agent, fluent, t, value))
     elif head == "theta":
         if len(body) not in (2, 3):
             raise ParseError("(theta ...) expects 2 or 3 parts", *loc)
@@ -576,17 +580,6 @@ def _parse_situation(head, body, loc, fp):
     if "performed" in secs:
         performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE)
     return ObserveFact(sid, agent, time, formulas, alts, performed)
-
-
-def _sort_check_fact(fact):
-    if isinstance(fact, AssertFact):
-        check_formula(fact.formula)
-    elif isinstance(fact, GroupFact):
-        for f in fact.formulas:
-            check_formula(f)
-    elif isinstance(fact, (ObserveFact, QueryFact)):
-        for f in fact.formulas:
-            check_formula(f)
 
 
 # ---------------------------------------------------------------------------

@@ -288,28 +288,6 @@ def rebuild(node, kids):
     raise UnknownSymbol(f"not a term or formula: {node!r}")
 
 
-def check_formula(f: Formula) -> None:
-    """Sort-check every atom inside a formula."""
-    if isinstance(f, TERMS):
-        raise UnknownSymbol(f"not a formula: {f!r}")
-    if isinstance(f, Atom):
-        if sort_of(f.pred) is not Sort.BOOLEAN:
-            raise SortMismatch(f"atom is not boolean: {f.pred!r}")
-        return
-    if isinstance(f, Modal):
-        for a in f.agents:
-            if not fits(sort_of(a), Sort.AGENT):
-                raise SortMismatch(f"modal agent must be Agent, got {a!r}")
-        if not fits(sort_of(f.time), Sort.MOMENT):
-            raise SortMismatch(f"modal time must be Moment, got {f.time!r}")
-    elif isinstance(f, Ought):
-        if not fits(sort_of(f.agent), Sort.AGENT):
-            raise SortMismatch("ought agent must be Agent")
-    for sub in children(f):
-        if not isinstance(sub, TERMS):
-            check_formula(sub)
-
-
 def free_variables(x) -> set:
     """Free Variables (and SymbolVariables) of a term or formula."""
     out = set()

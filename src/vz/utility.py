@@ -37,15 +37,6 @@ class NuTable:
         return self._index.get((agent, fluent, t), 0.0)
 
 
-@dataclass(frozen=True)
-class UtilityConfig:
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise SortMismatch("horizon must be non-negative")
-
-
 def nu(table: NuTable, agent: Constant, fluent: Term, t: int) -> float:
     return table.get(agent, fluent, t)
 
@@ -56,24 +47,24 @@ def mu(fluent: Term, t: int, table: NuTable, agents) -> float:
 
 
 def nu_bar(agent: Constant, event: Term, t: int, timeline: Timeline,
-           table: NuTable, cfg: UtilityConfig) -> float:
+           table: NuTable, horizon: int) -> float:
     """Total utility for one agent of an event occurrence: future nu of
     initiated fluents minus future nu of terminated fluents, up to H."""
     occ = timeline.occurrence(event, t)
     total = 0.0
-    for y in range(t + 1, cfg.horizon + 1):
+    for y in range(t + 1, horizon + 1):
         total += sum(table.get(agent, f, y) for f in occ.initiated)
         total -= sum(table.get(agent, f, y) for f in occ.terminated)
     return total
 
 
 def mu_bar(event: Term, t: int, timeline: Timeline, table: NuTable,
-           agents, cfg: UtilityConfig) -> float:
+           agents, horizon: int) -> float:
     """Total agent-neutral utility of an event occurrence; the same
     double sum as nu_bar but over mu."""
     occ = timeline.occurrence(event, t)
     total = 0.0
-    for y in range(t + 1, cfg.horizon + 1):
+    for y in range(t + 1, horizon + 1):
         total += sum(mu(f, y, table, agents) for f in occ.initiated)
         total -= sum(mu(f, y, table, agents) for f in occ.terminated)
     return total

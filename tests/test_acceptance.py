@@ -21,7 +21,7 @@ from vz.scenario import parse_scenario
 from vz.subst import apply_substitution, match
 from vz.terms import (Atom, ForAll, Implies, Modal, ModalOp, Variable,
                       renaming_equal)
-from vz.utility import UtilityConfig, mu_bar, nu_bar
+from vz.utility import mu_bar, nu_bar
 
 from conftest import HONESTY, HUNGRY, JACK, JILL, JIM, LIKES, LOVES, TALKING_WITH
 
@@ -132,7 +132,6 @@ def test_c4_utility_identities():
     for _ in range(500):
         doc, agents, table = random_world(rng)
         tl = project(doc)
-        cfg = UtilityConfig(doc.horizon)
         for f in doc.fluents:
             for t in range(doc.horizon + 1):
                 assert math.isclose(mu(f, t, table, agents),
@@ -140,8 +139,8 @@ def test_c4_utility_identities():
                                     abs_tol=1e-9)
         for e, t in doc.happens:
             assert math.isclose(
-                mu_bar(e, t, tl, table, agents, cfg),
-                sum(nu_bar(a, e, t, tl, table, cfg) for a in agents),
+                mu_bar(e, t, tl, table, agents, doc.horizon),
+                sum(nu_bar(a, e, t, tl, table, doc.horizon) for a in agents),
                 abs_tol=1e-9)
     from vz.utility import NuTable
     for _ in range(100):
@@ -151,7 +150,6 @@ def test_c4_utility_identities():
         table = NuTable.of({k: rng.randint(-48, 48) / 16.0
                             for k, _ in table.entries})
         tl = project(doc)
-        cfg = UtilityConfig(doc.horizon)
         for e, t in doc.happens:
             occ = tl.occurrence(e, t)
             expected = 0.0
@@ -160,7 +158,7 @@ def test_c4_utility_identities():
                     expected += sum(table.get(a, f, y) for a in agents)
                 for f in occ.terminated:
                     expected -= sum(table.get(a, f, y) for a in agents)
-            assert mu_bar(e, t, tl, table, agents, cfg) == expected
+            assert mu_bar(e, t, tl, table, agents, doc.horizon) == expected
 
 
 def test_c5_event_calculus_oracle():

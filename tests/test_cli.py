@@ -7,11 +7,14 @@ import os
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vz.cli import _COMMANDS, main
+from vz.errors import VzError
+from vz.scenario import parse_scenario
 from vz.sexpr import SList, read_all
+from vz.terms import TERMS, Atom, Modal, Ought, Sort, children, sort_of
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 MARKETPLACE = os.path.join(CORPUS, "marketplace.vz")
@@ -110,6 +113,8 @@ class TestMalformedInput:
         ("(set m 0)", "3:8: m must be at least 1"),
         ("(set gamma 0)", "3:12: gamma must lie in (0, 1]"),
         ("(set gamma 1.5)", "3:12: gamma must lie in (0, 1]"),
+        # an integer too large for a float reads as inf
+        ("(set gamma 1" + "0" * 400 + ")", "3:12: gamma must lie in (0, 1]"),
         ("(set mode xx)", "3:11: mode must be fo or ho"),
         ("(set learner nobody)", "3:14: undeclared agent 'nobody'"),
         ("(set learner p)", "3:14: undeclared agent 'p'"),
@@ -144,6 +149,17 @@ class TestMalformedInput:
             code, out, err = run_cli(capsys, command, str(p))
             assert code == 1 and out == ""
             assert err == f"{p}:{where}\n"
+
+    @pytest.mark.parametrize("value, read", [("1" + "0" * 400 + ".0", "inf"),
+                                             ("-1" + "0" * 400, "-inf")])
+    def test_nu_value_not_finite(self, capsys, tmp_path, value, read):
+        # a literal too large for a float reads as an infinity
+        p = tmp_path / "huge.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-fluent f ())\n(nu jack (f) 2 {value})\n")
+        for command in ("check", "utility"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:3:16: nu value must be finite, got {read}\n"
 
     def test_modal_moment_variables_parse(self, capsys, tmp_path):
         p = tmp_path / "moments.vz"
@@ -247,6 +263,22 @@ class TestSubcommands:
             code, got, _ = run_cli(capsys, "run", str(p), *extra)
             assert code == 0 and got == want
 
+    def test_too_few_performing_situations_learn_no_trait(self, capsys, tmp_path):
+        # with gamma 0.5, seller performing utter in one of two eligible
+        # situations makes it a trait, but m = 2 performing situations are
+        # needed to learn one
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        performed = "\n  (performed (utter (unbroken))))"
+        assert text.count(performed) == 1 and text.count("(set gamma 0.9)") == 1
+        p = tmp_path / "half.vz"
+        p.write_text(text.replace(performed, ")").replace("(set gamma 0.9)", "(set gamma 0.5)"))
+        for command in ("run", "learn"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 0 and err == ""
+            assert "(exemplar observer seller 14 0)" in out.splitlines()
+            assert "(trait" not in out
+
     def test_run_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "run", MARKETPLACE)
         _, second, _ = run_cli(capsys, "run", MARKETPLACE)
@@ -317,8 +349,9 @@ def _lists(node):
             yield from _lists(item)
 
 
-CORPUS_TREES = [[_tree(sx) for sx in read_all(pathlib.Path(path).read_text())]
+CORPUS_TEXTS = [pathlib.Path(path).read_text()
                 for path in sorted(glob.glob(os.path.join(CORPUS, "*.vz")))]
+CORPUS_TREES = [[_tree(sx) for sx in read_all(text)] for text in CORPUS_TEXTS]
 TRAIT = "(trait (pattern (holds ?X0 ?t)) (action (utter ?X0)))\n"
 
 
@@ -361,3 +394,45 @@ def test_mutated_corpus_never_raises(tmp_path_factory, text, command, mode, as_j
         code = main(argv)
     assert code in (0, 1)
     assert (code == 1) == bool(err.getvalue())
+
+
+def _check_sorts(node):
+    if isinstance(node, Atom):
+        assert sort_of(node.pred) is Sort.BOOLEAN
+    elif isinstance(node, Modal):
+        assert all(sort_of(a) is Sort.AGENT for a in node.agents)
+        assert sort_of(node.time) is Sort.MOMENT
+    elif isinstance(node, Ought):
+        assert sort_of(node.agent) is Sort.AGENT and sort_of(node.time) is Sort.MOMENT
+    for sub in children(node):
+        if not isinstance(sub, TERMS):
+            _check_sorts(sub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_scenarios())
+def test_parsed_formulas_are_well_sorted(text):
+    """The sort-directed reader is the only sort check: every formula it
+    accepts has boolean atoms, agents as modal and deontic agents and
+    moments as their times."""
+    try:
+        doc = parse_scenario(text)
+    except VzError:
+        return
+    situations = doc.observations + doc.queries
+    for f in doc.asserts + [f for g in doc.groups for f in g] + \
+            [f for s in situations for f in s.formulas]:
+        _check_sorts(f)
+
+
+# The unmutated corpus files are examples too, and so are ill-sorted
+# variants of obligation.vz, which the reader must reject: an action type
+# as an atom, as a modal or deontic agent, and as a modal time.
+_BELIEF = "(believes jack 1 (payday))"
+_ILL_SORTED = [pathlib.Path(OBLIGATION).read_text().replace(_BELIEF, bad)
+               for bad in ("(believes jack 1 (pay))", "(believes (pay) 1 (payday))",
+                           "(believes jack (pay) (payday))",
+                           "(ought (pay) 1 (payday) (happens (action jack (pay)) 2))")]
+for _text_example in CORPUS_TEXTS + _ILL_SORTED:
+    test_parsed_formulas_are_well_sorted = example(_text_example)(
+        test_parsed_formulas_are_well_sorted)

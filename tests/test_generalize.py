@@ -313,7 +313,7 @@ def reference_generalize_sets(gammas, mode):
     if total:
         total = all(any(match(p, f) is not None for p in patterns)
                     for g in gammas for f in g)
-    return SetGeneralization(patterns, tuple(namer.substitutions(len(gammas))), mode,
+    return SetGeneralization(patterns, tuple(namer.substitutions(len(gammas))),
                              total, tuple(namer.vars.values())), reordered
 
 

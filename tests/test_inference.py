@@ -311,6 +311,25 @@ def test_saturate_matches_naive_rounds(rng):
     assert derived > 0
 
 
+def test_saturate_derives_nothing_deeper_than_its_input(rng):
+    """Why saturate caps only its input: R_4 yields a body, R_13 a
+    perception as deep as the intention, R_K/R_B op(agents, t, phi) for a
+    phi inside a body already held under op, and R_14 K(I(happens ...)),
+    no deeper than the B(ought ...) it needs. So at the tightest max-depth,
+    where the naive loop's cap on every added formula would bind first,
+    the two loops still agree."""
+    derived = 0
+    for _ in range(1000):
+        kb = oracle_kb(rng)
+        deepest = max(map(modal_depth, kb.formulas), default=0)
+        kb = KnowledgeBase(kb.formulas, deepest, kb.horizon)
+        out = saturate(kb)
+        assert max(map(modal_depth, out.formulas), default=0) == deepest
+        assert out == _naive_saturate(kb)
+        derived += len(out.formulas) - len(kb.formulas)
+    assert derived > 0
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive truth-table soundness/completeness for positive Horn KBs.
 

@@ -5,7 +5,7 @@ import pytest
 from vz.ec import project
 from vz.errors import SortMismatch, UnknownOccurrence
 from vz.scenario import HappensFact, parse_scenario
-from vz.utility import NuTable, UtilityConfig, mu, mu_bar, nu, nu_bar
+from vz.utility import NuTable, mu, mu_bar, nu, nu_bar
 
 from conftest import add_effects, make_doc
 
@@ -54,9 +54,8 @@ class TestEventTotals:
         doc, f, e, a0, _ = two_agent_world()
         tl = project(doc)
         table = NuTable.of({(a0, f, t): 1.0 for t in range(5)})
-        cfg = UtilityConfig(horizon=4)
         # y ranges over 2..4; the entry at the event's own moment is excluded
-        assert nu_bar(a0, e, 1, tl, table, cfg) == 3.0
+        assert nu_bar(a0, e, 1, tl, table, 4) == 3.0
 
     def test_nu_bar_subtracts_terminated(self):
         doc = make_doc(1, 1, horizon=3)
@@ -66,24 +65,20 @@ class TestEventTotals:
         a0 = doc.symbols.constants["ag0"]
         tl = project(doc)
         table = NuTable.of({(a0, f, t): 2.0 for t in range(4)})
-        assert nu_bar(a0, e, 0, tl, table, UtilityConfig(3)) == -6.0
+        assert nu_bar(a0, e, 0, tl, table, 3) == -6.0
 
     def test_mu_bar_example(self):
         doc, f, e, a0, a1 = two_agent_world()
         tl = project(doc)
         table = NuTable.of({(a0, f, 2): 1.0, (a1, f, 2): 1.0,
                             (a0, f, 3): -0.5})
-        assert mu_bar(e, 1, tl, table, [a0, a1], UtilityConfig(4)) == 1.5
+        assert mu_bar(e, 1, tl, table, [a0, a1], 4) == 1.5
 
     def test_unknown_occurrence(self):
         doc, f, e, a0, _ = two_agent_world()
         tl = project(doc)
         with pytest.raises(UnknownOccurrence):
-            nu_bar(a0, e, 2, tl, NuTable(), UtilityConfig(4))
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(SortMismatch):
-            UtilityConfig(-1)
+            nu_bar(a0, e, 2, tl, NuTable(), 4)
 
 
 def random_world(rng):
@@ -122,10 +117,9 @@ def test_mu_bar_is_sum_of_nu_bar(rng):
     for _ in range(500):
         doc, agents, table = random_world(rng)
         tl = project(doc)
-        cfg = UtilityConfig(doc.horizon)
         for e, t in doc.happens:
-            total = sum(nu_bar(a, e, t, tl, table, cfg) for a in agents)
-            assert math.isclose(mu_bar(e, t, tl, table, agents, cfg),
+            total = sum(nu_bar(a, e, t, tl, table, doc.horizon) for a in agents)
+            assert math.isclose(mu_bar(e, t, tl, table, agents, doc.horizon),
                                 total, rel_tol=0, abs_tol=1e-9)
 
 
@@ -135,7 +129,6 @@ def test_event_totals_match_double_sum_oracle(rng):
     for _ in range(100):
         doc, agents, table = random_world(rng)
         tl = project(doc)
-        cfg = UtilityConfig(doc.horizon)
         for e, t in doc.happens:
             occ = tl.occurrence(e, t)
             for a in agents:
@@ -143,7 +136,7 @@ def test_event_totals_match_double_sum_oracle(rng):
                 for y in range(t + 1, doc.horizon + 1):
                     expected += sum(table.get(a, f, y) for f in sorted(occ.initiated, key=str))
                     expected -= sum(table.get(a, f, y) for f in sorted(occ.terminated, key=str))
-                assert math.isclose(nu_bar(a, e, t, tl, table, cfg),
+                assert math.isclose(nu_bar(a, e, t, tl, table, doc.horizon),
                                     expected, abs_tol=1e-9)
             expected_mu = 0.0
             for y in range(t + 1, doc.horizon + 1):
@@ -151,5 +144,5 @@ def test_event_totals_match_double_sum_oracle(rng):
                     expected_mu += sum(table.get(a, f, y) for a in agents)
                 for f in occ.terminated:
                     expected_mu -= sum(table.get(a, f, y) for a in agents)
-            assert math.isclose(mu_bar(e, t, tl, table, agents, cfg),
+            assert math.isclose(mu_bar(e, t, tl, table, agents, doc.horizon),
                                 expected_mu, abs_tol=1e-9)
