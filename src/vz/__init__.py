@@ -13,7 +13,7 @@ from .learner import (ExemplarRecord, LearntTrait, Situation, TraitCriteria,
                       apply_trait, check_consistency, detect_trait,
                       identify_exemplars, learn_trait)
 from .printer import print_formula, print_term
-from .scenario import ScenarioDoc, parse_scenario, print_scenario
+from .scenario import ScenarioDoc, parse_scenario
 from .subst import Substitution, apply_substitution, match
 from .terms import (Application, Atom, Constant, Formula, FunctionSymbol,
                     Sort, Term, Variable, alpha_equal, sort_of)

@@ -11,15 +11,13 @@ import json
 import sys
 
 from . import ec, emotions, learner
-from .errors import ParseError, SourceError, VzError
-from .generalize import FIRST_ORDER, anti_unify, generalize_sets
-from .inference import DEFAULT_MAX_DEPTH, KnowledgeBase, saturate
+from .errors import SourceError, VzError
+from .generalize import anti_unify, generalize_sets
+from .inference import KnowledgeBase, saturate
 from .printer import print_formula, print_real, print_term
-from .scenario import (_FormulaParser, _expect_sym, _section_arg, _section_items,
-                       _sections, check_setting, parse_scenario)
-from .sexpr import SList, SSym, read_all
+from .scenario import check_setting, parse_scenario, parse_traits, print_trait
 from .subst import Substitution
-from .terms import Constant, Sort
+from .terms import Constant
 from .utility import NuTable, mu_bar, nu_bar
 
 
@@ -117,7 +115,7 @@ def cmd_emotions(args, rep):
 
 def cmd_infer(args, rep):
     doc = _load(args.file, args)
-    kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config.get("max-depth", DEFAULT_MAX_DEPTH),
+    kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
                           horizon=doc.horizon)
     closed = saturate(kb)
     for line in sorted(print_formula(f) for f in closed.formulas):
@@ -132,7 +130,7 @@ def _print_subst(s: Substitution) -> str:
 
 def cmd_generalize(args, rep):
     doc = _load(args.file, args)
-    mode = doc.config.get("mode", FIRST_ORDER)
+    mode = doc.config["mode"]
     if doc.groups:
         gen = generalize_sets(doc.groups, mode)
         for p in gen.closed_patterns():
@@ -153,16 +151,15 @@ def _learn_pipeline(doc):
     tl = ec.project(doc)
     world = emotions.world_from_doc(doc, tl)
     records = emotions.sweep_emotions(world)
-    mode = doc.config.get("mode", FIRST_ORDER)
+    mode = doc.config["mode"]
     crit = learner.TraitCriteria.from_config(doc.config)
     lrn = _learner_agent(doc)
     exemplars = learner.identify_exemplars(records, lrn, crit)
-    situations = [learner.Situation.from_observation(o) for o in doc.observations]
     traits = []
     for ex in exemplars:
         if ex.admitted_at is None:
             continue
-        history = [s for s in situations if s.agent == ex.exemplar]
+        history = [s for s in doc.observations if s.agent == ex.exemplar]
         roots = []
         for s in history:
             if s.performed is not None and s.performed.symbol not in roots:
@@ -194,18 +191,8 @@ def _emit_exemplar(ex, rep):
 
 
 def _emit_trait(trait, rep):
-    line = learner_print_trait(trait)
+    line = print_trait(trait)
     rep.emit("trait", line, trait=line)
-
-
-def learner_print_trait(trait) -> str:
-    pats = " ".join(print_formula(p) for p in trait.pattern)
-    parts = [f"(trait (pattern {pats}) (action {print_term(trait.action_pattern)})"]
-    if trait.exemplar is not None:
-        parts.append(f"(exemplar {trait.exemplar.name})")
-    if trait.source_situations:
-        parts.append(f"(sources {' '.join(trait.source_situations)})")
-    return " ".join(parts) + ")"
 
 
 def cmd_learn(args, rep):
@@ -221,30 +208,7 @@ def cmd_learn(args, rep):
                 src = " ".join(t.source_situations)
                 fh.write(f"; learnt from {t.exemplar.name if t.exemplar else 'unknown'}"
                          f" (sources {src})\n")
-                fh.write(learner_print_trait(t) + "\n")
-
-
-def parse_traits(text: str, doc) -> list:
-    """Read a trait file against the scenario's symbol table."""
-    fp = _FormulaParser(doc.symbols)
-    traits = []
-    for sx in read_all(text):
-        if not (isinstance(sx, SList) and sx.items
-                and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
-            raise ParseError("trait file entries must be (trait ...) records", sx.line, sx.col)
-        fp.fresh_scope()
-        secs = _sections(sx.items[1:], {"pattern", "action", "exemplar", "sources"})
-        pattern = tuple(fp.formula(f) for f in _section_items(secs, "pattern"))
-        if "action" not in secs:
-            raise ParseError("trait record lacks an (action ...) section", sx.line, sx.col)
-        action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
-        exemplar = None
-        if "exemplar" in secs:
-            arg = _section_arg(secs["exemplar"], "agent")
-            exemplar = doc.symbols.agent(_expect_sym(arg, "agent name"), (arg.line, arg.col))
-        sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
-        traits.append(learner.LearntTrait(pattern, action, exemplar, sources))
-    return traits
+                fh.write(print_trait(t) + "\n")
 
 
 def _load_traits(path: str, doc) -> list:
@@ -259,9 +223,8 @@ def _load_traits(path: str, doc) -> list:
 
 def _apply_to_queries(doc, traits, lrn, rep):
     for q in doc.queries:
-        sigma = learner.Situation(q.id, q.time, q.formulas)
         for trait in traits:
-            for event in learner.apply_trait(trait, sigma, lrn):
+            for event in learner.apply_trait(trait, q, lrn):
                 rep.emit("proposal",
                          f"(proposal {q.id} (happens {print_term(event)} {q.time}))",
                          query=q.id, event=print_term(event), time=q.time)

@@ -12,29 +12,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .emotions import EmotionKind, EmotionRecord
-from .errors import NoAlignment, UnboundActionVariable, UnsupportedFragment
+from .errors import NoAlignment, UnsupportedFragment
 from .generalize import FIRST_ORDER, VarNamer, anti_unify, generalize_sets
 from .inference import horn_closure
 from .printer import print_term
+from .scenario import LearntTrait, QueryFact, Situation
 from .subst import Substitution, apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
-                    Constant, Formula, Not, Sort, Term, Variable,
-                    free_variables, is_ground, moment)
-
-
-@dataclass(frozen=True)
-class Situation:
-    id: str
-    time: int
-    formulas: tuple[Formula, ...]
-    available_alternatives: tuple[Term, ...] = ()
-    performed: Optional[Term] = None
-    agent: Optional[Constant] = None
-
-    @classmethod
-    def from_observation(cls, obs) -> "Situation":
-        return cls(obs.id, obs.time, obs.formulas, obs.alternatives,
-                   obs.performed, obs.agent)
+                    Constant, Not, Sort, Term, free_variables, is_ground, moment)
 
 
 @dataclass(frozen=True)
@@ -51,27 +36,9 @@ class TraitCriteria:
 
     @classmethod
     def from_config(cls, config: dict) -> "TraitCriteria":
-        return cls(min_situations=config.get("m", 2),
-                   fraction=config.get("gamma", 0.9),
-                   exemplar_threshold=config.get("n", 2))
-
-
-@dataclass(frozen=True)
-class LearntTrait:
-    pattern: tuple[Formula, ...]   # free variables shared with the action
-    action_pattern: Term
-    exemplar: Optional[Constant] = None
-    source_situations: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        pattern_vars = set()
-        for f in self.pattern:
-            pattern_vars |= free_variables(f)
-        loose = {v for v in free_variables(self.action_pattern)
-                 if isinstance(v, Variable)} - pattern_vars
-        if loose:
-            raise UnboundActionVariable(
-                f"action variables without a situation anchor: {sorted(v.name for v in loose)}")
+        """The criteria of a scenario's settings; an unset one keeps its default."""
+        names = {"m": "min_situations", "gamma": "fraction", "n": "exemplar_threshold"}
+        return cls(**{names[k]: v for k, v in config.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -82,7 +49,7 @@ class ExemplarRecord:
     admitted_at: Optional[int] = None
 
 
-def check_consistency(sigma: Situation, alpha: Term, agent: Constant) -> bool:
+def check_consistency(sigma: Situation | QueryFact, alpha: Term, agent: Constant) -> bool:
     """True iff adding happens(action(agent, alpha), sigma.time) to the
     situation derives no contradiction and no effect conflict under the
     Horn closure."""
@@ -113,10 +80,10 @@ def detect_trait(history, alpha_symbol, criteria: TraitCriteria) -> bool:
     eligible = 0
     performed = 0
     for sigma in sorted(history, key=lambda s: (s.time, s.id)):
-        if len(sigma.available_alternatives) < 2:
+        if len(sigma.alternatives) < 2:
             continue
         agent = sigma.agent or Constant("_self", Sort.AGENT)
-        candidates = [t for t in sigma.available_alternatives if _instantiates(t, alpha_symbol)]
+        candidates = [t for t in sigma.alternatives if _instantiates(t, alpha_symbol)]
         try:
             ok = any(check_consistency(sigma, c, agent) for c in candidates)
         except UnsupportedFragment:
@@ -193,11 +160,11 @@ def _match_all(patterns, formulas, keep, binding: Substitution, i: int = 0):
                               Substitution.of(merged, symmerged), i + 1)
 
 
-def apply_trait(trait: LearntTrait, sigma: Situation,
+def apply_trait(trait: LearntTrait, sigma: Situation | QueryFact,
                 learner: Constant) -> list[Term]:
     """Proposed events: for every substitution making all pattern
-    formulas match the situation, the learner performs the instantiated
-    action at the situation's time, provided consistency holds."""
+    formulas match the situation (or query), the learner performs the
+    instantiated action at its time, provided consistency holds."""
     keep = [free_variables(trait.action_pattern)]
     for p in reversed(trait.pattern[1:]):
         keep.append(keep[-1] | free_variables(p))

@@ -1,9 +1,10 @@
-"""Scenario documents: the ``.vz`` DSL.
+"""Scenario documents and trait files: the ``.vz`` DSL.
 
 A document is a sequence of declarations, facts, and config entries.
 Every symbol must be declared before use; the parser is sort-directed,
 so variables written ``?x`` pick up their sort from the argument
-position they appear in.
+position they appear in. A trait file holds (trait ...) records, read
+against a scenario's symbols and written by ``print_trait``.
 """
 from __future__ import annotations
 
@@ -12,15 +13,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (DepthExceeded, DuplicateDeclaration, ParseError,
-                     SortMismatch, UndeclaredSymbol)
+                     SortMismatch, UnboundActionVariable, UndeclaredSymbol)
 from .generalize import FIRST_ORDER, HIGHER_ORDER
 from .inference import DEFAULT_MAX_DEPTH, modal_depth
-from .printer import print_formula, print_real, print_term
+from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
                     Implies, Modal, ModalOp, Not, Or, Ought, Sort, Term,
-                    Variable, fits, moment)
+                    Variable, fits, free_variables, moment)
 
 SORT_NAMES = {s.value: s for s in Sort}
 
@@ -62,14 +63,6 @@ class SymbolTable:
 
 # ---------------------------------------------------------------------------
 # Document model
-
-
-@dataclass(frozen=True)
-class Declaration:
-    kind: str  # agent | action-type | fluent | predicate | constant
-    name: str
-    arg_sorts: tuple[Sort, ...] = ()
-    sort: Optional[Sort] = None
 
 
 @dataclass(frozen=True)
@@ -123,13 +116,15 @@ class GroupFact:
 
 
 @dataclass(frozen=True)
-class ObserveFact:
+class Situation:
+    """An (observe ...) item: the situation sigma in which an agent chose
+    the performed action type among the alternatives."""
     id: str
-    agent: Optional[Constant]
     time: int
     formulas: tuple[Formula, ...]
-    alternatives: tuple[Term, ...]
-    performed: Optional[Term]
+    alternatives: tuple[Term, ...] = ()
+    performed: Optional[Term] = None
+    agent: Optional[Constant] = None
 
 
 @dataclass(frozen=True)
@@ -140,16 +135,17 @@ class QueryFact:
 
 
 Fact = Union[InitiallyFact, HappensFact, NuFact, ThetaFact, InitiatesRule,
-             TerminatesRule, AssertFact, GroupFact, ObserveFact, QueryFact]
+             TerminatesRule, AssertFact, GroupFact, Situation, QueryFact]
 
 
 @dataclass
 class ScenarioDoc:
     symbols: SymbolTable
-    declarations: list[Declaration] = field(default_factory=list)
     facts: list[Fact] = field(default_factory=list)
     horizon: Optional[int] = None
-    config: dict = field(default_factory=dict)
+    # the settings with a default; the rest are present only when set
+    config: dict = field(default_factory=lambda: {"mode": FIRST_ORDER,
+                                                  "max-depth": DEFAULT_MAX_DEPTH})
 
     def _of(self, cls):
         return [f for f in self.facts if isinstance(f, cls)]
@@ -194,7 +190,7 @@ class ScenarioDoc:
 
     @property
     def observations(self):
-        return self._of(ObserveFact)
+        return self._of(Situation)
 
     @property
     def queries(self):
@@ -205,7 +201,7 @@ class ScenarioDoc:
             return self.horizon
         times = [0]
         for f in self.facts:
-            if isinstance(f, (HappensFact, NuFact, ObserveFact, QueryFact)):
+            if isinstance(f, (HappensFact, NuFact, Situation, QueryFact)):
                 times.append(f.time)
             elif isinstance(f, ThetaFact) and f.time is not None:
                 times.append(f.time)
@@ -408,14 +404,23 @@ def parse_scenario(text: str) -> ScenarioDoc:
     doc = ScenarioDoc(table)
     fp = _FormulaParser(table)
     asserts = []
+    nu_totals = {}
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
             raise ParseError("expected a (keyword ...) item", *_loc(sx))
         _parse_item(sx, doc, table, fp)
         if sx.items[0].text == "assert":
             asserts.append((doc.facts[-1].formula, _loc(sx)))
+        elif sx.items[0].text == "nu":
+            # nu facts add up in fact order, as NuTable.from_doc sums them:
+            # the fact whose value takes the total out of range is at fault
+            f = doc.facts[-1]
+            key = (f.agent, f.fluent, f.time)
+            nu_totals[key] = total = nu_totals.get(key, 0.0) + f.value
+            if not math.isfinite(total):
+                raise ParseError(f"nu value must be finite, got {total}", *_loc(sx.items[4]))
     # (set max-depth d) may follow the asserts it bounds
-    max_depth = doc.config.get("max-depth", DEFAULT_MAX_DEPTH)
+    max_depth = doc.config["max-depth"]
     for f, loc in asserts:
         if modal_depth(f) > max_depth:
             raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
@@ -437,7 +442,6 @@ def _parse_item(sx, doc, table, fp):
         need(1)
         name = _expect_sym(body[0])
         table.declare_constant(name, Sort.AGENT, loc)
-        doc.declarations.append(Declaration("agent", name))
     elif head == "declare-constant":
         need(2)
         name = _expect_sym(body[0])
@@ -447,7 +451,6 @@ def _parse_item(sx, doc, table, fp):
             raise SortMismatch(f"moment constant {name!r}: moments are written as numerals",
                                *_loc(body[1]))
         table.declare_constant(name, sort, loc)
-        doc.declarations.append(Declaration("constant", name, sort=sort))
     elif head in ("declare-action-type", "declare-fluent", "declare-predicate"):
         need(2)
         name = _expect_sym(body[0])
@@ -458,7 +461,6 @@ def _parse_item(sx, doc, table, fp):
                   "declare-fluent": Sort.FLUENT,
                   "declare-predicate": Sort.BOOLEAN}[head]
         table.declare_function(name, arg_sorts, result, loc)
-        doc.declarations.append(Declaration(head.removeprefix("declare-"), name, arg_sorts))
     elif head == "horizon":
         need(1)
         if doc.horizon is not None:
@@ -493,11 +495,8 @@ def _parse_item(sx, doc, table, fp):
         if not isinstance(body[3], SNum):
             raise ParseError("nu value must be a number", *_loc(body[3]))
         # float of the literal text: a literal too large for a float reads
-        # as inf (float of its int would raise), and is rejected here
-        value = float(body[3].text)
-        if not math.isfinite(value):
-            raise ParseError(f"nu value must be finite, got {value}", *_loc(body[3]))
-        doc.facts.append(NuFact(agent, fluent, t, value))
+        # as inf (float of its int would raise), which parse_scenario rejects
+        doc.facts.append(NuFact(agent, fluent, t, float(body[3].text)))
     elif head == "theta":
         if len(body) not in (2, 3):
             raise ParseError("(theta ...) expects 2 or 3 parts", *loc)
@@ -579,64 +578,59 @@ def _parse_situation(head, body, loc, fp):
     performed = None
     if "performed" in secs:
         performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE)
-    return ObserveFact(sid, agent, time, formulas, alts, performed)
+    return Situation(sid, time, formulas, alts, performed, agent)
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Trait files: (trait (pattern ...) (action ...) [(exemplar a)] [(sources ...)])
 
 
-def print_fact(fact) -> str:
-    if isinstance(fact, InitiallyFact):
-        return f"(initially {print_term(fact.fluent)})"
-    if isinstance(fact, HappensFact):
-        return f"(happens {print_term(fact.event)} {fact.time})"
-    if isinstance(fact, NuFact):
-        return (f"(nu {print_term(fact.agent)} {print_term(fact.fluent)} "
-                f"{fact.time} {print_real(fact.value)})")
-    if isinstance(fact, ThetaFact):
-        if fact.mode == "at":
-            return f"(theta {print_term(fact.agent)} at {fact.time})"
-        return f"(theta {print_term(fact.agent)} {fact.mode})"
-    if isinstance(fact, (InitiatesRule, TerminatesRule)):
-        kw = "initiates" if isinstance(fact, InitiatesRule) else "terminates"
-        return f"({kw} {print_term(fact.event)} {print_term(fact.fluent)} {print_term(fact.time)})"
-    if isinstance(fact, AssertFact):
-        return f"(assert {print_formula(fact.formula)})"
-    if isinstance(fact, GroupFact):
-        return f"(group {' '.join(print_formula(f) for f in fact.formulas)})"
-    if isinstance(fact, ObserveFact):
-        parts = [f"(observe {fact.id}"]
-        if fact.agent is not None:
-            parts.append(f"(agent {print_term(fact.agent)})")
-        parts.append(f"(time {fact.time})")
-        parts.append(f"(formulas {' '.join(print_formula(f) for f in fact.formulas)})")
-        parts.append(f"(alternatives {' '.join(print_term(t) for t in fact.alternatives)})")
-        if fact.performed is not None:
-            parts.append(f"(performed {print_term(fact.performed)})")
-        return " ".join(parts) + ")"
-    if isinstance(fact, QueryFact):
-        return (f"(query {fact.id} (time {fact.time}) "
-                f"(formulas {' '.join(print_formula(f) for f in fact.formulas)}))")
-    raise TypeError(f"not a fact: {fact!r}")
+@dataclass(frozen=True)
+class LearntTrait:
+    pattern: tuple[Formula, ...]   # free variables shared with the action
+    action_pattern: Term
+    exemplar: Optional[Constant] = None
+    source_situations: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        pattern_vars = set()
+        for f in self.pattern:
+            pattern_vars |= free_variables(f)
+        loose = {v for v in free_variables(self.action_pattern)
+                 if isinstance(v, Variable)} - pattern_vars
+        if loose:
+            raise UnboundActionVariable(
+                f"action variables without a situation anchor: {sorted(v.name for v in loose)}")
 
 
-def print_declaration(d: Declaration) -> str:
-    if d.kind == "agent":
-        return f"(declare-agent {d.name})"
-    if d.kind == "constant":
-        return f"(declare-constant {d.name} {d.sort.value})"
-    kw = {"action-type": "declare-action-type", "fluent": "declare-fluent",
-          "predicate": "declare-predicate"}[d.kind]
-    return f"({kw} {d.name} ({' '.join(s.value for s in d.arg_sorts)}))"
+def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
+    """Read a trait file against the scenario's symbol table."""
+    fp = _FormulaParser(doc.symbols)
+    traits = []
+    for sx in read_all(text):
+        if not (isinstance(sx, SList) and sx.items
+                and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
+            raise ParseError("trait file entries must be (trait ...) records", *_loc(sx))
+        fp.fresh_scope()
+        secs = _sections(sx.items[1:], {"pattern", "action", "exemplar", "sources"})
+        pattern = tuple(fp.formula(f) for f in _section_items(secs, "pattern"))
+        if "action" not in secs:
+            raise ParseError("trait record lacks an (action ...) section", *_loc(sx))
+        action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
+        exemplar = None
+        if "exemplar" in secs:
+            arg = _section_arg(secs["exemplar"], "agent")
+            exemplar = doc.symbols.agent(_expect_sym(arg, "agent name"), _loc(arg))
+        sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
+        traits.append(LearntTrait(pattern, action, exemplar, sources))
+    return traits
 
 
-def print_scenario(doc: ScenarioDoc) -> str:
-    lines = [print_declaration(d) for d in doc.declarations]
-    if doc.horizon is not None:
-        lines.append(f"(horizon {doc.horizon})")
-    for key in sorted(doc.config):
-        value = doc.config[key]
-        lines.append(f"(set {key} {print_term(value) if key == 'learner' else value})")
-    lines += [print_fact(f) for f in doc.facts]
-    return "\n".join(lines) + "\n"
+def print_trait(trait: LearntTrait) -> str:
+    pats = " ".join(print_formula(p) for p in trait.pattern)
+    parts = [f"(trait (pattern {pats}) (action {print_term(trait.action_pattern)})"]
+    if trait.exemplar is not None:
+        parts.append(f"(exemplar {trait.exemplar.name})")
+    if trait.source_situations:
+        parts.append(f"(sources {' '.join(trait.source_situations)})")
+    return " ".join(parts) + ")"

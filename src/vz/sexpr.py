@@ -30,7 +30,13 @@ class SNum:
 
     @property
     def value(self):
-        return int(self.text) if self.is_int else float(self.text)
+        if not self.is_int:
+            return float(self.text)
+        try:
+            return int(self.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer literal too long: {len(self.text.lstrip('+-'))} digits",
+                             self.line, self.col) from None
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def _rng():
 def test_c1_marketplace_golden():
     with open(os.path.join(CORPUS, "marketplace.vz"), encoding="utf-8") as fh:
         doc = parse_scenario(fh.read())
-    situations = [Situation.from_observation(o) for o in doc.observations]
+    situations = doc.observations
     trait = learn_trait(situations, [s.performed for s in situations])
 
     from vz.terms import HOLDS, Application, FunctionSymbol, Sort

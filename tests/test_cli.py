@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,9 @@ MARKETPLACE = os.path.join(CORPUS, "marketplace.vz")
 LIKES = os.path.join(CORPUS, "likes.vz")
 HONESTY = os.path.join(CORPUS, "honesty.vz")
 OBLIGATION = os.path.join(CORPUS, "obligation.vz")
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import run as perfbench  # noqa: E402  (the benchmark's workload generators)
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +164,28 @@ class TestMalformedInput:
             code, out, err = run_cli(capsys, command, str(p))
             assert code == 1 and out == ""
             assert err == f"{p}:3:16: nu value must be finite, got {read}\n"
+        # two finite facts for one (agent, fluent, moment) add up past the
+        # float range: the second is at fault
+        half = value.replace("0" * 400, "0" * 308)
+        p.write_text(f"(declare-agent jack)\n(declare-fluent f ())\n"
+                     f"(nu jack (f) 2 {half})\n(nu jack (f) 2 {half})\n")
+        for command in ("check", "utility"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:4:16: nu value must be finite, got {read}\n"
+
+    @pytest.mark.parametrize("command, item, where", [
+        ("check", "(happens (action jack (pay)) {})", "4:30"),
+        ("infer", "(assert (believes jack {} (p)))", "4:24"),
+    ])
+    def test_integer_literal_too_long(self, capsys, tmp_path, command, item, where):
+        # more digits than Python's int() converts
+        p = tmp_path / "long.vz"
+        p.write_text("(declare-agent jack)\n(declare-predicate p ())\n"
+                     f"(declare-action-type pay ())\n{item.format('9' * 5001)}\n")
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == 1 and out == ""
+        assert err == f"{p}:{where}: integer literal too long: 5001 digits\n"
 
     def test_modal_moment_variables_parse(self, capsys, tmp_path):
         p = tmp_path / "moments.vz"
@@ -294,15 +320,28 @@ class TestSubcommands:
 
 class TestTraitFiles:
     def test_learn_act_round_trip(self, capsys, tmp_path):
+        # the proposals of `run` are those of `learn --traits F` followed
+        # by `act --traits F`: the trait file keeps all they depend on
+        cases = [(MARKETPLACE, 1)]
+        for seed in range(3):
+            text, model = perfbench.generate("learn-traits", seed)
+            path = tmp_path / f"learn-traits-{seed}.vz"
+            path.write_text(text)
+            # one proposal per query that carries the planted trait's anchor
+            cases.append((path, sum(ok is not None for _, _, ok in model["queries"])))
         traits = tmp_path / "traits.vz"
-        code, learn_out, _ = run_cli(capsys, "learn", MARKETPLACE,
-                                     "--traits", str(traits))
-        assert code == 0
-        code, act_out, _ = run_cli(capsys, "act", MARKETPLACE,
-                                   "--traits", str(traits))
-        assert code == 0
-        assert act_out.splitlines() == [
-            "(proposal fresh (happens (action observer (utter (broken))) 5))"]
+        for scenario, count in cases:
+            code, run_out, _ = run_cli(capsys, "run", str(scenario))
+            assert code == 0
+            code, _, _ = run_cli(capsys, "learn", str(scenario), "--traits", str(traits))
+            assert code == 0
+            code, act_out, _ = run_cli(capsys, "act", str(scenario), "--traits", str(traits))
+            assert code == 0
+            proposals = [l for l in run_out.splitlines() if l.startswith("(proposal")]
+            assert len(proposals) == count and act_out.splitlines() == proposals
+            if scenario == MARKETPLACE:
+                assert proposals == [
+                    "(proposal fresh (happens (action observer (utter (broken))) 5))"]
 
     def test_act_requires_traits(self, capsys):
         code, _, err = run_cli(capsys, "act", MARKETPLACE)
