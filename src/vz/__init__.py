@@ -1,7 +1,7 @@
 """Symbolic engine for event-calculus scenarios, utility-based emotion
 fluents, and trait learning by anti-unification."""
 
-from .ec import Occurrence, Timeline, effects, project
+from .ec import Occurrence, Timeline, project
 from .emotions import (EmotionKind, EmotionRecord, Theta, World,
                        eval_admiration, eval_distress, eval_happy_for,
                        eval_joy, eval_occ_table_emotion, sweep_emotions,

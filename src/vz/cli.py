@@ -66,14 +66,13 @@ def cmd_check(args, rep):
 def _emit_timeline(tl, rep):
     rep.emit("horizon", f"(horizon {tl.horizon})", horizon=tl.horizon)
     for occ in tl.occurrences:
-        init = " ".join(sorted(print_term(f) for f in occ.initiated))
-        term = " ".join(sorted(print_term(f) for f in occ.terminated))
+        init = [print_term(f) for f in occ.initiated]
+        term = [print_term(f) for f in occ.terminated]
         rep.emit("occurrence",
                  f"(occurrence {print_term(occ.event)} {occ.time} "
-                 f"(initiated {init}) (terminated {term}))",
+                 f"(initiated {' '.join(init)}) (terminated {' '.join(term)}))",
                  event=print_term(occ.event), time=occ.time,
-                 initiated=sorted(print_term(f) for f in occ.initiated),
-                 terminated=sorted(print_term(f) for f in occ.terminated))
+                 initiated=init, terminated=term)
     for f, t in sorted(tl.holds_set, key=lambda ft: (print_term(ft[0]), ft[1])):
         rep.emit("holds", f"(holds {print_term(f)} {t})", fluent=print_term(f), time=t)
 

@@ -18,8 +18,8 @@ from .terms import Term, Variable, is_ground, moment
 class Occurrence:
     event: Term
     time: int
-    initiated: frozenset
-    terminated: frozenset
+    initiated: tuple  # of fluent Terms, sorted by printed form
+    terminated: tuple
 
 
 @dataclass(frozen=True)
@@ -58,56 +58,36 @@ def _rule_effects(rules, event: Term, time: int):
     return out
 
 
-def effects(event: Term, time: int, doc: ScenarioDoc):
-    """(initiated, terminated) fluent sets for a ground event occurrence."""
-    init = _rule_effects(doc.initiates_rules, event, time)
-    term = _rule_effects(doc.terminates_rules, event, time)
-    return init, term
-
-
 def project(doc: ScenarioDoc) -> Timeline:
-    """Least-fixed-point inertia semantics over [0, H]."""
+    """Inertia over [0, H] in one forward pass: the state at t+1 is the
+    state at t, less the fluents terminated at t when t > 0 (clipping is
+    over an open interval, so a terminator at 0 clips nothing), plus those
+    initiated at t. Occurrences are checked in `happens` order; the first
+    past the horizon, or the first whose moment then both initiates and
+    terminates a fluent, is an error."""
     horizon = doc.effective_horizon()
+    init_rules, term_rules = doc.initiates_rules, doc.terminates_rules
     occurrences = []
+    by_time: dict[int, tuple[set, set]] = {}
     for event, t in doc.happens:
         if t > horizon:
             raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon {horizon}")
-        init, term = effects(event, t, doc)
-        both = init & term
+        init = _rule_effects(init_rules, event, t)
+        term = _rule_effects(term_rules, event, t)
+        init_t, term_t = by_time.setdefault(t, (set(), set()))
+        init_t |= init
+        term_t |= term
+        both = init_t & term_t
         if both:
             f = min(both, key=print_term)
             raise ConflictingEffects(print_term(event), print_term(f), t)
-        occurrences.append(Occurrence(event, t, frozenset(init), frozenset(term)))
+        occurrences.append(Occurrence(event, t, tuple(sorted(init, key=print_term)),
+                                      tuple(sorted(term, key=print_term))))
 
-    # Conflicting effects across distinct events at the same moment are a
-    # scenario error, not a race.
-    by_time: dict[int, tuple[set, set]] = {}
-    for occ in occurrences:
-        init, term = by_time.setdefault(occ.time, (set(), set()))
-        init |= occ.initiated
-        term |= occ.terminated
-        both = init & term
-        if both:
-            f = min(both, key=print_term)
-            raise ConflictingEffects(print_term(occ.event), print_term(f), occ.time)
-
-    def clipped(t1: int, fluent, t2: int) -> bool:
-        return any(t1 < occ.time < t2 and fluent in occ.terminated
-                   for occ in occurrences)
-
-    holds = set()
-    initial = set(doc.initially)
-    candidates = set(initial)
-    for occ in occurrences:
-        candidates |= occ.initiated
-    for f in candidates:
-        for t in range(horizon + 1):
-            if f in initial and not clipped(0, f, t):
-                holds.add((f, t))
-                continue
-            for occ in occurrences:
-                if occ.time < t and f in occ.initiated and not clipped(occ.time, f, t):
-                    holds.add((f, t))
-                    break
-
+    holds = []
+    state = set(doc.initially)
+    for t in range(horizon + 1):
+        holds.extend((f, t) for f in state)
+        init_t, term_t = by_time.get(t, (set(), set()))
+        state = (state - term_t if t > 0 else state) | init_t
     return Timeline(horizon, frozenset(holds), tuple(occurrences))

@@ -37,10 +37,6 @@ class NuTable:
         return self._index.get((agent, fluent, t), 0.0)
 
 
-def nu(table: NuTable, agent: Constant, fluent: Term, t: int) -> float:
-    return table.get(agent, fluent, t)
-
-
 def mu(fluent: Term, t: int, table: NuTable, agents) -> float:
     """Agent-neutral utility: the sum of nu over all declared agents."""
     return sum(table.get(a, fluent, t) for a in agents)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -56,6 +57,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "x.vz"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("last", ["(happens flip 2)", "(happens up 9)"])
+    def test_first_fault_in_happens_order_is_named(self, capsys, tmp_path, last):
+        # a cross-event conflict at 1 comes before a self-conflicting flip
+        # at 2, or before an occurrence past the horizon
+        p = tmp_path / "faults.vz"
+        p.write_text("(declare-agent a)\n(declare-fluent p ())\n(declare-fluent q ())\n"
+                     "(declare-constant up event)\n(declare-constant down event)\n"
+                     "(declare-constant flip event)\n(horizon 3)\n"
+                     "(initiates up (p) t)\n(terminates down (p) t)\n"
+                     "(initiates flip (q) t)\n(terminates flip (q) t)\n"
+                     f"(happens up 1)\n(happens down 1)\n{last}\n")
+        code, out, err = run_cli(capsys, "project", str(p))
+        assert code == 1 and out == ""
+        assert err == "error: fluent (p) both initiated and terminated at 1 (event down)\n"
 
 
 class TestMalformedInput:
@@ -229,6 +245,21 @@ class TestSubcommands:
         assert "(mu-bar (action seller (utter (broken))) 1 5.0)" in lines
         assert "(nu-bar buyer (action seller (utter (broken))) 1 5.0)" in lines
         assert "(nu-bar seller (action seller (utter (broken))) 1 0.0)" in lines
+
+    def test_utility_totals_do_not_depend_on_hash_seed(self, tmp_path):
+        # ν̄ and μ̄ add the effects in printed order: 0.1 + 0.2 + 0.3
+        p = tmp_path / "three.vz"
+        p.write_text("(declare-agent a)\n(declare-constant go event)\n(horizon 1)\n"
+                     "(happens go 0)\n"
+                     + "".join(f"(declare-fluent f{k} ())\n(initiates go (f{k}) t)\n"
+                               f"(nu a (f{k}) 1 0.{k})\n" for k in (1, 2, 3)))
+        for seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-m", "vz.cli", "utility", str(p)],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0
+            assert proc.stdout == ("(mu-bar go 0 0.6000000000000001)\n"
+                                   "(nu-bar a go 0 0.6000000000000001)\n")
 
     def test_emotions(self, capsys):
         code, out, _ = run_cli(capsys, "emotions", MARKETPLACE)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vz.ec import effects, project
+from vz.ec import project
 from vz.errors import ConflictingEffects, HorizonExceeded
 from vz.scenario import (HappensFact, InitiallyFact, InitiatesRule,
                          parse_scenario)
@@ -12,10 +12,28 @@ from vz.terms import Application, Sort, Variable
 from conftest import add_effects, forward_sim, make_doc
 
 
+def clipping_oracle(initial, occurrences, horizon):
+    """Second inertia oracle, by the definition rather than by simulation:
+    f holds at t when it is initially true and not clipped in (0, t), or
+    when an occurrence at t1 < t initiated it and it is not clipped in
+    (t1, t)."""
+    def clipped(t1, f, t2):
+        return any(t1 < o.time < t2 and f in o.terminated for o in occurrences)
+
+    initial = set(initial)
+    fluents = initial.union(*(o.initiated for o in occurrences))
+    return {(f, t) for f in fluents for t in range(horizon + 1)
+            if f in initial and not clipped(0, f, t)
+            or any(o.time < t and f in o.initiated and not clipped(o.time, f, t)
+                   for o in occurrences)}
+
+
 def oracle_holds(doc):
+    """The projection and the holds set of each oracle on its occurrences."""
     tl = project(doc)
     occ_effects = [(o.time, o.initiated, o.terminated) for o in tl.occurrences]
-    return tl, forward_sim(doc.initially, occ_effects, tl.horizon)
+    return (tl, forward_sim(doc.initially, occ_effects, tl.horizon),
+            clipping_oracle(doc.initially, tl.occurrences, tl.horizon))
 
 
 class TestProjectExamples:
@@ -73,7 +91,9 @@ class TestProjectExamples:
 class TestEffects:
     def test_no_matching_rules(self):
         doc = make_doc(1, 1, horizon=2)
-        assert effects(doc.events[0], 1, doc) == (set(), set())
+        doc.facts.append(HappensFact(doc.events[0], 1))
+        (occ,) = project(doc).occurrences
+        assert (occ.initiated, occ.terminated) == ((), ())
 
     def test_no_rules_for_utterances(self):
         text = """
@@ -84,8 +104,8 @@ class TestEffects:
 (happens (action seller (utter (broken))) 1)
 """
         doc = parse_scenario(text)
-        ev = doc.happens[0][0]
-        assert effects(ev, 1, doc) == (set(), set())
+        (occ,) = project(doc).occurrences
+        assert (occ.initiated, occ.terminated) == ((), ())
 
     def test_pattern_rule_matches_action(self):
         text = """
@@ -97,9 +117,8 @@ class TestEffects:
 (happens (action jack (light-on)) 2)
 """
         doc = parse_scenario(text)
-        ev = doc.happens[0][0]
-        init, term = effects(ev, 2, doc)
-        assert {str(f) for f in init} == {"(lit)"} and term == set()
+        (occ,) = project(doc).occurrences
+        assert [str(f) for f in occ.initiated] == ["(lit)"] and occ.terminated == ()
 
 
 def all_effect_splits(fluents):
@@ -136,12 +155,12 @@ def test_exhaustive_small_family_matches_oracle():
             doc.facts.append(HappensFact(doc.events[0], t1))
             doc.facts.append(HappensFact(doc.events[1], t2))
             try:
-                tl, expected = oracle_holds(doc)
+                tl, expected, by_definition = oracle_holds(doc)
             except ConflictingEffects:
                 # legitimate only when both events at one moment clash
                 assert t1 == t2
                 continue
-            assert tl.holds_set == frozenset(expected)
+            assert tl.holds_set == frozenset(expected) == frozenset(by_definition)
             checked += 1
     assert checked > 2000
 
@@ -151,10 +170,10 @@ def test_random_scenarios_match_oracle_and_invariants(rng):
     for _ in range(1000):
         doc = random_ec_doc(rng)
         try:
-            tl, expected = oracle_holds(doc)
+            tl, expected, by_definition = oracle_holds(doc)
         except ConflictingEffects:
             continue
-        assert tl.holds_set == frozenset(expected)
+        assert tl.holds_set == frozenset(expected) == frozenset(by_definition)
         # inertia invariant
         for (f, t) in tl.holds_set:
             for t2 in range(t + 1, tl.horizon + 1):

@@ -5,7 +5,7 @@ import pytest
 from vz.ec import project
 from vz.errors import SortMismatch, UnknownOccurrence
 from vz.scenario import HappensFact, parse_scenario
-from vz.utility import NuTable, mu, mu_bar, nu, nu_bar
+from vz.utility import NuTable, mu, mu_bar, nu_bar
 
 from conftest import add_effects, make_doc
 
@@ -25,9 +25,9 @@ class TestPointUtilities:
     def test_nu_lookup_and_default(self):
         doc, f, e, a0, a1 = two_agent_world()
         table = NuTable.of({(a0, f, 2): 1.5})
-        assert nu(table, a0, f, 2) == 1.5
-        assert nu(table, a0, f, 3) == 0.0
-        assert nu(table, a1, f, 2) == 0.0
+        assert table.get(a0, f, 2) == 1.5
+        assert table.get(a0, f, 3) == 0.0
+        assert table.get(a1, f, 2) == 0.0
 
     def test_mu_sums_over_agents(self):
         doc, f, e, a0, a1 = two_agent_world()
@@ -46,7 +46,7 @@ class TestPointUtilities:
                              "(nu jack (lit) 2 1.5)\n(nu jack (lit) 2 1.5)\n")
         jack = doc.symbols.constants["jack"]
         lit = doc.nu_facts[0].fluent
-        assert nu(NuTable.from_doc(doc), jack, lit, 2) == 3.0
+        assert NuTable.from_doc(doc).get(jack, lit, 2) == 3.0
 
 
 class TestEventTotals:
