@@ -3,30 +3,76 @@ generalization.
 
 First-order mode abstracts differing subterms into variables; the
 higher-order mode additionally abstracts differing function symbols of
-identical signature into second-order symbol variables. Variable naming
-is deterministic: X0, X1, ... / P0, P1, ... in leftmost-first order of
-introduction, memoized per witness tuple so repeated disagreements
-reuse the same variable.
+identical signature into second-order symbol variables.
+
+Anti-unifying n inputs is a left fold: the pattern of the first k inputs
+is extended by input k+1 alone. Where they disagree the pattern holds a
+hole, drawn from a table keyed by (pattern node, input node), so at any
+fold width one witness tuple (the inputs' subterms at the position)
+always gets the same hole. At the end each hole becomes a variable X0,
+X1, ... (or P0, P1, ...) in leftmost-first order, memoized per witness
+tuple, so repeated disagreements share a variable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import Incompatible, NoAlignment
-from .printer import print_formula, print_term
+from .printer import print_formula
 from .subst import Substitution, apply_substitution, match
 from .terms import (KEYWORDS, TERMS, And, Application, Atom, Exists, ForAll,
-                    FunctionSymbol, Modal, Or, Sort, SymbolVariable, Term,
-                    Variable, children, free_variables, rebuild, sort_of)
+                    FunctionSymbol, Modal, Or, Sort, SymbolVariable, Variable,
+                    children, free_variables, rebuild, sort_of)
 
 FIRST_ORDER = "fo"
 HIGHER_ORDER = "ho"
 
 
+class _Hole:
+    """A term position where the inputs folded so far disagree. Its key
+    is the (pattern node, input node) pair it was made for: it stands for
+    the pattern node's witnesses followed by the input node. A hole is
+    equal only to itself, so it never equals an input Variable."""
+    __slots__ = ("key", "sort")
+
+    def __init__(self, key, sort):
+        self.key = key
+        self.sort = sort
+
+
+class _SymbolHole:
+    """The same for the function symbol of an application (higher-order
+    mode); never equal to an input SymbolVariable."""
+    __slots__ = ("key", "arg_sorts", "result_sort")
+
+    def __init__(self, key, arg_sorts, result_sort):
+        self.key = key
+        self.arg_sorts = arg_sorts
+        self.result_sort = result_sort
+
+
+_TERM_NODES = TERMS + (_Hole,)
+
+
+def _witnesses(node, n: int) -> tuple:
+    """The n input subterms (or symbols) that a pattern node of an n-wide
+    fold stands for."""
+    if isinstance(node, (_Hole, _SymbolHole)):
+        pattern, last = node.key
+        return _witnesses(pattern, n - 1) + (last,)
+    if isinstance(node, Application):
+        rows = zip(_witnesses(node.symbol, n), *(_witnesses(a, n) for a in node.args))
+        return tuple(Application(sym, tuple(args)) for sym, *args in rows)
+    return (node,) * n
+
+
 class VarNamer:
-    """Shared memo for introduced variables across several
-    anti-unifications; the key is the tuple of witnessing subterms."""
+    """Names the holes of folded patterns. The key of a variable is the
+    tuple of subterms witnessing it, so several anti-unifications over
+    the same inputs that share a namer share their variables."""
 
     def __init__(self):
         self.vars: dict[tuple, Variable] = {}
@@ -47,6 +93,16 @@ class VarNamer:
             self.syms[witnesses] = sv
         return sv
 
+    def name(self, pattern, n: int):
+        """The pattern of an n-wide fold with each hole replaced by its
+        variable, leftmost first."""
+        if isinstance(pattern, _Hole):
+            return self.variable(_witnesses(pattern, n), pattern.sort)
+        if isinstance(pattern, Application) and isinstance(pattern.symbol, _SymbolHole):
+            sv = self.symbol(_witnesses(pattern.symbol, n))
+            return Application(sv, tuple(self.name(a, n) for a in pattern.args))
+        return rebuild(pattern, [self.name(sub, n) for sub in children(pattern)])
+
     def substitutions(self, n: int) -> list[Substitution]:
         out = []
         for i in range(n):
@@ -56,71 +112,90 @@ class VarNamer:
         return out
 
 
-def _common_sort(terms) -> Sort:
-    sorts = {sort_of(t) for t in terms}
+def _common_sort(a, b) -> Sort:
+    """The sort that generalizes a pattern node (or hole) and an input
+    term."""
+    sorts = {x.symbol.result_sort if isinstance(x, Application)
+             else x.sort if isinstance(x, _Hole) else sort_of(x) for x in (a, b)}
     if len(sorts) == 1:
         return sorts.pop()
     if sorts <= {Sort.ACTION, Sort.EVENT}:
         return Sort.EVENT
-    raise Incompatible(f"no common sort for {[print_term(t) for t in terms]}")
+    raise Incompatible(f"no common sort for {' and '.join(sorted(s.value for s in sorts))}")
 
 
-def _au_terms(terms: tuple, mode: str, namer: VarNamer) -> Term:
-    if all(t == terms[0] for t in terms[1:]):
-        return terms[0]
-    if all(isinstance(t, Application) for t in terms):
-        arity = len(terms[0].args)
-        if all(len(t.args) == arity for t in terms[1:]):
-            syms = tuple(t.symbol for t in terms)
-            same_symbol = all(s == syms[0] for s in syms[1:])
-            if same_symbol:
-                args = tuple(_au_terms(tuple(t.args[i] for t in terms), mode, namer)
-                             for i in range(arity))
-                return Application(syms[0], args)
-            if mode == HIGHER_ORDER and all(isinstance(s, FunctionSymbol) for s in syms) \
-                    and all(s.arg_sorts == syms[0].arg_sorts
-                            and s.result_sort == syms[0].result_sort for s in syms[1:]):
-                sv = namer.symbol(syms)
-                args = tuple(_au_terms(tuple(t.args[i] for t in terms), mode, namer)
-                             for i in range(arity))
-                return Application(sv, args)
-    return namer.variable(terms, _common_sort(terms))
+class _Fold:
+    """One left fold of anti-unification steps. ``step(p, g)`` generalizes
+    the pattern p of the inputs folded so far with one more input g; every
+    step of one fold draws its holes from the same table. ``seen`` holds
+    the holes the steps returned since it was last reset."""
 
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.table: dict[tuple, _Hole | _SymbolHole] = {}
+        self.seen: set = set()
 
-def _au_formulas(fs: tuple, mode: str, namer: VarNamer):
-    """Anti-unify a tuple of formulas (or, by handing them to _au_terms,
-    of terms)."""
-    first = fs[0]
-    if isinstance(first, TERMS):
-        return _au_terms(fs, mode, namer)
-    if all(f == first for f in fs[1:]):
-        return first
-    kinds = {type(f) for f in fs}
-    if len(kinds) != 1:
-        raise Incompatible("formulas with different root connectives")
-    if isinstance(first, Atom):
-        pred = _au_terms(tuple(f.pred for f in fs), mode, namer)
-        if not isinstance(pred, Application):
-            raise Incompatible("atoms cannot generalize to a bare variable")
-        return Atom(pred)
-    if isinstance(first, (And, Or)) and any(len(f.parts) != len(first.parts) for f in fs[1:]):
-        raise Incompatible("connectives of different arity")
-    if isinstance(first, (ForAll, Exists)):
-        n = len(first.vars)
-        if any(len(f.vars) != n for f in fs[1:]) or \
-                any(f.vars[i].sort != first.vars[i].sort for f in fs[1:] for i in range(n)):
-            raise Incompatible("binders disagree")
-        # rename every input's binders to the first input's
-        bodies = [fs[0].body]
-        for f in fs[1:]:
-            ren = Substitution.of({fv: pv for fv, pv in zip(f.vars, first.vars)})
-            bodies.append(apply_substitution(ren, f.body))
-        return type(first)(first.vars, _au_formulas(tuple(bodies), mode, namer))
-    if isinstance(first, Modal) and \
-            any(f.op is not first.op or len(f.agents) != len(first.agents) for f in fs[1:]):
-        raise Incompatible("modal operators disagree")
-    return rebuild(first, [_au_formulas(col, mode, namer)
-                           for col in zip(*(children(f) for f in fs))])
+    def _hole(self, p, g) -> _Hole:
+        h = self.table.get((p, g))
+        if h is None:
+            h = self.table[(p, g)] = _Hole((p, g), _common_sort(p, g))
+        self.seen.add(h)
+        return h
+
+    def _symbol(self, s, g) -> _SymbolHole | None:
+        """The hole for symbol (or symbol hole) s and symbol g; None unless
+        higher-order mode abstracts them."""
+        if self.mode != HIGHER_ORDER or not isinstance(s, (FunctionSymbol, _SymbolHole)) \
+                or not isinstance(g, FunctionSymbol) \
+                or s.arg_sorts != g.arg_sorts or s.result_sort != g.result_sort:
+            return None
+        h = self.table.get((s, g))
+        if h is None:
+            h = self.table[(s, g)] = _SymbolHole((s, g), g.arg_sorts, g.result_sort)
+        self.seen.add(h)
+        return h
+
+    def step(self, p, g):
+        """p generalized with g (a term or formula each)."""
+        if p == g:
+            return p
+        if isinstance(p, _TERM_NODES):
+            if isinstance(p, Application) and isinstance(g, Application) \
+                    and len(p.args) == len(g.args):
+                sym = p.symbol if p.symbol == g.symbol else self._symbol(p.symbol, g.symbol)
+                if sym is not None:
+                    return Application(sym, tuple(map(self.step, p.args, g.args)))
+            # a hole stays a hole: a disagreeing position cannot agree again
+            return self._hole(p, g)
+        if type(p) is not type(g):
+            raise Incompatible("formulas with different root connectives")
+        if isinstance(p, Atom):
+            pred = self.step(p.pred, g.pred)
+            if not isinstance(pred, Application):
+                raise Incompatible("atoms cannot generalize to a bare variable")
+            return Atom(pred)
+        if isinstance(p, (And, Or)) and len(p.parts) != len(g.parts):
+            raise Incompatible("connectives of different arity")
+        if isinstance(p, (ForAll, Exists)):
+            if [v.sort for v in p.vars] != [v.sort for v in g.vars]:
+                raise Incompatible("binders disagree")
+            # rename g's binders to the pattern's, which are the first input's
+            ren = Substitution.of(dict(zip(g.vars, p.vars)))
+            return type(p)(p.vars, self.step(p.body, apply_substitution(ren, g.body)))
+        if isinstance(p, Modal) and (p.op is not g.op or len(p.agents) != len(g.agents)):
+            raise Incompatible("modal operators disagree")
+        return rebuild(p, map(self.step, children(p), children(g)))
+
+    def extend(self, p, g):
+        """(p generalized with g, the holes that pattern holds), or None
+        when p is None or the two do not generalize."""
+        if p is None:
+            return None
+        self.seen = set()
+        try:
+            return self.step(p, g), self.seen
+        except Incompatible:
+            return None
 
 
 @dataclass(frozen=True)
@@ -136,8 +211,9 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
         raise Incompatible("anti-unification needs at least one input")
     inputs = tuple(inputs)
     namer = namer or VarNamer()
-    pattern = _au_formulas(inputs, mode, namer)
-    return Generalization(pattern, tuple(namer.substitutions(len(inputs))))
+    pattern = functools.reduce(_Fold(mode).step, inputs)
+    return Generalization(namer.name(pattern, len(inputs)),
+                          tuple(namer.substitutions(len(inputs))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +245,6 @@ def _structure_key(f, mode: str) -> str:
     return walk(f)
 
 
-def _namer_keys(tup, mode):
-    """The memo keys anti-unifying one aligned tuple introduces, or None
-    when the tuple is incompatible. Which keys _au_formulas reaches never
-    depends on the variables the namer hands back, so the variables a set
-    of tuples introduces with one shared namer are the union of their
-    keys."""
-    namer = VarNamer()
-    try:
-        _au_formulas(tup, mode, namer)
-    except Incompatible:
-        return None
-    return {("v", w) for w in namer.vars} | {("s", w) for w in namer.syms}
-
-
 @dataclass(frozen=True)
 class SetGeneralization:
     patterns: tuple  # open formulas, free introduced variables
@@ -203,58 +265,71 @@ class SetGeneralization:
 def generalize_sets(gammas, mode: str = FIRST_ORDER,
                     namer: VarNamer | None = None) -> SetGeneralization:
     """Align formulas across the input sets, anti-unify each aligned
-    tuple, and report whether every input formula was covered."""
+    tuple, and report whether every input formula was covered.
+
+    Formulas align when their structure keys agree; within one key the
+    formulas of each set are taken in printed order. Each aligned row
+    keeps its anti-unification pattern, and the next set's candidates for
+    the rows (at most 5) are permuted to introduce the fewest distinct
+    variables, the first permutation winning ties."""
     gammas = [tuple(g) for g in gammas]
     if not gammas or any(not g for g in gammas):
         raise NoAlignment("every input set must be nonempty")
     namer = namer or VarNamer()
+    fold = _Fold(mode)
 
-    keyed = []
+    keyed = []  # per set: structure key -> [(printed formula, formula)] in printed order
     for g in gammas:
         d: dict[str, list] = {}
         for f in g:
-            d.setdefault(_structure_key(f, mode), []).append(f)
-        for fs in d.values():
-            fs.sort(key=print_formula)
+            d.setdefault(_structure_key(f, mode), []).append((print_formula(f), f))
+        for entries in d.values():
+            entries.sort(key=itemgetter(0))
         keyed.append(d)
 
-    common = sorted(set(keyed[0]).intersection(*[set(k) for k in keyed[1:]]))
+    common = sorted(set(keyed[0]).intersection(*keyed[1:]))
     aligned: list[tuple] = []
+    rows: list = []  # the pattern of each aligned tuple; None when incompatible
     used = [set() for _ in gammas]
     for key in common:
         lists = [k[key] for k in keyed]
         width = min(len(l) for l in lists)
-        base = lists[0][:width]
-        chosen = [base]
+        chosen = [lists[0][:width]]
+        pats = [f for _, f in chosen[0]]
         for lst in lists[1:]:
             if len(lst) <= 5 and width > 1:
-                # keys[i][k]: what row i costs with lst[k] appended
-                keys = [[_namer_keys(row + (g,), mode) for g in lst]
-                        for row in zip(*chosen)]
+                # ext[i][k]: row i's pattern extended by lst[k], with its holes
+                ext = [[fold.extend(p, g) for _, g in lst] for p in pats]
                 best, best_cost = None, None
                 for perm in itertools.permutations(range(len(lst)), width):
-                    rows = [keys[i][k] for i, k in enumerate(perm)]
-                    cost = 10 ** 9 if None in rows else len(set().union(*rows))
+                    picked = [ext[i][k] for i, k in enumerate(perm)]
+                    cost = 10 ** 9 if None in picked else \
+                        len(set().union(*(holes for _, holes in picked)))
                     if best_cost is None or cost < best_cost:
                         best, best_cost = perm, cost
-                chosen.append([lst[k] for k in best])
+                picked = [ext[i][k] for i, k in enumerate(best)]
             else:
-                chosen.append(lst[:width])
+                best = range(width)
+                picked = [fold.extend(p, g) for p, (_, g) in zip(pats, lst)]
+            chosen.append([lst[k] for k in best])
+            pats = [None if e is None else e[0] for e in picked]
         for i in range(width):
-            tup = tuple(chosen[j][i] for j in range(len(gammas)))
-            aligned.append(tup)
-            for j, f in enumerate(tup):
-                used[j].add(print_formula(f))
+            aligned.append(tuple(c[i][1] for c in chosen))
+            for j, c in enumerate(chosen):
+                used[j].add(c[i][0])
+        rows += pats
 
     if not aligned:
         raise NoAlignment("input sets share no alignable formula")
 
     patterns = []
-    for tup in aligned:
-        patterns.append(_au_formulas(tup, mode, namer))
+    for tup, row in zip(aligned, rows):
+        if row is None:
+            anti_unify(tup, mode)  # raises Incompatible, naming the disagreement
+        patterns.append(namer.name(row, len(gammas)))
 
-    total = all(len(used[j]) == len({print_formula(f) for f in gammas[j]})
-                for j in range(len(gammas)))
+    total = all(len(u) == len({text for entries in k.values() for text, _ in entries})
+                for u, k in zip(used, keyed))
     if total:
         # mechanical verification: every input formula is an instance of
         # some pattern

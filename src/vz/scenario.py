@@ -20,8 +20,9 @@ from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
-                    Implies, Modal, ModalOp, Not, Or, Ought, Sort, Term,
-                    Variable, fits, free_variables, moment)
+                    Implies, Modal, ModalOp, Not, Or, Ought, Sort,
+                    SymbolVariable, Term, Variable, fits, free_variables,
+                    moment)
 
 SORT_NAMES = {s.value: s for s in Sort}
 
@@ -238,11 +239,14 @@ def _parse_sort(sx) -> Sort:
 class _FormulaParser:
     """Parses terms and formulas against a symbol table. ``freevars``
     accumulates ``?name`` variables so repeated mentions agree on sort;
-    its scope is one fact (or one observe/query block)."""
+    its scope is one fact (or one observe/query block). ``symvars`` holds
+    the ``?name`` function symbols a trait record declares; scenario files
+    have none."""
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self.freevars: dict[str, Variable] = {}
+        self.symvars: dict[str, SymbolVariable] = {}
 
     def fresh_scope(self):
         self.freevars = {}
@@ -275,8 +279,12 @@ class _FormulaParser:
                 raise ParseError("empty application", *_loc(sx))
             head = _expect_sym(sx.items[0], "symbol name")
             if head.startswith("?"):
-                raise ParseError("symbol variables are not part of the input grammar", *_loc(sx))
-            sym = self.table.functions.get(head)
+                sym = self.symvars.get(head[1:])
+                if sym is None:
+                    raise ParseError("symbol variables are not part of the input grammar",
+                                     *_loc(sx))
+            else:
+                sym = self.table.functions.get(head)
             if sym is None:
                 raise UndeclaredSymbol(f"undeclared symbol {head!r}", *_loc(sx))
             args = sx.items[1:]
@@ -582,7 +590,8 @@ def _parse_situation(head, body, loc, fp):
 
 
 # ---------------------------------------------------------------------------
-# Trait files: (trait (pattern ...) (action ...) [(exemplar a)] [(sources ...)])
+# Trait files: (trait [(signatures ...)] (pattern ...) (action ...)
+# [(exemplar a)] [(sources ...)])
 
 
 @dataclass(frozen=True)
@@ -611,8 +620,9 @@ def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
         if not (isinstance(sx, SList) and sx.items
                 and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
             raise ParseError("trait file entries must be (trait ...) records", *_loc(sx))
-        fp.fresh_scope()
-        secs = _sections(sx.items[1:], {"pattern", "action", "exemplar", "sources"})
+        secs = _sections(sx.items[1:], {"signatures", "pattern", "action", "exemplar",
+                                        "sources"})
+        fp.freevars, fp.symvars = _parse_signatures(_section_items(secs, "signatures"))
         pattern = tuple(fp.formula(f) for f in _section_items(secs, "pattern"))
         if "action" not in secs:
             raise ParseError("trait record lacks an (action ...) section", *_loc(sx))
@@ -626,9 +636,46 @@ def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
     return traits
 
 
+def _parse_signatures(items):
+    """The variables and symbol variables a (signatures ...) section
+    declares, by name: (X sort) or (P (arg sorts) result sort)."""
+    variables, symbols = {}, {}
+    for item in items:
+        if not (isinstance(item, SList) and len(item.items) in (2, 3)):
+            raise ParseError("a signature is (name sort) or (name (sorts) sort)", *_loc(item))
+        name = _expect_sym(item.items[0], "variable name")
+        if name in variables or name in symbols:
+            raise DuplicateDeclaration(f"duplicate signature {name!r}", *_loc(item))
+        if len(item.items) == 2:
+            variables[name] = Variable(name, _parse_sort(item.items[1]))
+            continue
+        if not isinstance(item.items[1], SList):
+            raise ParseError("expected argument sort list", *_loc(item.items[1]))
+        symbols[name] = SymbolVariable(name, tuple(_parse_sort(a) for a in item.items[1].items),
+                                       _parse_sort(item.items[2]))
+    return variables, symbols
+
+
+def _signature(v) -> str:
+    if isinstance(v, SymbolVariable):
+        args = " ".join(a.value for a in v.arg_sorts)
+        return f"({v.name} ({args}) {v.result_sort.value})"
+    return f"({v.name} {v.sort.value})"
+
+
 def print_trait(trait: LearntTrait) -> str:
+    """One (trait ...) record. Its signatures section states what the
+    reader could not infer from positions: the signature of each symbol
+    variable, and the sort of each action variable, which an event
+    position would otherwise read as an event."""
+    free = free_variables(trait.action_pattern).union(*map(free_variables, trait.pattern))
+    sigs = sorted((v for v in free if isinstance(v, SymbolVariable) or v.sort is Sort.ACTION),
+                  key=lambda v: v.name)
     pats = " ".join(print_formula(p) for p in trait.pattern)
-    parts = [f"(trait (pattern {pats}) (action {print_term(trait.action_pattern)})"]
+    parts = ["(trait"]
+    if sigs:
+        parts.append(f"(signatures {' '.join(map(_signature, sigs))})")
+    parts.append(f"(pattern {pats}) (action {print_term(trait.action_pattern)})")
     if trait.exemplar is not None:
         parts.append(f"(exemplar {trait.exemplar.name})")
     if trait.source_situations:

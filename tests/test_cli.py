@@ -2,6 +2,7 @@ import contextlib
 import copy
 import glob
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -103,6 +104,17 @@ class TestMalformedInput:
          "1:34: duplicate section 'action'"),
         ("(trait (action (utter (broken))) (exemplar nobody))\n",
          "1:44: undeclared agent 'nobody'"),
+        # a symbol variable needs a signature; a signature needs its shape
+        ("(trait (pattern (holds (?P0) ?t)) (action (utter (?P0))))\n",
+         "1:24: symbol variables are not part of the input grammar"),
+        ("(trait (signatures (P0 fluent fluent)) (action (utter (broken))))\n",
+         "1:24: expected argument sort list"),
+        ("(trait (signatures P0) (action (utter (broken))))\n",
+         "1:20: a signature is (name sort) or (name (sorts) sort)"),
+        ("(trait (signatures (X0 action) (X0 event)) (action (utter (broken))))\n",
+         "1:32: duplicate signature 'X0'"),
+        ("(trait (signatures (P0 () fluent)) (pattern (holds (?P0 seller) ?t))"
+         " (action (utter (?P0))))\n", "1:52: ?P0 expects 0 arguments, got 1"),
     ])
     def test_malformed_trait_file(self, capsys, tmp_path, text, where):
         traits = tmp_path / "traits.vz"
@@ -140,6 +152,8 @@ class TestMalformedInput:
         ("(set learner p)", "3:14: undeclared agent 'p'"),
         # a malformed section is reported where it stands
         ("(observe s (time 1) foo)", "3:21: expected a (section ...) entry"),
+        # symbol variables occur in trait files only
+        ("(assert (?P jack))", "3:9: symbol variables are not part of the input grammar"),
     ])
     def test_rejected_item(self, capsys, tmp_path, item, where):
         p = tmp_path / "bad.vz"
@@ -360,19 +374,44 @@ class TestTraitFiles:
             path.write_text(text)
             # one proposal per query that carries the planted trait's anchor
             cases.append((path, sum(ok is not None for _, _, ok in model["queries"])))
+        # an action-sorted variable in an event position: the trait matches
+        # the query's (happens shout 4) but not its (happens storm 4)
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        for old, new in [("(declare-agent observer)",
+                          "(declare-agent observer)\n(declare-constant shout action)\n"
+                          "(declare-constant storm event)"),
+                         ("(formulas (holds (broken) ?t))",
+                          "(formulas (holds (broken) ?t) (happens shout 1))"),
+                         ("(formulas (holds (unbroken) ?t))",
+                          "(formulas (holds (unbroken) ?t) "
+                          "(happens (action buyer (utter (trusted))) 2))"),
+                         ("(query fresh (time 5) (formulas (holds (broken) 5)))",
+                          "(query fresh (time 5) (formulas (holds (broken) 5) (happens storm 4)))"
+                          "\n(query later (time 5) (formulas (holds (broken) 5) (happens shout 4)))")]:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "action-variable.vz"
+        path.write_text(text)
+        cases.append((path, 1))
         traits = tmp_path / "traits.vz"
-        for scenario, count in cases:
-            code, run_out, _ = run_cli(capsys, "run", str(scenario))
+        for (scenario, count), mode in itertools.product(cases, ["fo", "ho"]):
+            code, run_out, _ = run_cli(capsys, "run", str(scenario), "--mode", mode)
             assert code == 0
-            code, _, _ = run_cli(capsys, "learn", str(scenario), "--traits", str(traits))
+            code, _, _ = run_cli(capsys, "learn", str(scenario), "--mode", mode,
+                                 "--traits", str(traits))
             assert code == 0
-            code, act_out, _ = run_cli(capsys, "act", str(scenario), "--traits", str(traits))
-            assert code == 0
+            code, act_out, err = run_cli(capsys, "act", str(scenario), "--mode", mode,
+                                         "--traits", str(traits))
+            assert code == 0, err
             proposals = [l for l in run_out.splitlines() if l.startswith("(proposal")]
             assert len(proposals) == count and act_out.splitlines() == proposals
             if scenario == MARKETPLACE:
                 assert proposals == [
                     "(proposal fresh (happens (action observer (utter (broken))) 5))"]
+            if scenario == path:
+                assert proposals == [
+                    "(proposal later (happens (action observer (utter (broken))) 5))"]
 
     def test_act_requires_traits(self, capsys):
         code, _, err = run_cli(capsys, "act", MARKETPLACE)

@@ -1,3 +1,4 @@
+import random
 import string
 
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 from vz.errors import (DuplicateDeclaration, ParseError, SortMismatch,
                        UndeclaredSymbol)
 from vz.printer import print_formula, print_term
-from vz.scenario import NuFact, SymbolTable, _FormulaParser, parse_scenario
+from vz.errors import NoAlignment, UnboundActionVariable
+from vz.learner import learn_trait
+from vz.scenario import (NuFact, SymbolTable, _FormulaParser, parse_scenario,
+                         parse_traits, print_trait)
 from vz.sexpr import read_all
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
                       Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
@@ -163,3 +167,63 @@ def _subnodes(x):
 def test_rebuild_from_children_is_identity(f):
     for x in _subnodes(f):
         assert rebuild(x, children(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# Trait files: reading a printed learnt trait gives the trait back.
+
+TRAIT_HEADER = """
+(declare-agent ex) (declare-agent jack) (declare-agent jill)
+(declare-fluent broken ()) (declare-fluent lit ()) (declare-fluent cold ())
+(declare-fluent near (agent))
+(declare-action-type utter (fluent)) (declare-action-type defer (fluent))
+(declare-predicate ok (fluent)) (declare-predicate seen (fluent))
+(declare-predicate likes (agent agent)) (declare-predicate loves (agent agent))
+(declare-constant shout action) (declare-constant storm event)
+"""
+
+
+def random_observation(rng, i, verbs):
+    """An observe item of ex whose performed action names the fluent of
+    its (ok ...) anchor, plus a random selection of other formulas."""
+    fluent = lambda: rng.choice(["(broken)", "(lit)", "(cold)", f"(near {agent()})"])
+    agent = lambda: rng.choice(["jack", "jill"])
+    moment = lambda: rng.choice(["?t", "1", "2"])
+    event = lambda: rng.choice(["shout", "shout", "storm", f"(action {agent()} (utter {fluent()}))"])
+    makers = [
+        lambda: f"(holds {fluent()} {moment()})",
+        lambda: f"(happens {event()} {moment()})",
+        lambda: f"({rng.choice(['likes', 'loves'])} {agent()} {agent()})",
+        lambda: f"(not (seen {fluent()}))",
+        lambda: f"(knows {agent()} {moment()} (seen {fluent()}))",
+        lambda: f"(forall ((x agent)) (likes x {agent()}))",
+        lambda: f"(exists ((y agent)) (loves {agent()} y))",
+    ]
+    anchor = fluent()
+    formulas = [f"(ok {anchor})", makers[1]()] + [rng.choice(makers)() for _ in range(3)]
+    action = f"({rng.choice(verbs)} {anchor})"
+    return (f"(observe s{i} (agent ex) (time {i}) (formulas {' '.join(formulas)}) "
+            f"(alternatives {action}) (performed {action}))")
+
+
+@pytest.mark.parametrize("mode", ["fo", "ho"])
+def test_trait_round_trip(mode):
+    rng = random.Random(20240817)
+    learnt = declared = 0
+    for _ in range(300):
+        # mixed verbs generalize to a symbol variable (ho) or to an
+        # unanchored action variable (fo)
+        verbs = rng.choice([["utter"], ["utter", "defer"]] if mode == "ho" else [["utter"]])
+        items = [random_observation(rng, i, verbs) for i in range(rng.randint(2, 5))]
+        doc = parse_scenario(TRAIT_HEADER + "\n".join(items))
+        sits = doc.observations
+        try:
+            trait = learn_trait(sits, [s.performed for s in sits], mode,
+                                exemplar=doc.agents[0])
+        except (NoAlignment, UnboundActionVariable):
+            continue
+        text = print_trait(trait)
+        assert parse_traits(text, doc) == [trait], text
+        learnt += 1
+        declared += "(signatures" in text
+    assert learnt > 250 and declared > 50
