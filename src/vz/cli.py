@@ -7,7 +7,6 @@ writes a deterministic text report (or line-delimited JSON with
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import ec, emotions, learner
@@ -25,10 +24,13 @@ class Report:
     def __init__(self, as_json: bool):
         self.as_json = as_json
         self.lines: list[str] = []
+        if as_json:
+            import json  # only JSON reports pay for its import
+            self.dumps = json.dumps
 
     def emit(self, rtype: str, text: str, **fields):
         if self.as_json:
-            self.lines.append(json.dumps({"type": rtype, **fields}, sort_keys=True))
+            self.lines.append(self.dumps({"type": rtype, **fields}, sort_keys=True))
         else:
             self.lines.append(text)
 

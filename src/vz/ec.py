@@ -5,28 +5,21 @@ makes its initiated fluents hold from t+1 onward, until clipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConflictingEffects, HorizonExceeded, UnknownOccurrence
 from .printer import print_term
 from .scenario import ScenarioDoc
 from .subst import Substitution, apply_substitution, match
-from .terms import Term, Variable, is_ground, moment
+from .terms import Record, Term, Variable, is_ground, moment
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    event: Term
-    time: int
-    initiated: tuple  # of fluent Terms, sorted by printed form
-    terminated: tuple
+class Occurrence(Record):
+    # initiated and terminated: tuples of fluent Terms, sorted by printed form
+    __slots__ = ("event", "time", "initiated", "terminated")
 
 
-@dataclass(frozen=True)
-class Timeline:
-    horizon: int
-    holds_set: frozenset  # of (fluent Term, moment int)
-    occurrences: tuple[Occurrence, ...]
+class Timeline(Record):
+    # holds_set: a frozenset of (fluent Term, moment int); occurrences: a tuple
+    __slots__ = ("horizon", "holds_set", "occurrences")
 
     def holds(self, fluent: Term, t: int) -> bool:
         return (fluent, t) in self.holds_set

@@ -8,21 +8,18 @@ against the world model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 from .ec import Timeline
 from .errors import InvalidRecord
 from .printer import print_term
-from .terms import ACTION, Application, Constant, Term
+from .terms import ACTION, Application, Constant, Record, Term
 from .utility import NuTable, mu, mu_bar, nu_bar
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(Record, per_agent=()):
     """Per-agent emotional susceptibility: always, never, or a finite set
     of moments. Undeclared agents default to never."""
-    per_agent: tuple = ()  # of (Constant, "always" | "never" | frozenset[int])
+    __slots__ = ("per_agent",)  # of (Constant, "always" | "never" | frozenset[int])
 
     @classmethod
     def from_doc(cls, doc) -> "Theta":
@@ -64,14 +61,11 @@ _OTHER_DIRECTED = {EmotionKind.HAPPY_FOR, EmotionKind.GLOATING,
                    EmotionKind.ADMIRATION_FOR}
 
 
-@dataclass(frozen=True)
-class EmotionRecord:
-    kind: EmotionKind
-    subject: Constant
-    object: Optional[Constant]
-    event: Term
-    event_time: int
-    hold_time: int
+class EmotionRecord(Record):
+    """An emotion of ``subject`` (towards ``object``, a Constant or None)
+    held at ``hold_time`` about the occurrence of ``event`` at
+    ``event_time``."""
+    __slots__ = ("kind", "subject", "object", "event", "event_time", "hold_time")
 
     def __post_init__(self):
         if self.kind in _OTHER_DIRECTED and (self.object is None
@@ -84,15 +78,10 @@ class EmotionRecord:
                 print_term(self.event), self.event_time, self.hold_time)
 
 
-@dataclass(frozen=True)
-class World:
+class World(Record):
     """Everything emotion evaluation needs: projected timeline, utility
     table, theta gates, the declared agent set, and the horizon."""
-    timeline: Timeline
-    nu: NuTable
-    theta: Theta
-    agents: tuple[Constant, ...]
-    horizon: int
+    __slots__ = ("timeline", "nu", "theta", "agents", "horizon")
 
 
 def _no_initiated(occ, pred) -> bool:

@@ -11,21 +11,22 @@ hole, drawn from a table keyed by (pattern node, input node), so at any
 fold width one witness tuple (the inputs' subterms at the position)
 always gets the same hole. At the end each hole becomes a variable X0,
 X1, ... (or P0, P1, ...) in leftmost-first order, memoized per witness
-tuple, so repeated disagreements share a variable.
+tuple, so repeated disagreements share a variable. A name the inputs
+use is skipped: an introduced variable is fresh, as in Plotkin's least
+general generalization, and no binder of the inputs captures it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula
 from .subst import Substitution, apply_substitution, match
 from .terms import (KEYWORDS, TERMS, And, Application, Atom, Exists, ForAll,
-                    FunctionSymbol, Modal, Or, Sort, SymbolVariable, Variable,
-                    children, free_variables, rebuild, sort_of)
+                    FunctionSymbol, Modal, Or, Record, Sort, SymbolVariable,
+                    Variable, children, free_variables, rebuild, sort_of)
 
 FIRST_ORDER = "fo"
 HIGHER_ORDER = "ho"
@@ -69,19 +70,47 @@ def _witnesses(node, n: int) -> tuple:
     return (node,) * n
 
 
-class VarNamer:
-    """Names the holes of folded patterns. The key of a variable is the
-    tuple of subterms witnessing it, so several anti-unifications over
-    the same inputs that share a namer share their variables."""
+def _variable_names(node, out: set):
+    """Add to out the name of every variable, free or bound, and of every
+    symbol variable of a term or formula."""
+    if isinstance(node, Variable):
+        out.add(node.name)
+    elif isinstance(node, (ForAll, Exists)):
+        out.update(v.name for v in node.vars)
+    elif isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
+        out.add(node.symbol.name)
+    for sub in children(node):
+        _variable_names(sub, out)
 
-    def __init__(self):
+
+class VarNamer:
+    """Names the holes of folded patterns, skipping every variable name
+    that ``inputs`` use. The key of a variable is the tuple of subterms
+    witnessing it, so several anti-unifications over the same inputs that
+    share a namer share their variables; such a namer is made with the
+    inputs of all of them."""
+
+    def __init__(self, inputs=()):
         self.vars: dict[tuple, Variable] = {}
         self.syms: dict[tuple, SymbolVariable] = {}
+        # the names in use: those of the inputs and those introduced
+        self.taken: set[str] = set()
+        for x in inputs:
+            _variable_names(x, self.taken)
+
+    def _fresh(self, prefix: str, k: int) -> str:
+        """The first unused name prefix + str(i) with i >= k: the k names
+        this prefix has already given out all have a smaller i."""
+        while f"{prefix}{k}" in self.taken:
+            k += 1
+        name = f"{prefix}{k}"
+        self.taken.add(name)
+        return name
 
     def variable(self, witnesses: tuple, sort: Sort) -> Variable:
         v = self.vars.get(witnesses)
         if v is None:
-            v = Variable(f"X{len(self.vars)}", sort)
+            v = Variable(self._fresh("X", len(self.vars)), sort)
             self.vars[witnesses] = v
         return v
 
@@ -89,7 +118,8 @@ class VarNamer:
         sv = self.syms.get(witnesses)
         if sv is None:
             first = witnesses[0]
-            sv = SymbolVariable(f"P{len(self.syms)}", first.arg_sorts, first.result_sort)
+            sv = SymbolVariable(self._fresh("P", len(self.syms)), first.arg_sorts,
+                                first.result_sort)
             self.syms[witnesses] = sv
         return sv
 
@@ -198,10 +228,8 @@ class _Fold:
             return None
 
 
-@dataclass(frozen=True)
-class Generalization:
-    pattern: object  # Term | Formula
-    substitutions: tuple[Substitution, ...]
+class Generalization(Record):
+    __slots__ = ("pattern", "substitutions")  # a Term or Formula, a tuple of Substitutions
 
 
 def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -> Generalization:
@@ -210,7 +238,7 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
     if not inputs:
         raise Incompatible("anti-unification needs at least one input")
     inputs = tuple(inputs)
-    namer = namer or VarNamer()
+    namer = namer or VarNamer(inputs)
     pattern = functools.reduce(_Fold(mode).step, inputs)
     return Generalization(namer.name(pattern, len(inputs)),
                           tuple(namer.substitutions(len(inputs))))
@@ -245,12 +273,9 @@ def _structure_key(f, mode: str) -> str:
     return walk(f)
 
 
-@dataclass(frozen=True)
-class SetGeneralization:
-    patterns: tuple  # open formulas, free introduced variables
-    substitutions: tuple[Substitution, ...]
-    total: bool
-    introduced: tuple[Variable, ...]
+class SetGeneralization(Record):
+    # patterns: open formulas, free introduced variables; introduced: those variables
+    __slots__ = ("patterns", "substitutions", "total", "introduced")
 
     def closed_patterns(self) -> tuple:
         """Patterns with introduced free variables universally closed;
@@ -275,7 +300,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
     gammas = [tuple(g) for g in gammas]
     if not gammas or any(not g for g in gammas):
         raise NoAlignment("every input set must be nonempty")
-    namer = namer or VarNamer()
+    namer = namer or VarNamer(itertools.chain(*gammas))
     fold = _Fold(mode)
 
     keyed = []  # per set: structure key -> [(printed formula, formula)] in printed order

@@ -6,11 +6,10 @@ as opaque facts inside the oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DepthExceeded, SortMismatch, UnsupportedFragment
 from .terms import (TERMS, And, Atom, Constant, Formula, Implies, Modal,
-                    ModalOp, Not, Ought, Sort, children, moment, moment_value)
+                    ModalOp, Not, Ought, Record, Sort, children, moment,
+                    moment_value)
 
 
 def modal_depth(f: Formula) -> int:
@@ -25,34 +24,32 @@ def _is_literal(f) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.body, Atom))
 
 
-def _horn_parts(f, facts, rules, strict):
-    """Decompose one formula into Horn facts/rules. With strict=True,
-    anything outside the ground Horn-plus-conjunction fragment raises;
-    otherwise modal and deontic formulas become opaque facts."""
-    if _is_literal(f):
+def _horn_parts(f, facts, rules):
+    """Decompose one formula into Horn facts/rules; modal and deontic
+    formulas become opaque facts, and anything else outside the ground
+    Horn-plus-conjunction fragment raises."""
+    if _is_literal(f) or isinstance(f, (Modal, Ought)):
         facts.add(f)
     elif isinstance(f, And):
         for p in f.parts:
-            _horn_parts(p, facts, rules, strict)
+            _horn_parts(p, facts, rules)
     elif isinstance(f, Implies):
         ants = f.lhs.parts if isinstance(f.lhs, And) else (f.lhs,)
         if all(_is_literal(a) for a in ants) and _is_literal(f.rhs):
             rules.append((frozenset(ants), f.rhs))
         else:
             raise UnsupportedFragment(f"non-Horn implication: {f!r}")
-    elif isinstance(f, (Modal, Ought)) and not strict:
-        facts.add(f)
     else:
         raise UnsupportedFragment(f"outside the Horn fragment: {f!r}")
 
 
-def horn_closure(gamma, strict=False) -> frozenset:
+def horn_closure(gamma) -> frozenset:
     """Forward-chaining closure; returns the derived fact set (literals
-    plus, in lenient mode, opaque modal facts)."""
+    plus the opaque modal and deontic facts)."""
     facts: set = set()
     rules: list = []
     for f in gamma:
-        _horn_parts(f, facts, rules, strict)
+        _horn_parts(f, facts, rules)
     changed = True
     while changed:
         changed = False
@@ -63,29 +60,11 @@ def horn_closure(gamma, strict=False) -> frozenset:
     return frozenset(facts)
 
 
-def entails0(gamma, phi: Formula) -> bool:
-    """Bounded entailment: sound for the ground Horn fragment; the query
-    may be a literal or a conjunction of entailed queries."""
-    closure = horn_closure(gamma, strict=True)
-
-    def holds(q):
-        if _is_literal(q):
-            return q in closure
-        if isinstance(q, And):
-            return all(holds(p) for p in q.parts)
-        raise UnsupportedFragment(f"unsupported query: {q!r}")
-
-    return holds(phi)
-
-
 DEFAULT_MAX_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    formulas: frozenset
-    max_depth: int = DEFAULT_MAX_DEPTH
-    horizon: int | None = None
+class KnowledgeBase(Record, max_depth=DEFAULT_MAX_DEPTH, horizon=None):
+    __slots__ = ("formulas", "max_depth", "horizon")  # a frozenset, an int, an int or None
 
     @classmethod
     def of(cls, formulas, max_depth=DEFAULT_MAX_DEPTH, horizon=None):

@@ -8,7 +8,6 @@ their witnessing ground values agree across all inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .emotions import EmotionKind, EmotionRecord
@@ -19,14 +18,14 @@ from .printer import print_term
 from .scenario import LearntTrait, QueryFact, Situation
 from .subst import Substitution, apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
-                    Constant, Not, Sort, Term, free_variables, is_ground, moment)
+                    Constant, Not, Record, Sort, Term, free_variables, is_ground,
+                    moment)
 
 
-@dataclass(frozen=True)
-class TraitCriteria:
-    min_situations: int = 2        # m
-    fraction: float = 0.9          # gamma
-    exemplar_threshold: int = 2    # n
+class TraitCriteria(Record, min_situations=2, fraction=0.9, exemplar_threshold=2):
+    """The thresholds m (min_situations), gamma (fraction) and n
+    (exemplar_threshold)."""
+    __slots__ = ("min_situations", "fraction", "exemplar_threshold")
 
     def __post_init__(self):
         if self.min_situations < 1 or self.exemplar_threshold < 1:
@@ -41,12 +40,8 @@ class TraitCriteria:
         return cls(**{names[k]: v for k, v in config.items() if k in names})
 
 
-@dataclass(frozen=True)
-class ExemplarRecord:
-    learner: Constant
-    exemplar: Constant
-    admiration_count: int
-    admitted_at: Optional[int] = None
+class ExemplarRecord(Record, admitted_at=None):
+    __slots__ = ("learner", "exemplar", "admiration_count", "admitted_at")
 
 
 def check_consistency(sigma: Situation | QueryFact, alpha: Term, agent: Constant) -> bool:
@@ -128,7 +123,7 @@ def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
         raise NoAlignment("one performed instance per situation required")
     if len(situations) < min_situations:
         raise NoAlignment(f"need at least {min_situations} situations")
-    namer = VarNamer()
+    namer = VarNamer([f for s in situations for f in s.formulas] + performed_instances)
     gen = generalize_sets([s.formulas for s in situations], mode, namer=namer)
     action = anti_unify(performed_instances, mode, namer=namer)
     return LearntTrait(gen.patterns, action.pattern, exemplar,

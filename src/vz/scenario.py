@@ -9,8 +9,7 @@ against a scenario's symbols and written by ``print_trait``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from .errors import (DepthExceeded, DuplicateDeclaration, ParseError,
                      SortMismatch, UnboundActionVariable, UndeclaredSymbol)
@@ -20,7 +19,7 @@ from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
-                    Implies, Modal, ModalOp, Not, Or, Ought, Sort,
+                    Implies, Modal, ModalOp, Not, Or, Ought, Record, Sort,
                     SymbolVariable, Term, Variable, fits, free_variables,
                     moment)
 
@@ -66,87 +65,65 @@ class SymbolTable:
 # Document model
 
 
-@dataclass(frozen=True)
-class InitiallyFact:
-    fluent: Term
+class InitiallyFact(Record):
+    __slots__ = ("fluent",)
 
 
-@dataclass(frozen=True)
-class HappensFact:
-    event: Term
-    time: int
+class HappensFact(Record):
+    __slots__ = ("event", "time")  # a Term, an int
 
 
-@dataclass(frozen=True)
-class NuFact:
-    agent: Constant
-    fluent: Term
-    time: int
-    value: float
+class NuFact(Record):
+    __slots__ = ("agent", "fluent", "time", "value")  # a Constant, a Term, an int, a float
 
 
-@dataclass(frozen=True)
-class ThetaFact:
-    agent: Constant
-    mode: str  # always | never | at
-    time: Optional[int] = None
+class ThetaFact(Record, time=None):
+    __slots__ = ("agent", "mode", "time")  # mode: always | never | at; time: an int for at
 
 
-@dataclass(frozen=True)
-class InitiatesRule:
-    event: Term
-    fluent: Term
-    time: Term
+class InitiatesRule(Record):
+    __slots__ = ("event", "fluent", "time")  # Terms; time a moment constant or variable
 
 
-@dataclass(frozen=True)
-class TerminatesRule:
-    event: Term
-    fluent: Term
-    time: Term
+class TerminatesRule(Record):
+    __slots__ = ("event", "fluent", "time")
 
 
-@dataclass(frozen=True)
-class AssertFact:
-    formula: Formula
+class AssertFact(Record):
+    __slots__ = ("formula",)
 
 
-@dataclass(frozen=True)
-class GroupFact:
-    formulas: tuple[Formula, ...]
+class GroupFact(Record):
+    __slots__ = ("formulas",)  # a tuple of Formulas
 
 
-@dataclass(frozen=True)
-class Situation:
+class Situation(Record, alternatives=(), performed=None, agent=None):
     """An (observe ...) item: the situation sigma in which an agent chose
-    the performed action type among the alternatives."""
-    id: str
-    time: int
-    formulas: tuple[Formula, ...]
-    alternatives: tuple[Term, ...] = ()
-    performed: Optional[Term] = None
-    agent: Optional[Constant] = None
+    the performed action type among the alternatives. Its id is a str,
+    its time an int, its formulas and alternatives tuples; performed and
+    agent may be None."""
+    __slots__ = ("id", "time", "formulas", "alternatives", "performed", "agent")
 
 
-@dataclass(frozen=True)
-class QueryFact:
-    id: str
-    time: int
-    formulas: tuple[Formula, ...]
+class QueryFact(Record):
+    __slots__ = ("id", "time", "formulas")
 
 
 Fact = Union[InitiallyFact, HappensFact, NuFact, ThetaFact, InitiatesRule,
              TerminatesRule, AssertFact, GroupFact, Situation, QueryFact]
 
 
-@dataclass
-class ScenarioDoc:
-    symbols: SymbolTable
-    facts: list[Fact] = field(default_factory=list)
-    horizon: Optional[int] = None
-    # the settings with a default; the rest are present only when set
-    config: dict = field(default_factory=lambda: {"mode": FIRST_ORDER,
-                                                  "max-depth": DEFAULT_MAX_DEPTH})
+class ScenarioDoc(Record, frozen=False):
+    __slots__ = ("symbols", "facts", "horizon", "config")
+
+    def __init__(self, symbols: SymbolTable, facts: list[Fact] | None = None,
+                 horizon: int | None = None, config: dict | None = None):
+        self.symbols = symbols
+        self.facts = [] if facts is None else facts
+        self.horizon = horizon
+        # the settings with a default; the rest are present only when set
+        self.config = {"mode": FIRST_ORDER, "max-depth": DEFAULT_MAX_DEPTH} \
+            if config is None else config
 
     def _of(self, cls):
         return [f for f in self.facts if isinstance(f, cls)]
@@ -594,12 +571,11 @@ def _parse_situation(head, body, loc, fp):
 # [(exemplar a)] [(sources ...)])
 
 
-@dataclass(frozen=True)
-class LearntTrait:
-    pattern: tuple[Formula, ...]   # free variables shared with the action
-    action_pattern: Term
-    exemplar: Optional[Constant] = None
-    source_situations: tuple[str, ...] = ()
+class LearntTrait(Record, exemplar=None, source_situations=()):
+    """Formulas whose free variables the action type shares, the agent
+    (a Constant, or None) it was learnt from, and the ids of the situations
+    it generalizes."""
+    __slots__ = ("pattern", "action_pattern", "exemplar", "source_situations")
 
     def __post_init__(self):
         pattern_vars = set()

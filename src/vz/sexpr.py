@@ -6,23 +6,17 @@ decimal numbers. ``;`` starts a comment running to end of line.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .terms import Record
 
 
-@dataclass(frozen=True)
-class SSym:
-    text: str
-    line: int
-    col: int
+class SSym(Record):
+    __slots__ = ("text", "line", "col")
 
 
-@dataclass(frozen=True)
-class SNum:
-    text: str
-    line: int
-    col: int
+class SNum(Record):
+    __slots__ = ("text", "line", "col")
 
     @property
     def is_int(self):
@@ -39,11 +33,8 @@ class SNum:
                              self.line, self.col) from None
 
 
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    line: int
-    col: int
+class SList(Record):
+    __slots__ = ("items", "line", "col")
 
 
 _SYMCHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_?*")

@@ -1,20 +1,18 @@
 """Substitutions and one-sided matching."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SortMismatch, VzError
 from .terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
-                    Modal, SymbolVariable, Term, Variable, children, fits,
+                    Modal, Record, SymbolVariable, Variable, children, fits,
                     rebuild, sort_of)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record, var_bindings=(), sym_bindings=()):
     """Finite, sort-preserving map from variables to terms (and, in
-    higher-order mode, from symbol variables to function symbols)."""
-    var_bindings: tuple[tuple[Variable, Term], ...] = ()
-    sym_bindings: tuple[tuple[SymbolVariable, FunctionSymbol], ...] = ()
+    higher-order mode, from symbol variables to function symbols): tuples
+    of (Variable, Term) and (SymbolVariable, FunctionSymbol) pairs, in
+    name order."""
+    __slots__ = ("var_bindings", "sym_bindings")
 
     def __post_init__(self):
         for v, t in self.var_bindings:

@@ -1,16 +1,70 @@
-"""Sorted terms and modal formulas.
+"""Sorted terms and modal formulas, and the record base of vz's values.
 
-Values are immutable (frozen dataclasses) and hashable, so they can be
+Terms and formulas are immutable records and hashable, so they can be
 used freely as dict keys and set members. Action is a subsort of Event;
 everything else is flat.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import ArityMismatch, SortMismatch, UnknownSymbol
+
+
+class Record:
+    """Base of vz's value classes. A subclass names its fields in
+    ``__slots__``; a slot whose name starts with ``_`` is private state,
+    not a field. Class keywords give the trailing fields defaults, and
+    ``frozen=False`` makes a record mutable and unhashable.
+
+    Unless its body defines them, each subclass gets an ``__init__`` that
+    takes the fields in order and then calls ``__post_init__`` if there is
+    one, an ``__eq__`` that holds between records of the same class with
+    equal fields, and a ``__hash__`` of the tuple of the fields. These are
+    compiled once per class. A frozen record refuses assignment."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen=True, **defaults):
+        if "__slots__" not in cls.__dict__:
+            return  # a subclass without slots of its own keeps its parent's methods
+        cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        mine = "".join(f"self.{f}, " for f in fields)
+        theirs = "".join(f"other.{f}, " for f in fields)
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        source = (f"def __init__(self, {', '.join(fields)}):{body}\n"
+                  f"def __eq__(self, other):\n"
+                  f"    if other.__class__ is self.__class__:\n"
+                  f"        return ({mine}) == ({theirs})\n"
+                  f"    return NotImplemented\n"
+                  f"def __hash__(self):\n"
+                  f"    return hash(({mine}))\n")
+        # the slot descriptors' setters write a field past a frozen __setattr__
+        methods = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec(source, methods)
+        trailing = fields[len(fields) - len(defaults):]
+        methods["__init__"].__defaults__ = tuple(defaults[f] for f in trailing)
+        if not frozen:
+            methods["__hash__"] = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in cls.__dict__:
+                setattr(cls, name, methods[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Sort(enum.Enum):
@@ -32,29 +86,22 @@ def fits(actual: Sort, required: Sort) -> bool:
     return actual is required or (actual is Sort.ACTION and required is Sort.EVENT)
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    sort: Sort
+class Variable(Record):
+    __slots__ = ("name", "sort")
 
     def __repr__(self):
         return f"?{self.name}:{self.sort.value}"
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
-    sort: Sort
+class Constant(Record):
+    __slots__ = ("name", "sort")
 
     def __repr__(self):
         return f"{self.name}:{self.sort.value}"
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
+class FunctionSymbol(Record):
+    __slots__ = ("name", "arg_sorts", "result_sort")  # str, tuple of Sorts, Sort
 
     def __repr__(self):
         return self.name
@@ -63,22 +110,17 @@ class FunctionSymbol:
         return Application(self, tuple(args))
 
 
-@dataclass(frozen=True)
-class SymbolVariable:
+class SymbolVariable(Record):
     """Second-order variable standing for a function symbol of a fixed
     signature; produced only by higher-order anti-unification."""
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
+    __slots__ = ("name", "arg_sorts", "result_sort")
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class Application:
-    symbol: Union[FunctionSymbol, SymbolVariable]
-    args: tuple["Term", ...] = ()
+class Application(Record, args=()):
+    __slots__ = ("symbol", "args")  # a FunctionSymbol or SymbolVariable, a tuple of Terms
 
     def __repr__(self):
         if not self.args:
@@ -165,69 +207,49 @@ MODAL_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: Application
+class Atom(Record):
+    __slots__ = ("pred",)  # an Application
 
     def __repr__(self):
         return repr(self.pred)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple["Formula", ...]
+class And(Record):
+    __slots__ = ("parts",)  # a tuple of Formulas
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple["Formula", ...]
+class Or(Record):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class Implies(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Iff:
-    lhs: "Formula"
-    rhs: "Formula"
+class Iff(Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class ForAll:
-    vars: tuple[Variable, ...]
-    body: "Formula"
+class ForAll(Record):
+    __slots__ = ("vars", "body")  # a tuple of Variables, a Formula
 
 
-@dataclass(frozen=True)
-class Exists:
-    vars: tuple[Variable, ...]
-    body: "Formula"
+class Exists(Record):
+    __slots__ = ("vars", "body")
 
 
-@dataclass(frozen=True)
-class Modal:
-    op: ModalOp
-    agents: tuple[Term, ...]
-    time: Term
-    body: "Formula"
+class Modal(Record):
+    __slots__ = ("op", "agents", "time", "body")  # a ModalOp, a tuple of Terms, a Term, a Formula
 
 
-@dataclass(frozen=True)
-class Ought:
+class Ought(Record):
     """Dyadic deontic operator; the deontic body is restricted to a
     (possibly negated) happens(action(a*, alpha), t') atom."""
-    agent: Term
-    time: Term
-    condition: "Formula"
-    body: "Formula"
+    __slots__ = ("agent", "time", "condition", "body")
 
     def __post_init__(self):
         inner = self.body.body if isinstance(self.body, Not) else self.body
@@ -310,64 +332,3 @@ def free_variables(x) -> set:
 
 def is_ground(x) -> bool:
     return not free_variables(x)
-
-
-# ---------------------------------------------------------------------------
-# Alpha-equivalence via canonical renumbering of bound variables.
-
-
-def _canon(node, env, counter):
-    if isinstance(node, Variable):
-        return env.get(node, node)
-    if isinstance(node, (ForAll, Exists)):
-        env2 = dict(env)
-        fresh = []
-        for v in node.vars:
-            nv = Variable(f"·{counter[0]}", v.sort)
-            counter[0] += 1
-            env2[v] = nv
-            fresh.append(nv)
-        body = _canon(node.body, env2, counter)
-        return type(node)(tuple(fresh), body)
-    return rebuild(node, [_canon(sub, env, counter) for sub in children(node)])
-
-
-def canonical(x):
-    """Rename bound variables to a de-Bruijn-style canonical scheme; two
-    values are alpha-equivalent iff their canonical forms are equal."""
-    return _canon(x, {}, [0])
-
-
-def alpha_equal(a, b) -> bool:
-    return canonical(a) == canonical(b)
-
-
-def _canon_free(root):
-    env: dict = {}
-    senv: dict = {}
-    counter = [0]
-
-    def walk(node, bound):
-        if isinstance(node, Variable):
-            if node in bound:
-                return node
-            if node not in env:
-                env[node] = Variable(f"·f{counter[0]}", node.sort)
-                counter[0] += 1
-            return env[node]
-        if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
-            sym = node.symbol
-            if sym not in senv:
-                senv[sym] = SymbolVariable(f"·p{len(senv)}", sym.arg_sorts, sym.result_sort)
-            return Application(senv[sym], tuple(walk(a, bound) for a in node.args))
-        if isinstance(node, (ForAll, Exists)):
-            bound = bound | set(node.vars)
-        return rebuild(node, [walk(sub, bound) for sub in children(node)])
-
-    return walk(root, frozenset())
-
-
-def renaming_equal(a, b) -> bool:
-    """Equality up to consistent renaming of both bound and free
-    variables (and symbol variables)."""
-    return _canon_free(canonical(a)) == _canon_free(canonical(b))

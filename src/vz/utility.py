@@ -1,18 +1,15 @@
 """Agent-specific and agent-neutral utilities and their event totals."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ec import Timeline
 from .errors import SortMismatch
 from .printer import print_term
-from .terms import Constant, Term
+from .terms import Constant, Record, Term
 
 
-@dataclass(frozen=True)
-class NuTable:
+class NuTable(Record, entries=()):
     """Finite map (agent, fluent, moment) -> real; absent keys read 0."""
-    entries: tuple = ()
+    __slots__ = ("entries", "_index")
 
     def __post_init__(self):
         for (_, _, _), v in self.entries:

@@ -4,7 +4,8 @@ import pytest
 
 from vz.scenario import (HappensFact, InitiallyFact, InitiatesRule, NuFact,
                          ScenarioDoc, SymbolTable, TerminatesRule, ThetaFact)
-from vz.terms import Constant, FunctionSymbol, Sort, Variable
+from vz.terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
+                      Sort, SymbolVariable, Variable, children, rebuild)
 
 AG = Sort.AGENT
 FL = Sort.FLUENT
@@ -26,11 +27,16 @@ TALKING_WITH = FunctionSymbol("talkingWith", (AG,), BO)
 HONESTY = FunctionSymbol("Honesty", (), BO)
 
 
+class VocabularyDoc(ScenarioDoc):
+    """A scenario document that also lists the fluents and events it
+    declares (a subclass without slots of its own has a __dict__)."""
+
+
 def make_doc(n_fluents=0, n_events=0, horizon=None):
     """A scenario document built programmatically: 0-ary fluents f0..,
     named event constants e0.., two agents."""
     table = SymbolTable()
-    doc = ScenarioDoc(table, horizon=horizon)
+    doc = VocabularyDoc(table, horizon=horizon)
     doc.fluents = [table.declare_function(f"fl{i}", (), Sort.FLUENT)()
                    for i in range(n_fluents)]
     doc.events = [table.declare_constant(f"e{i}", Sort.EVENT)
@@ -91,6 +97,67 @@ def forward_sim(initial, occ_effects, horizon):
                     term |= set(tr)
         state = (state - term) | init
     return holds
+
+
+# ---------------------------------------------------------------------------
+# Alpha-equivalence via canonical renumbering of bound variables.
+
+
+def _canon(node, env, counter):
+    if isinstance(node, Variable):
+        return env.get(node, node)
+    if isinstance(node, (ForAll, Exists)):
+        env2 = dict(env)
+        fresh = []
+        for v in node.vars:
+            nv = Variable(f"·{counter[0]}", v.sort)
+            counter[0] += 1
+            env2[v] = nv
+            fresh.append(nv)
+        body = _canon(node.body, env2, counter)
+        return type(node)(tuple(fresh), body)
+    return rebuild(node, [_canon(sub, env, counter) for sub in children(node)])
+
+
+def canonical(x):
+    """Rename bound variables to a de-Bruijn-style canonical scheme; two
+    values are alpha-equivalent iff their canonical forms are equal."""
+    return _canon(x, {}, [0])
+
+
+def alpha_equal(a, b) -> bool:
+    return canonical(a) == canonical(b)
+
+
+def _canon_free(root):
+    env: dict = {}
+    senv: dict = {}
+    counter = [0]
+
+    def walk(node, bound):
+        if isinstance(node, Variable):
+            if node in bound:
+                return node
+            if node not in env:
+                env[node] = Variable(f"·f{counter[0]}", node.sort)
+                counter[0] += 1
+            return env[node]
+        if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
+            sym = node.symbol
+            if sym not in senv:
+                senv[sym] = SymbolVariable(f"·p{len(senv)}", sym.arg_sorts, sym.result_sort)
+            return Application(senv[sym], tuple(walk(a, bound) for a in node.args))
+        if isinstance(node, (ForAll, Exists)):
+            bound = bound | set(node.vars)
+        return rebuild(node, [walk(sub, bound) for sub in children(node)])
+
+    return walk(root, frozenset())
+
+
+def renaming_equal(a, b) -> bool:
+    """Equality up to consistent renaming of both bound and free
+    variables (and symbol variables)."""
+    return _canon_free(canonical(a)) == _canon_free(canonical(b))
 
 
 @pytest.fixture

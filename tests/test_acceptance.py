@@ -13,17 +13,17 @@ import sys
 from vz.ec import project
 from vz.emotions import EmotionKind
 from vz.generalize import HIGHER_ORDER, anti_unify, generalize_sets
-from vz.inference import KnowledgeBase, entails0, saturate
+from vz.inference import KnowledgeBase, saturate
 from vz.learner import (Situation, TraitCriteria, apply_trait, detect_trait,
                         identify_exemplars, learn_trait)
 from vz.printer import print_formula, print_term
 from vz.scenario import parse_scenario
 from vz.subst import apply_substitution, match
-from vz.terms import (Atom, ForAll, Implies, Modal, ModalOp, Variable,
-                      renaming_equal)
+from vz.terms import Atom, ForAll, Implies, Modal, ModalOp, Variable
 from vz.utility import mu_bar, nu_bar
 
-from conftest import HONESTY, HUNGRY, JACK, JILL, JIM, LIKES, LOVES, TALKING_WITH
+from conftest import (HONESTY, HUNGRY, JACK, JILL, JIM, LIKES, LOVES, TALKING_WITH,
+                      renaming_equal)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 

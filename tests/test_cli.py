@@ -394,6 +394,14 @@ class TestTraitFiles:
         path = tmp_path / "action-variable.vz"
         path.write_text(text)
         cases.append((path, 1))
+        # situation variables named as the learner names the variables it
+        # introduces: the trait names its own around them
+        renamed = []
+        for name in ("X0", "P0"):
+            renamed.append(tmp_path / f"marketplace-{name}.vz")
+            with open(MARKETPLACE) as fh:
+                renamed[-1].write_text(fh.read().replace("?t", f"?{name}"))
+            cases.append((renamed[-1], 1))
         traits = tmp_path / "traits.vz"
         for (scenario, count), mode in itertools.product(cases, ["fo", "ho"]):
             code, run_out, _ = run_cli(capsys, "run", str(scenario), "--mode", mode)
@@ -406,7 +414,7 @@ class TestTraitFiles:
             assert code == 0, err
             proposals = [l for l in run_out.splitlines() if l.startswith("(proposal")]
             assert len(proposals) == count and act_out.splitlines() == proposals
-            if scenario == MARKETPLACE:
+            if scenario == MARKETPLACE or scenario in renamed:
                 assert proposals == [
                     "(proposal fresh (happens (action observer (utter (broken))) 5))"]
             if scenario == path:

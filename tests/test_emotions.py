@@ -178,7 +178,6 @@ class TestSweep:
         f = table.declare_function("fl0", (), Sort.FLUENT)()
         e = table.declare_constant("e0", Sort.EVENT)
         solo = table.declare_constant("solo", Sort.AGENT)
-        doc.fluents, doc.events = [f], [e]
         add_effects(doc, e, initiated=[f])
         doc.facts.append(HappensFact(e, 1))
         tl = project(doc)

@@ -15,8 +15,10 @@ from vz.scenario import (NuFact, SymbolTable, _FormulaParser, parse_scenario,
 from vz.sexpr import read_all
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
                       Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
-                      ModalOp, Not, Or, Ought, Sort, Variable, alpha_equal,
-                      children, moment, rebuild)
+                      ModalOp, Not, Or, Ought, Sort, Variable, children,
+                      moment, rebuild)
+
+from conftest import alpha_equal
 
 HEADER = """
 (declare-agent jack)

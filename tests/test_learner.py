@@ -2,16 +2,17 @@ import pytest
 
 from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import NoAlignment, UnboundActionVariable
+from vz.generalize import FIRST_ORDER, HIGHER_ORDER
 from vz.learner import (ExemplarRecord, LearntTrait, Situation, TraitCriteria,
                         apply_trait, check_consistency, detect_trait,
                         identify_exemplars, learn_trait)
 from vz.printer import print_formula, print_term
 from vz.subst import Substitution, apply_substitution, match
-from vz.terms import (ACTION, HAPPENS, HOLDS, Application, Atom, Constant,
+from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
                       FunctionSymbol, Implies, Not, Sort, SymbolVariable,
                       Variable, free_variables, is_ground, moment)
 
-from conftest import JACK, JILL, TALKING_WITH
+from conftest import JACK, JILL, TALKING_WITH, renaming_equal
 
 UTTER = FunctionSymbol("utter", (Sort.FLUENT,), Sort.ACTION_TYPE)
 BE_TRUTHFUL = FunctionSymbol("beTruthful", (), Sort.ACTION_TYPE)
@@ -339,3 +340,65 @@ def test_apply_trait_disjoint_patterns_one_proposal(monkeypatch):
     (event,) = apply_trait(trait, sigma, OBSERVER)
     assert print_term(event) == "(action observer (utter a))"
     assert checked == [UTTER(FLUENTS[0])]
+
+
+# ---------------------------------------------------------------------------
+# Introduced variables are fresh: the names of the situations' variables
+# do not change what is learnt.
+
+SITUATION_VARS = [Variable("u", Sort.FLUENT), Variable("v", Sort.FLUENT), TVAR]
+RENAMES = ["X0", "X1", "X2", "P0", "P1", "u", "v", "t", "w"]
+
+
+def random_learning_case(rng):
+    """2-4 situations over shared free variables and the fluent constants;
+    each utters the constant that holds in it."""
+    leaves = FLUENTS + SITUATION_VARS[:2]
+
+    def formula():
+        if rng.random() < 0.4:
+            return Atom(Q2(rng.choice(leaves), rng.choice(leaves)))
+        return Atom(rng.choice([P1, R1])(rng.choice(leaves)))
+
+    uttered = [rng.choice(FLUENTS) for _ in range(rng.randint(2, 4))]
+    situations = [sit(f"s{i}", i, [holds(c, TVAR)] + [formula() for _ in range(rng.randint(1, 3))])
+                  for i, c in enumerate(uttered)]
+    return situations, [UTTER(c) for c in uttered]
+
+
+def learnt(situations, performed, mode):
+    """The trait as one formula (its patterns and a happens atom of its
+    action), or the type of the error learning raised."""
+    try:
+        trait = learn_trait(situations, performed, mode)
+    except (NoAlignment, UnboundActionVariable) as exc:
+        return type(exc)
+    return And(trait.pattern + (happens_action(JACK, trait.action_pattern, 0),))
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_renaming_situation_variables_renames_the_trait(rng, mode):
+    """Renaming the situations' free variables, also to the names the
+    learner gives the variables it introduces, yields the same trait up
+    to renaming; the renamed variables keep their new names."""
+    learned = clashes = 0
+    for _ in range(400):
+        situations, performed = random_learning_case(rng)
+        names = rng.sample(RENAMES, len(SITUATION_VARS))
+        renaming = {v: Variable(n, v.sort) for v, n in zip(SITUATION_VARS, names)}
+        s = Substitution.of(renaming)
+        renamed = [sit(x.id, x.time, [apply_substitution(s, f) for f in x.formulas])
+                   for x in situations]
+        want, got = learnt(situations, performed, mode), learnt(renamed, performed, mode)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert renaming_equal(got, want), (print_formula(want), print_formula(got))
+        inputs = set().union(*(free_variables(f) for x in renamed for f in x.formulas))
+        for v in free_variables(got):
+            # a situation variable, or an introduced one under a fresh name
+            assert v in inputs or v.name not in {i.name for i in inputs}, print_formula(got)
+        learned += 1
+        introduced = {v.name for v in free_variables(want)} - {v.name for v in SITUATION_VARS}
+        clashes += bool(introduced & set(names))
+    assert learned > 350 and clashes > 100

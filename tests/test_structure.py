@@ -1,7 +1,11 @@
 """Import discipline of the vz package, read from its source with ``ast``:
-modules share only public names, and every imported name is used."""
+modules share only public names, and every imported name is used; and
+what starting the command line imports."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +54,14 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _bound_names(tree) if name not in used]
     assert unused == []
+
+
+def test_start_up_imports_no_heavy_module():
+    # a fresh interpreter, as each `vz` call starts one; json is imported
+    # only for a --json report
+    code = ("import sys, vz.cli; vz.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
