@@ -10,13 +10,12 @@ import argparse
 import sys
 
 from . import ec, emotions, learner
-from .errors import SourceError, VzError
+from .errors import SourceError, UnboundActionVariable, VzError
 from .generalize import anti_unify, generalize_sets
 from .inference import KnowledgeBase, saturate
 from .printer import print_formula, print_real, print_term
 from .scenario import check_setting, parse_scenario, parse_traits, print_trait
-from .subst import Substitution
-from .terms import Constant
+from .terms import Constant, SymbolVariable
 from .utility import NuTable, mu_bar, nu_bar
 
 
@@ -123,9 +122,11 @@ def cmd_infer(args, rep):
         rep.emit("formula", line, formula=line)
 
 
-def _print_subst(s: Substitution) -> str:
-    parts = [f"?{v.name} {print_term(t)}" for v, t in s.var_bindings]
-    parts += [f"?{sv.name} {fs.name}" for sv, fs in s.sym_bindings]
+def _print_subst(s: dict) -> str:
+    """Variables by name, then symbol variables by name."""
+    keys = sorted(s, key=lambda v: (isinstance(v, SymbolVariable), v.name))
+    parts = [f"?{v.name} {s[v].name if isinstance(v, SymbolVariable) else print_term(s[v])}"
+             for v in keys]
     return f"(subst {' '.join(parts)})"
 
 
@@ -175,9 +176,13 @@ def _learn_pipeline(doc):
             if len(chosen) < crit.min_situations:
                 continue
             chosen.sort(key=lambda s: (s.time, s.id))
-            trait = learner.learn_trait(chosen, [s.performed for s in chosen],
-                                        mode, exemplar=ex.exemplar,
-                                        min_situations=crit.min_situations)
+            try:
+                trait = learner.learn_trait(chosen, [s.performed for s in chosen],
+                                            mode, exemplar=ex.exemplar,
+                                            min_situations=crit.min_situations)
+            except UnboundActionVariable:
+                # the situations do not determine the action: no trait to learn
+                continue
             traits.append(trait)
     return tl, records, exemplars, traits, lrn
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from .errors import ConflictingEffects, HorizonExceeded, UnknownOccurrence
 from .printer import print_term
 from .scenario import ScenarioDoc
-from .subst import Substitution, apply_substitution, match
+from .subst import apply_substitution, match
 from .terms import Record, Term, Variable, is_ground, moment
 
 
@@ -39,12 +39,11 @@ def _rule_effects(rules, event: Term, time: int):
         s = match(rule.event, event)
         if s is None:
             continue
-        vb = dict(s.var_bindings)
         if isinstance(rule.time, Variable):
-            vb[rule.time] = moment(time)
+            s[rule.time] = moment(time)
         elif rule.time != moment(time):
             continue
-        fluent = apply_substitution(Substitution.of(vb), rule.fluent)
+        fluent = apply_substitution(s, rule.fluent)
         if not is_ground(fluent):
             continue  # underdetermined rule: cannot fire on this event
         out.add(fluent)

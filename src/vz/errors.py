@@ -83,5 +83,5 @@ class NoAlignment(VzError):
     pass
 
 
-class UnboundActionVariable(VzError):
+class UnboundActionVariable(SourceError):
     pass

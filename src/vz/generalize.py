@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula
-from .subst import Substitution, apply_substitution, match
+from .subst import apply_substitution, match
 from .terms import (KEYWORDS, TERMS, And, Application, Atom, Exists, ForAll,
                     FunctionSymbol, Modal, Or, Record, Sort, SymbolVariable,
                     Variable, children, free_variables, rebuild, sort_of)
@@ -133,13 +133,11 @@ class VarNamer:
             return Application(sv, tuple(self.name(a, n) for a in pattern.args))
         return rebuild(pattern, [self.name(sub, n) for sub in children(pattern)])
 
-    def substitutions(self, n: int) -> list[Substitution]:
-        out = []
-        for i in range(n):
-            vb = {v: w[i] for w, v in self.vars.items()}
-            sb = {sv: w[i] for w, sv in self.syms.items()}
-            out.append(Substitution.of(vb, sb))
-        return out
+    def substitutions(self, n: int) -> list[dict]:
+        """Per input, the dict that maps each variable and symbol variable
+        to its witness in that input."""
+        named = [*self.vars.items(), *self.syms.items()]
+        return [{v: w[i] for w, v in named} for i in range(n)]
 
 
 def _common_sort(a, b) -> Sort:
@@ -210,7 +208,7 @@ class _Fold:
             if [v.sort for v in p.vars] != [v.sort for v in g.vars]:
                 raise Incompatible("binders disagree")
             # rename g's binders to the pattern's, which are the first input's
-            ren = Substitution.of(dict(zip(g.vars, p.vars)))
+            ren = dict(zip(g.vars, p.vars))
             return type(p)(p.vars, self.step(p.body, apply_substitution(ren, g.body)))
         if isinstance(p, Modal) and (p.op is not g.op or len(p.agents) != len(g.agents)):
             raise Incompatible("modal operators disagree")
@@ -229,7 +227,7 @@ class _Fold:
 
 
 class Generalization(Record):
-    __slots__ = ("pattern", "substitutions")  # a Term or Formula, a tuple of Substitutions
+    __slots__ = ("pattern", "substitutions")  # a Term or Formula, a tuple of dicts
 
 
 def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -> Generalization:

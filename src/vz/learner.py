@@ -16,7 +16,7 @@ from .generalize import FIRST_ORDER, VarNamer, anti_unify, generalize_sets
 from .inference import horn_closure
 from .printer import print_term
 from .scenario import LearntTrait, QueryFact, Situation
-from .subst import Substitution, apply_substitution, match
+from .subst import apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
                     Constant, Not, Record, Sort, Term, free_variables, is_ground,
                     moment)
@@ -130,7 +130,7 @@ def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
                        tuple(s.id for s in situations))
 
 
-def _match_all(patterns, formulas, keep, binding: Substitution, i: int = 0):
+def _match_all(patterns, formulas, keep, binding: dict, i: int = 0):
     """Yield the bindings that match patterns[i:] against some formula
     each. After pattern i a binding is cut down to keep[i], the variables
     that a later pattern or the action still reads; a cut-down binding
@@ -145,14 +145,12 @@ def _match_all(patterns, formulas, keep, binding: Substitution, i: int = 0):
         s = match(grounded, f)
         if s is None:
             continue
-        merged = {v: t for v, t in binding.var_bindings + s.var_bindings if v in keep[i]}
-        symmerged = {v: t for v, t in binding.sym_bindings + s.sym_bindings if v in keep[i]}
-        key = (frozenset(merged.items()), frozenset(symmerged.items()))
+        merged = {v: t for v, t in (binding | s).items() if v in keep[i]}
+        key = frozenset(merged.items())
         if key in explored:
             continue
         explored.add(key)
-        yield from _match_all(patterns, formulas, keep,
-                              Substitution.of(merged, symmerged), i + 1)
+        yield from _match_all(patterns, formulas, keep, merged, i + 1)
 
 
 def apply_trait(trait: LearntTrait, sigma: Situation | QueryFact,
@@ -166,7 +164,7 @@ def apply_trait(trait: LearntTrait, sigma: Situation | QueryFact,
     keep.reverse()
     proposals = []
     seen = set()
-    for s in _match_all(trait.pattern, sigma.formulas, keep, Substitution()):
+    for s in _match_all(trait.pattern, sigma.formulas, keep, {}):
         action_type = apply_substitution(s, trait.action_pattern)
         key = print_term(action_type)
         if key in seen or not is_ground(action_type):

@@ -25,6 +25,12 @@ from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
 
 SORT_NAMES = {s.value: s for s in Sort}
 
+# The largest moment that a scenario, a trait file or --horizon may name.
+# It bounds the horizon, and with it the memory and time of every pass
+# over the moments 0..H; the corpus, the tests and the benchmark inputs
+# stay below 200.
+MAX_MOMENT = 10000
+
 _MODAL_BY_NAME = {op.value: op for op in ModalOp}
 
 
@@ -113,7 +119,9 @@ Fact = Union[InitiallyFact, HappensFact, NuFact, ThetaFact, InitiatesRule,
              TerminatesRule, AssertFact, GroupFact, Situation, QueryFact]
 
 
-class ScenarioDoc(Record, frozen=False):
+class ScenarioDoc:
+    """A parsed scenario, filled in place by the parser and the
+    command-line overrides; horizon is None when undeclared."""
     __slots__ = ("symbols", "facts", "horizon", "config")
 
     def __init__(self, symbols: SymbolTable, facts: list[Fact] | None = None,
@@ -206,6 +214,13 @@ def _expect_nat(sx) -> int:
     return sx.value
 
 
+def _expect_moment(sx) -> int:
+    n = _expect_nat(sx)
+    if n > MAX_MOMENT:
+        raise ParseError(f"moments are at most {MAX_MOMENT}, got {n}", *_loc(sx))
+    return n
+
+
 def _parse_sort(sx) -> Sort:
     name = _expect_sym(sx, "sort name")
     if name not in SORT_NAMES:
@@ -232,7 +247,7 @@ class _FormulaParser:
         env = env or {}
         if isinstance(sx, SNum):
             if expected is Sort.MOMENT and sx.is_int and not sx.text.startswith("-"):
-                return moment(sx.value)
+                return moment(_expect_moment(sx))
             raise SortMismatch(f"number not allowed where {expected.value} expected", *_loc(sx))
         if isinstance(sx, SSym):
             name = sx.text
@@ -373,6 +388,8 @@ def check_setting(key, value, loc=(None, None), table=None):
         raise ParseError(f"{key} must be at least 1", *loc)
     if key == "horizon" and value < 0:
         raise ParseError("horizon must be non-negative", *loc)
+    if key == "horizon" and value > MAX_MOMENT:
+        raise ParseError(f"horizon must be at most {MAX_MOMENT}", *loc)
     if key == "gamma" and not 0 < value <= 1:  # also rejects nan
         raise ParseError("gamma must lie in (0, 1]", *loc)
     if key == "mode" and value not in (FIRST_ORDER, HIGHER_ORDER):
@@ -450,7 +467,7 @@ def _parse_item(sx, doc, table, fp):
         need(1)
         if doc.horizon is not None:
             raise DuplicateDeclaration("duplicate horizon declaration", *loc)
-        doc.horizon = _expect_nat(body[0])
+        doc.horizon = _expect_moment(body[0])
     elif head == "set":
         need(2)
         key = _expect_sym(body[0])
@@ -471,12 +488,12 @@ def _parse_item(sx, doc, table, fp):
     elif head == "happens":
         need(2)
         ev = fp.term(body[0], Sort.EVENT)
-        doc.facts.append(HappensFact(ev, _expect_nat(body[1])))
+        doc.facts.append(HappensFact(ev, _expect_moment(body[1])))
     elif head == "nu":
         need(4)
         agent = fp.term(body[0], Sort.AGENT)
         fluent = fp.term(body[1], Sort.FLUENT)
-        t = _expect_nat(body[2])
+        t = _expect_moment(body[2])
         if not isinstance(body[3], SNum):
             raise ParseError("nu value must be a number", *_loc(body[3]))
         # float of the literal text: a literal too large for a float reads
@@ -492,7 +509,7 @@ def _parse_item(sx, doc, table, fp):
             doc.facts.append(ThetaFact(agent, mode))
         elif mode == "at":
             need(3)
-            doc.facts.append(ThetaFact(agent, "at", _expect_nat(body[2])))
+            doc.facts.append(ThetaFact(agent, "at", _expect_moment(body[2])))
         else:
             raise ParseError("theta mode must be always, never, or at", *loc)
     elif head in ("initiates", "terminates"):
@@ -555,7 +572,7 @@ def _parse_situation(head, body, loc, fp):
     agent = None
     if "agent" in secs:
         agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT)
-    time = _expect_nat(_section_arg(secs["time"], "moment")) if "time" in secs else 0
+    time = _expect_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
     formulas = tuple(fp.formula(f) for f in _section_items(secs, "formulas"))
     if head == "query":
         return QueryFact(sid, time, formulas)
@@ -608,7 +625,10 @@ def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
             arg = _section_arg(secs["exemplar"], "agent")
             exemplar = doc.symbols.agent(_expect_sym(arg, "agent name"), _loc(arg))
         sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
-        traits.append(LearntTrait(pattern, action, exemplar, sources))
+        try:
+            traits.append(LearntTrait(pattern, action, exemplar, sources))
+        except UnboundActionVariable as exc:
+            raise UnboundActionVariable(exc.message, *_loc(secs["action"]))
     return traits
 
 

@@ -1,84 +1,45 @@
-"""Substitutions and one-sided matching."""
+"""Substitutions (dicts) and one-sided matching."""
 from __future__ import annotations
 
-from .errors import SortMismatch, VzError
+from .errors import VzError
 from .terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
-                    Modal, Record, SymbolVariable, Variable, children, fits,
-                    rebuild, sort_of)
+                    Modal, SymbolVariable, Variable, children, fits, rebuild,
+                    sort_of)
 
 
-class Substitution(Record, var_bindings=(), sym_bindings=()):
-    """Finite, sort-preserving map from variables to terms (and, in
-    higher-order mode, from symbol variables to function symbols): tuples
-    of (Variable, Term) and (SymbolVariable, FunctionSymbol) pairs, in
-    name order."""
-    __slots__ = ("var_bindings", "sym_bindings")
-
-    def __post_init__(self):
-        for v, t in self.var_bindings:
-            if not fits(sort_of(t), v.sort):
-                raise SortMismatch(f"binding {v!r} -> {t!r} violates sorts")
-        for sv, fs in self.sym_bindings:
-            if sv.arg_sorts != fs.arg_sorts or sv.result_sort != fs.result_sort:
-                raise SortMismatch(f"binding {sv!r} -> {fs!r} changes signature")
-
-    @classmethod
-    def of(cls, mapping=None, symbols=None):
-        vb = tuple(sorted((mapping or {}).items(), key=lambda kv: kv[0].name))
-        sb = tuple(sorted((symbols or {}).items(), key=lambda kv: kv[0].name))
-        return cls(vb, sb)
-
-    @property
-    def vars(self) -> dict:
-        return dict(self.var_bindings)
-
-    @property
-    def symbols(self) -> dict:
-        return dict(self.sym_bindings)
-
-    def __repr__(self):
-        items = [f"{v!r}->{t!r}" for v, t in self.var_bindings]
-        items += [f"{sv!r}->{fs!r}" for sv, fs in self.sym_bindings]
-        return "{" + ", ".join(items) + "}"
+def apply_substitution(s: dict, x):
+    """Replace every free occurrence of a variable bound in s, and in
+    higher-order mode every bound symbol variable; quantified occurrences
+    are untouched. A substitution is a dict from Variables to terms and
+    from SymbolVariables to FunctionSymbols."""
+    if isinstance(x, Variable):
+        return s.get(x, x)
+    if isinstance(x, Constant):
+        return x
+    if isinstance(x, (ForAll, Exists)):
+        s = {v: t for v, t in s.items() if v not in x.vars}
+    kids = [apply_substitution(s, sub) for sub in children(x)]
+    if isinstance(x, Application) and isinstance(x.symbol, SymbolVariable):
+        return Application(s.get(x.symbol, x.symbol), tuple(kids))
+    return rebuild(x, kids)
 
 
-def apply_substitution(s: Substitution, x):
-    """Replace every free occurrence of a bound variable; quantified
-    occurrences are untouched."""
-    return _apply(s.vars, s.symbols, x)
-
-
-def _apply(vb, sb, node):
-    if isinstance(node, Variable):
-        return vb.get(node, node)
-    if isinstance(node, Constant):
-        return node
-    if isinstance(node, (ForAll, Exists)):
-        vb = {v: t for v, t in vb.items() if v not in node.vars}
-    kids = [_apply(vb, sb, sub) for sub in children(node)]
-    if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
-        return Application(sb.get(node.symbol, node.symbol), tuple(kids))
-    return rebuild(node, kids)
-
-
-def match(pattern, target) -> Substitution | None:
+def match(pattern, target) -> dict | None:
     """One-sided matching: find s with apply_substitution(s, pattern) ==
-    target (up to alpha under binders). Returns None when no match."""
-    vb: dict = {}
-    sb: dict = {}
-    if _match(pattern, target, vb, sb, {}):
-        return Substitution.of(vb, sb)
-    return None
+    target (up to alpha under binders). Returns None when no match. Each
+    binding is checked here to preserve sorts (and signatures)."""
+    s: dict = {}
+    return s if _match(pattern, target, s, {}) else None
 
 
-def _match(p, t, vb, sb, bound_map):
+def _match(p, t, s, bound_map):
     # bound_map: target bound variable -> pattern bound variable
     if isinstance(p, Variable):
         if p in bound_map.values():
             # p is a binder-bound pattern variable: must correspond exactly
             return isinstance(t, Variable) and bound_map.get(t) == p
-        if p in vb:
-            return vb[p] == t
+        if p in s:
+            return s[p] == t
         if isinstance(t, Variable) and t in bound_map:
             return False
         try:
@@ -86,7 +47,7 @@ def _match(p, t, vb, sb, bound_map):
                 return False
         except VzError:
             return False
-        vb[p] = t
+        s[p] = t
         return True
     if isinstance(p, Constant):
         return p == t
@@ -100,11 +61,11 @@ def _match(p, t, vb, sb, bound_map):
                 return False
             if psym.arg_sorts != tsym.arg_sorts or psym.result_sort != tsym.result_sort:
                 return False
-            if psym in sb:
-                if sb[psym] != tsym:
+            if psym in s:
+                if s[psym] != tsym:
                     return False
             else:
-                sb[psym] = tsym
+                s[psym] = tsym
         elif psym != t.symbol:
             return False
     elif isinstance(p, (ForAll, Exists)):
@@ -117,4 +78,4 @@ def _match(p, t, vb, sb, bound_map):
     elif isinstance(p, Modal) and p.op != t.op:
         return False
     pk, tk = children(p), children(t)
-    return len(pk) == len(tk) and all(_match(a, b, vb, sb, bound_map) for a, b in zip(pk, tk))
+    return len(pk) == len(tk) and all(_match(a, b, s, bound_map) for a, b in zip(pk, tk))

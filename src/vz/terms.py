@@ -15,21 +15,18 @@ from .errors import ArityMismatch, SortMismatch, UnknownSymbol
 class Record:
     """Base of vz's value classes. A subclass names its fields in
     ``__slots__``; a slot whose name starts with ``_`` is private state,
-    not a field. Class keywords give the trailing fields defaults, and
-    ``frozen=False`` makes a record mutable and unhashable.
+    not a field. Class keywords give the trailing fields defaults.
 
     Unless its body defines them, each subclass gets an ``__init__`` that
     takes the fields in order and then calls ``__post_init__`` if there is
     one, an ``__eq__`` that holds between records of the same class with
     equal fields, and a ``__hash__`` of the tuple of the fields. These are
-    compiled once per class. A frozen record refuses assignment."""
+    compiled once per class. A record refuses assignment."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen=True, **defaults):
-        if "__slots__" not in cls.__dict__:
-            return  # a subclass without slots of its own keeps its parent's methods
+    def __init_subclass__(cls, **defaults):
         cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         mine = "".join(f"self.{f}, " for f in fields)
         theirs = "".join(f"other.{f}, " for f in fields)
@@ -43,15 +40,11 @@ class Record:
                   f"    return NotImplemented\n"
                   f"def __hash__(self):\n"
                   f"    return hash(({mine}))\n")
-        # the slot descriptors' setters write a field past a frozen __setattr__
+        # the slot descriptors' setters write a field past the refusing __setattr__
         methods = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
         exec(source, methods)
         trailing = fields[len(fields) - len(defaults):]
         methods["__init__"].__defaults__ = tuple(defaults[f] for f in trailing)
-        if not frozen:
-            methods["__hash__"] = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
         for name in ("__init__", "__eq__", "__hash__"):
             if name not in cls.__dict__:
                 setattr(cls, name, methods[name])

@@ -115,6 +115,9 @@ class TestMalformedInput:
          "1:32: duplicate signature 'X0'"),
         ("(trait (signatures (P0 () fluent)) (pattern (holds (?P0 seller) ?t))"
          " (action (utter (?P0))))\n", "1:52: ?P0 expects 0 arguments, got 1"),
+        # an action variable no pattern binds, at the (action ...) section
+        ("(trait (pattern (holds ?X0 ?t)) (action (utter ?X9)))\n",
+         "1:33: action variables without a situation anchor: ['X9']"),
     ])
     def test_malformed_trait_file(self, capsys, tmp_path, text, where):
         traits = tmp_path / "traits.vz"
@@ -154,6 +157,14 @@ class TestMalformedInput:
         ("(observe s (time 1) foo)", "3:21: expected a (section ...) entry"),
         # symbol variables occur in trait files only
         ("(assert (?P jack))", "3:9: symbol variables are not part of the input grammar"),
+        # every moment is at most MAX_MOMENT
+        ("(horizon 100000000000)", "3:10: moments are at most 10000, got 100000000000"),
+        ("(declare-constant e event) (happens e 10001)", "3:39: moments are at most 10000, got 10001"),
+        ("(declare-fluent f ()) (nu jack (f) 10001 1.0)", "3:36: moments are at most 10000, got 10001"),
+        ("(theta jack at 10001)", "3:16: moments are at most 10000, got 10001"),
+        ("(observe s (time 10001))", "3:18: moments are at most 10000, got 10001"),
+        ("(query q (time 10001))", "3:16: moments are at most 10000, got 10001"),
+        ("(assert (believes jack 10001 (p)))", "3:24: moments are at most 10000, got 10001"),
     ])
     def test_rejected_item(self, capsys, tmp_path, item, where):
         p = tmp_path / "bad.vz"
@@ -227,9 +238,21 @@ class TestMalformedInput:
         assert out.splitlines() == ["(believes jack ?t (p))",
                                     "(forall ((t moment)) (knows jack t (p)))"]
 
+    def test_horizon_past_the_largest_moment(self, capsys, tmp_path):
+        # refused before any pass over the moments, by every subcommand
+        p = tmp_path / "huge.vz"
+        text = "(declare-agent a)\n(declare-fluent f ())\n(initially (f))\n(horizon {})\n"
+        p.write_text(text.format(10 ** 11))
+        for command in _COMMANDS:
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:4:10: moments are at most 10000, got 100000000000\n"
+        p.write_text(text.format(10000))
+        assert run_cli(capsys, "check", str(p)) == (0, "ok: 1 facts\n", "")
+
     @pytest.mark.parametrize("flag", [("--n", "0"), ("--m", "0"), ("--gamma", "0"),
                                       ("--gamma", "nan"), ("--horizon", "-1"),
-                                      ("--mode", "xx")])
+                                      ("--mode", "xx"), ("--horizon", "10001")])
     def test_setting_flag_out_of_range(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["run", MARKETPLACE, *flag])
@@ -294,6 +317,25 @@ class TestSubcommands:
                                     "(subst ?X0 jack)",
                                     "(subst ?X0 jim)"]
 
+    def test_generalize_asserts_higher_order(self, capsys, tmp_path):
+        # symbol bindings print after the variable bindings, each by name
+        p = tmp_path / "loves.vz"
+        p.write_text("(declare-agent jill)\n(declare-agent jack)\n(declare-agent jim)\n"
+                     "(declare-predicate likes (agent agent))\n"
+                     "(declare-predicate loves (agent agent))\n"
+                     "(assert (likes jill jack))\n(assert (loves jill jim))\n")
+        code, out, _ = run_cli(capsys, "generalize", str(p), "--mode", "ho")
+        assert code == 0
+        assert out.splitlines() == ["(?P0 jill ?X0)",
+                                    "(subst ?X0 jack ?P0 likes)",
+                                    "(subst ?X0 jim ?P0 loves)"]
+        code, out, _ = run_cli(capsys, "generalize", str(p), "--mode", "ho", "--json")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"type": "pattern", "formula": "(?P0 jill ?X0)"},
+            {"type": "subst", "subst": "(subst ?X0 jack ?P0 likes)"},
+            {"type": "subst", "subst": "(subst ?X0 jim ?P0 loves)"}]
+
     def test_generalize_groups(self, capsys):
         code, out, _ = run_cli(capsys, "generalize", HONESTY)
         assert code == 0
@@ -349,6 +391,22 @@ class TestSubcommands:
             assert code == 0 and err == ""
             assert "(exemplar observer seller 14 0)" in out.splitlines()
             assert "(trait" not in out
+
+    def test_unanchored_action_type_learns_no_trait(self, capsys, tmp_path):
+        # both situations hold (broken), so the situations do not say which
+        # fluent seller utters: the action variable has no anchor and the
+        # action type gives no trait
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        formula = "(formulas (holds (unbroken) ?t))"
+        assert text.count(formula) == 1
+        p = tmp_path / "unanchored.vz"
+        p.write_text(text.replace(formula, "(formulas (holds (broken) ?t))"))
+        for command in ("run", "learn"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 0 and err == ""
+            assert "(exemplar observer seller 14 0)" in out.splitlines()
+            assert "(trait" not in out and "(proposal" not in out
 
     def test_run_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "run", MARKETPLACE)

@@ -10,7 +10,7 @@ from vz.generalize import (FIRST_ORDER, HIGHER_ORDER, Generalization,
                            _structure_key, anti_unify, generalize_sets)
 from vz.printer import print_formula, print_term
 from vz.scenario import parse_scenario
-from vz.subst import Substitution, apply_substitution, match
+from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, TERMS, And, Application, Atom,
                       Constant, Exists, ForAll, FunctionSymbol, Implies, Modal,
                       ModalOp, Not, Or, Sort, SymbolVariable, Variable,
@@ -68,7 +68,7 @@ class TestAntiUnifyGoldens:
         t = F2(G1(A), B)
         g = anti_unify([t, t])
         assert g.pattern == t
-        assert all(not s.vars and not s.symbols for s in g.substitutions)
+        assert all(not s for s in g.substitutions)
 
     def test_hungry_example(self):
         g = anti_unify([Atom(HUNGRY(JACK)), Atom(HUNGRY(JILL))])
@@ -217,7 +217,7 @@ class TestGeneralizeSets:
     def test_identical_singletons(self):
         g = generalize_sets([[imp(JACK)], [imp(JACK)]])
         assert g.total and g.patterns == (imp(JACK),)
-        assert all(not s.vars for s in g.substitutions)
+        assert all(not s for s in g.substitutions)
 
     def test_marketplace_holds_pair(self):
         from vz.terms import HOLDS, FunctionSymbol
@@ -332,7 +332,7 @@ def nary_formulas(fs, mode, namer):
             raise Incompatible("binders disagree")
         bodies = [fs[0].body]
         for f in fs[1:]:
-            ren = Substitution.of({fv: pv for fv, pv in zip(f.vars, first.vars)})
+            ren = {fv: pv for fv, pv in zip(f.vars, first.vars)}
             bodies.append(apply_substitution(ren, f.body))
         return type(first)(first.vars, nary_formulas(tuple(bodies), mode, namer))
     if isinstance(first, Modal) and \
@@ -447,7 +447,7 @@ def mutate(rng, node, rate=0.25):
             return type(node)((Variable(node.vars[0].name, Sort.FLUENT),), node.body)
         if rng.random() < rate:
             y = Variable("z", node.vars[0].sort)
-            return type(node)((y,), apply_substitution(Substitution.of({node.vars[0]: y}), body))
+            return type(node)((y,), apply_substitution({node.vars[0]: y}, body))
         return type(node)(node.vars, body)
     if isinstance(node, Modal) and node.op is not ModalOp.SAYS_TO and rng.random() < 0.03:
         return Modal(ModalOp.INTENDS, node.agents, node.time, node.body)
@@ -485,7 +485,7 @@ def test_fold_matches_nary_anti_unification(rng, mode):
     for _ in range(1500):
         n = rng.randint(1, 7)
         calls = (random_inputs(rng, n), random_inputs(rng, n))
-        ren = Substitution.of({TIME: Variable(rng.choice(["t", "X0", "X1", "P0"]), Sort.MOMENT)})
+        ren = {TIME: Variable(rng.choice(["t", "X0", "X1", "P0"]), Sort.MOMENT)}
         calls = tuple(tuple(apply_substitution(ren, f) for f in inputs) for inputs in calls)
         free = {v.name for inputs in calls for f in inputs for v in free_variables(f)}
         got_namer = VarNamer(itertools.chain(*calls))

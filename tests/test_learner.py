@@ -7,7 +7,7 @@ from vz.learner import (ExemplarRecord, LearntTrait, Situation, TraitCriteria,
                         apply_trait, check_consistency, detect_trait,
                         identify_exemplars, learn_trait)
 from vz.printer import print_formula, print_term
-from vz.subst import Substitution, apply_substitution, match
+from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
                       FunctionSymbol, Implies, Not, Sort, SymbolVariable,
                       Variable, free_variables, is_ground, moment)
@@ -235,14 +235,10 @@ def reference_apply_trait(trait, sigma, learner):
             s = match(grounded, f)
             if s is None:
                 continue
-            merged = dict(binding.vars)
-            merged.update(s.vars)
-            symmerged = dict(binding.symbols)
-            symmerged.update(s.symbols)
-            yield from match_all(patterns[1:], Substitution.of(merged, symmerged))
+            yield from match_all(patterns[1:], binding | s)
 
     proposals, seen = [], set()
-    for s in match_all(list(trait.pattern), Substitution()):
+    for s in match_all(list(trait.pattern), {}):
         action_type = apply_substitution(s, trait.action_pattern)
         if not is_ground(action_type) or not check_consistency(sigma, action_type, learner):
             continue
@@ -386,8 +382,7 @@ def test_renaming_situation_variables_renames_the_trait(rng, mode):
         situations, performed = random_learning_case(rng)
         names = rng.sample(RENAMES, len(SITUATION_VARS))
         renaming = {v: Variable(n, v.sort) for v, n in zip(SITUATION_VARS, names)}
-        s = Substitution.of(renaming)
-        renamed = [sit(x.id, x.time, [apply_substitution(s, f) for f in x.formulas])
+        renamed = [sit(x.id, x.time, [apply_substitution(renaming, f) for f in x.formulas])
                    for x in situations]
         want, got = learnt(situations, performed, mode), learnt(renamed, performed, mode)
         if isinstance(want, type):
