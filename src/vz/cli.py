@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import ec, emotions, learner
-from .errors import SourceError, UnboundActionVariable, VzError
-from .generalize import anti_unify, generalize_sets
-from .inference import KnowledgeBase, saturate
+from . import ec
+from .errors import Incompatible, NoAlignment, SourceError, UnboundActionVariable, VzError
 from .printer import print_formula, print_real, print_term
 from .scenario import check_setting, parse_scenario, parse_traits, print_trait
 from .terms import Constant, SymbolVariable
-from .utility import NuTable, mu_bar, nu_bar
+# A command imports the later stages it runs itself, so it starts without the others.
 
 
 class Report:
@@ -84,6 +82,7 @@ def cmd_project(args, rep):
 
 
 def cmd_utility(args, rep):
+    from .utility import NuTable, mu_bar, nu_bar
     doc = _load(args.file, args)
     tl = ec.project(doc)
     table = NuTable.from_doc(doc)
@@ -99,6 +98,7 @@ def cmd_utility(args, rep):
 
 
 def _emit_records(records, rep):
+    from . import emotions
     for r in records:
         rep.emit("emotion", emotions.print_record(r),
                  kind=r.kind.value, subject=r.subject.name,
@@ -108,12 +108,20 @@ def _emit_records(records, rep):
 
 
 def cmd_emotions(args, rep):
+    from . import emotions
     doc = _load(args.file, args)
     world = emotions.world_from_doc(doc, ec.project(doc))
     _emit_records(emotions.sweep_emotions(world), rep)
 
 
+def saturate(kb):
+    """inference.saturate, looked up here so that perfbench/tracing.py can wrap it."""
+    from . import inference
+    return inference.saturate(kb)
+
+
 def cmd_infer(args, rep):
+    from .inference import KnowledgeBase
     doc = _load(args.file, args)
     kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
                           horizon=doc.horizon)
@@ -131,6 +139,7 @@ def _print_subst(s: dict) -> str:
 
 
 def cmd_generalize(args, rep):
+    from .generalize import anti_unify, generalize_sets
     doc = _load(args.file, args)
     mode = doc.config["mode"]
     if doc.groups:
@@ -150,6 +159,7 @@ def cmd_generalize(args, rep):
 
 
 def _learn_pipeline(doc):
+    from . import emotions, learner
     tl = ec.project(doc)
     world = emotions.world_from_doc(doc, tl)
     records = emotions.sweep_emotions(world)
@@ -180,8 +190,9 @@ def _learn_pipeline(doc):
                 trait = learner.learn_trait(chosen, [s.performed for s in chosen],
                                             mode, exemplar=ex.exemplar,
                                             min_situations=crit.min_situations)
-            except UnboundActionVariable:
-                # the situations do not determine the action: no trait to learn
+            except (UnboundActionVariable, NoAlignment, Incompatible):
+                # the situations do not determine the action, or share no
+                # formula that generalizes: no trait to learn
                 continue
             traits.append(trait)
     return tl, records, exemplars, traits, lrn
@@ -228,6 +239,7 @@ def _load_traits(path: str, doc) -> list:
 
 
 def _apply_to_queries(doc, traits, lrn, rep):
+    from . import learner
     for q in doc.queries:
         for trait in traits:
             for event in learner.apply_trait(trait, q, lrn):

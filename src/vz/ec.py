@@ -31,22 +31,19 @@ class Timeline(Record):
         raise UnknownOccurrence(f"no occurrence of {print_term(event)} at {t}")
 
 
-def _rule_effects(rules, event: Term, time: int):
-    """Fluents produced by matching effect-rule patterns against a ground
-    event occurrence."""
+def _rule_effects(matches, time: int):
+    """Fluents that an event's (rule, substitution) matches produce at one
+    moment. A substitution serves every occurrence of its event, so
+    binding the time variable copies it."""
     out = set()
-    for rule in rules:
-        s = match(rule.event, event)
-        if s is None:
-            continue
+    for rule, s in matches:
         if isinstance(rule.time, Variable):
-            s[rule.time] = moment(time)
+            s = {**s, rule.time: moment(time)}
         elif rule.time != moment(time):
             continue
         fluent = apply_substitution(s, rule.fluent)
-        if not is_ground(fluent):
-            continue  # underdetermined rule: cannot fire on this event
-        out.add(fluent)
+        if is_ground(fluent):  # else the rule is underdetermined: it cannot fire
+            out.add(fluent)
     return out
 
 
@@ -56,16 +53,20 @@ def project(doc: ScenarioDoc) -> Timeline:
     over an open interval, so a terminator at 0 clips nothing), plus those
     initiated at t. Occurrences are checked in `happens` order; the first
     past the horizon, or the first whose moment then both initiates and
-    terminates a fluent, is an error."""
+    terminates a fluent, is an error. Each distinct event is matched
+    against the effect rules once."""
     horizon = doc.effective_horizon()
-    init_rules, term_rules = doc.initiates_rules, doc.terminates_rules
+    rules = (doc.initiates_rules, doc.terminates_rules)
+    matched: dict = {}  # event -> [(rule, substitution)] of each rule kind
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
     for event, t in doc.happens:
         if t > horizon:
             raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon {horizon}")
-        init = _rule_effects(init_rules, event, t)
-        term = _rule_effects(term_rules, event, t)
+        if event not in matched:
+            matched[event] = [[(r, s) for r in kind if (s := match(r.event, event)) is not None]
+                              for kind in rules]
+        init, term = (_rule_effects(m, t) for m in matched[event])
         init_t, term_t = by_time.setdefault(t, (set(), set()))
         init_t |= init
         term_t |= term

@@ -23,14 +23,11 @@ from operator import itemgetter
 
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula
+from .scenario import FIRST_ORDER, HIGHER_ORDER
 from .subst import apply_substitution, match
 from .terms import (KEYWORDS, TERMS, And, Application, Atom, Exists, ForAll,
                     FunctionSymbol, Modal, Or, Record, Sort, SymbolVariable,
                     Variable, children, free_variables, rebuild, sort_of)
-
-FIRST_ORDER = "fo"
-HIGHER_ORDER = "ho"
-
 
 class _Hole:
     """A term position where the inputs folded so far disagree. Its key

@@ -7,17 +7,9 @@ as opaque facts inside the oracle.
 from __future__ import annotations
 
 from .errors import DepthExceeded, SortMismatch, UnsupportedFragment
-from .terms import (TERMS, And, Atom, Constant, Formula, Implies, Modal,
-                    ModalOp, Not, Ought, Record, Sort, children, moment,
-                    moment_value)
-
-
-def modal_depth(f: Formula) -> int:
-    """Nesting depth of modal and deontic operators."""
-    if isinstance(f, (Atom, TERMS)):
-        return 0
-    depth = max(map(modal_depth, children(f)), default=0)
-    return depth + 1 if isinstance(f, (Modal, Ought)) else depth
+from .scenario import DEFAULT_MAX_DEPTH
+from .terms import (And, Atom, Constant, Implies, Modal, ModalOp, Not, Ought,
+                    Record, Sort, children, modal_depth, moment, moment_value)
 
 
 def _is_literal(f) -> bool:
@@ -58,9 +50,6 @@ def horn_closure(gamma) -> frozenset:
                 facts.add(head)
                 changed = True
     return frozenset(facts)
-
-
-DEFAULT_MAX_DEPTH = 3
 
 
 class KnowledgeBase(Record, max_depth=DEFAULT_MAX_DEPTH, horizon=None):

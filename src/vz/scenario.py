@@ -13,15 +13,13 @@ from typing import Union
 
 from .errors import (DepthExceeded, DuplicateDeclaration, ParseError,
                      SortMismatch, UnboundActionVariable, UndeclaredSymbol)
-from .generalize import FIRST_ORDER, HIGHER_ORDER
-from .inference import DEFAULT_MAX_DEPTH, modal_depth
 from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
 from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
                     Implies, Modal, ModalOp, Not, Or, Ought, Record, Sort,
                     SymbolVariable, Term, Variable, fits, free_variables,
-                    moment)
+                    modal_depth, moment)
 
 SORT_NAMES = {s.value: s for s in Sort}
 
@@ -30,6 +28,11 @@ SORT_NAMES = {s.value: s for s in Sort}
 # over the moments 0..H; the corpus, the tests and the benchmark inputs
 # stay below 200.
 MAX_MOMENT = 10000
+
+# (set mode m): fo generalizes differing subterms, ho function symbols too
+FIRST_ORDER = "fo"
+HIGHER_ORDER = "ho"
+DEFAULT_MAX_DEPTH = 3  # the modal depth that (set max-depth d) overrides
 
 _MODAL_BY_NAME = {op.value: op for op in ModalOp}
 

@@ -284,6 +284,14 @@ def children(node) -> tuple:
     raise UnknownSymbol(f"not a term or formula: {node!r}")
 
 
+def modal_depth(f: Formula) -> int:
+    """Nesting depth of modal and deontic operators."""
+    if isinstance(f, (Atom, TERMS)):
+        return 0
+    depth = max(map(modal_depth, children(f)), default=0)
+    return depth + 1 if isinstance(f, (Modal, Ought)) else depth
+
+
 def rebuild(node, kids):
     """A copy of ``node`` whose children (in the order ``children`` gives
     them) are ``kids``; the symbol, binders and modal operator are kept."""

@@ -408,6 +408,30 @@ class TestSubcommands:
             assert "(exemplar observer seller 14 0)" in out.splitlines()
             assert "(trait" not in out and "(proposal" not in out
 
+    @pytest.mark.parametrize("sigma1, sigma2", [
+        # no formula of sigma2 aligns with one of sigma1 (NoAlignment)
+        ("(holds (broken) ?t)", "(not (holds (unbroken) ?t))"),
+        # the modal rows align, but their binders' sorts differ (Incompatible)
+        ("(holds (broken) ?t) (knows seller 1 (exists ((x agent)) (holds (broken) 1)))",
+         "(holds (unbroken) ?t) (knows seller 3 (exists ((x fluent)) (holds (unbroken) 3)))"),
+    ], ids=["no-alignment", "incompatible"])
+    def test_unalignable_action_type_learns_no_trait(self, capsys, tmp_path, sigma1, sigma2):
+        # seller's utterances are detected as a trait, but the situations
+        # do not generalize: utter gives no trait and the run goes on
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        for old, new in (("(broken) ?t))", sigma1), ("(unbroken) ?t))", sigma2)):
+            old = f"(formulas (holds {old}"
+            assert text.count(old) == 1
+            text = text.replace(old, f"(formulas {new})")
+        p = tmp_path / "unalignable.vz"
+        p.write_text(text)
+        for command in ("run", "learn"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 0 and err == ""
+            assert "(exemplar observer seller 14 0)" in out.splitlines()
+            assert "(trait" not in out and "(proposal" not in out
+
     def test_run_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "run", MARKETPLACE)
         _, second, _ = run_cli(capsys, "run", MARKETPLACE)

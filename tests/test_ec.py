@@ -5,9 +5,11 @@ import pytest
 
 from vz.ec import project
 from vz.errors import ConflictingEffects, HorizonExceeded
+from vz.printer import print_term
 from vz.scenario import (HappensFact, InitiallyFact, InitiatesRule,
                          parse_scenario)
-from vz.terms import Application, Sort, Variable
+from vz.subst import apply_substitution, match
+from vz.terms import Application, Sort, Variable, is_ground, moment
 
 from conftest import add_effects, forward_sim, make_doc
 
@@ -107,6 +109,23 @@ class TestEffects:
         (occ,) = project(doc).occurrences
         assert (occ.initiated, occ.terminated) == ((), ())
 
+    def test_fixed_time_rule_fires_at_its_moment_only(self):
+        text = """
+(declare-agent jack)
+(declare-fluent lit ())
+(declare-fluent warm ())
+(declare-action-type light-on ())
+(horizon 4)
+(initiates (action ?a (light-on)) (lit) 2)
+(initiates (action ?a (light-on)) (warm) t)
+(happens (action jack (light-on)) 1)
+(happens (action jack (light-on)) 2)
+(happens (action jack (light-on)) 3)
+"""
+        occs = project(parse_scenario(text)).occurrences
+        assert [(o.time, [str(f) for f in o.initiated]) for o in occs] == [
+            (1, ["(warm)"]), (2, ["(lit)", "(warm)"]), (3, ["(warm)"])]
+
     def test_pattern_rule_matches_action(self):
         text = """
 (declare-agent jack)
@@ -185,3 +204,86 @@ def test_random_scenarios_match_oracle_and_invariants(rng):
         for (f, t) in tl.holds_set:
             assert f in initial or any(
                 o.time < t and f in o.initiated for o in tl.occurrences)
+
+
+def per_occurrence_effects(rules, event, time):
+    """Reference effects: every rule matched against one occurrence
+    afresh, with no memory of the event's other occurrences."""
+    out = set()
+    for rule in rules:
+        s = match(rule.event, event)
+        if s is None:
+            continue
+        if isinstance(rule.time, Variable):
+            s[rule.time] = moment(time)
+        elif rule.time != moment(time):
+            continue
+        fluent = apply_substitution(s, rule.fluent)
+        if is_ground(fluent):
+            out.add(fluent)
+    return out
+
+
+# Effect-rule parts for random_rule_text: ground and pattern events,
+# fluents that read an event variable, the time, or an unbound variable
+# (an underdetermined rule, which never fires), and rule times.
+RULE_EVENTS = ["(action ag0 (up))", "(action ag1 (give ag0))", "(action ?a (up))",
+               "(action ?a (give ?b))", "(action ag0 (give ?b))"]
+RULE_FLUENTS = ["(lit)", "(has ag0)", "(has ?a)", "(has ?b)", "(stamp ?t)"]
+GROUND_EVENTS = ["(action ag0 (up))", "(action ag1 (up))", "(action ag0 (give ag1))",
+                 "(action ag1 (give ag0))", "(action ag0 (give ag0))"]
+
+
+def random_rule_text(rng: random.Random) -> str:
+    """A scenario whose effect rules mix ground and pattern events with
+    time-variable and fixed-time rules, and whose events each happen at
+    one to three moments."""
+    h = rng.randint(1, 6)
+    lines = ["(declare-agent ag0)", "(declare-agent ag1)", "(declare-fluent lit ())",
+             "(declare-fluent has (agent))", "(declare-fluent stamp (moment))",
+             "(declare-action-type up ())", "(declare-action-type give (agent))",
+             f"(horizon {h})"]
+    for _ in range(rng.randint(1, 6)):
+        head = rng.choice(["initiates", "terminates"])
+        time = rng.choice(["?t", str(rng.randint(0, h))])
+        lines.append(f"({head} {rng.choice(RULE_EVENTS)} {rng.choice(RULE_FLUENTS)} {time})")
+    for event in rng.sample(GROUND_EVENTS, rng.randint(1, 3)):
+        for t in rng.sample(range(h + 1), rng.randint(1, min(3, h + 1))):
+            lines.append(f"(happens {event} {t})")
+    return "\n".join(lines)
+
+
+def test_rule_effects_match_per_occurrence_oracle(rng):
+    """Each occurrence's effects, and the first conflict, are those of
+    matching every rule against every occurrence afresh."""
+    seen_fixed = seen_varying = 0
+    for _ in range(1000):
+        doc = parse_scenario(random_rule_text(rng))
+        expected, conflict, by_time = [], None, {}
+        for event, t in doc.happens:
+            init = per_occurrence_effects(doc.initiates_rules, event, t)
+            term = per_occurrence_effects(doc.terminates_rules, event, t)
+            init_t, term_t = by_time.setdefault(t, (set(), set()))
+            init_t |= init
+            term_t |= term
+            if init_t & term_t:
+                conflict = (print_term(event), print_term(min(init_t & term_t, key=print_term)), t)
+                break
+            expected.append((event, t, tuple(sorted(init, key=print_term)),
+                             tuple(sorted(term, key=print_term))))
+        if conflict:
+            with pytest.raises(ConflictingEffects) as exc:
+                project(doc)
+            assert (exc.value.event, exc.value.fluent, exc.value.time) == conflict
+            continue
+        got = [(o.event, o.time, o.initiated, o.terminated) for o in project(doc).occurrences]
+        assert got == expected
+        fixed = {r.time for r in doc.initiates_rules + doc.terminates_rules
+                 if not isinstance(r.time, Variable)}
+        seen_fixed += any(o[2] + o[3] and moment(o[1]) in fixed for o in got)
+        effects = {}
+        for event, _, init, term in got:
+            effects.setdefault(event, set()).add((init, term))
+        seen_varying += any(len(e) > 1 for e in effects.values())
+    # the family exercises what a per-event match could get wrong
+    assert seen_fixed > 100 and seen_varying > 100

@@ -1,6 +1,6 @@
 """Import discipline of the vz package, read from its source with ``ast``:
 modules share only public names, and every imported name is used; and
-what starting the command line imports."""
+what starting the command line, and running a subcommand, imports."""
 import ast
 import os
 import pathlib
@@ -10,6 +10,7 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vz"
+CORPUS = PACKAGE.parent.parent / "corpus"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -65,3 +66,25 @@ def test_start_up_imports_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# The modules that only some subcommands run.
+ON_DEMAND = {"vz.emotions", "vz.generalize", "vz.inference", "vz.learner", "vz.utility"}
+
+
+@pytest.mark.parametrize("command, scenario, loads", [
+    ("check", "marketplace.vz", set()),
+    ("project", "marketplace.vz", set()),
+    ("infer", "obligation.vz", {"vz.inference"}),
+], ids=["check", "project", "infer"])
+def test_subcommand_loads_only_the_modules_it_runs(command, scenario, loads):
+    code = ("import contextlib, io, sys, vz.cli\n"
+            "vz.cli.build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = vz.cli.main([{command!r}, {str(CORPUS / scenario)!r}])\n"
+            "print(status, sorted(m for m in sys.modules if m.startswith('vz.')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split(" ", 1)
+    assert out[0] == "0"
+    assert ON_DEMAND & set(ast.literal_eval(out[1])) == loads
