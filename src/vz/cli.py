@@ -42,9 +42,7 @@ _OVERRIDES = ("n", "m", "gamma", "mode")
 
 def _load(path: str, args):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_scenario(fh.read())
-    if args.horizon is not None:
-        doc.horizon = args.horizon
+        doc = parse_scenario(fh.read(), args.horizon)
     for key in _OVERRIDES:
         if getattr(args, key) is not None:
             doc.config[key] = getattr(args, key)
@@ -72,8 +70,9 @@ def _emit_timeline(tl, rep):
                  f"(initiated {' '.join(init)}) (terminated {' '.join(term)}))",
                  event=print_term(occ.event), time=occ.time,
                  initiated=init, terminated=term)
-    for f, t in sorted(tl.holds_set, key=lambda ft: (print_term(ft[0]), ft[1])):
-        rep.emit("holds", f"(holds {print_term(f)} {t})", fluent=print_term(f), time=t)
+    text = {f: print_term(f) for f in {f for f, _ in tl.holds_set}}
+    for fluent, t in sorted((text[f], t) for f, t in tl.holds_set):
+        rep.emit("holds", f"(holds {fluent} {t})", fluent=fluent, time=t)
 
 
 def cmd_project(args, rep):
@@ -82,10 +81,10 @@ def cmd_project(args, rep):
 
 
 def cmd_utility(args, rep):
-    from .utility import NuTable, mu_bar, nu_bar
+    from .utility import mu_bar, nu_bar, nu_table
     doc = _load(args.file, args)
     tl = ec.project(doc)
-    table = NuTable.from_doc(doc)
+    table = nu_table(doc)
     for occ in tl.occurrences:
         ev = print_term(occ.event)
         total = mu_bar(occ.event, occ.time, tl, table, doc.agents, tl.horizon)
@@ -163,10 +162,9 @@ def _learn_pipeline(doc):
     tl = ec.project(doc)
     world = emotions.world_from_doc(doc, tl)
     records = emotions.sweep_emotions(world)
-    mode = doc.config["mode"]
-    crit = learner.TraitCriteria.from_config(doc.config)
+    config = doc.config
     lrn = _learner_agent(doc)
-    exemplars = learner.identify_exemplars(records, lrn, crit)
+    exemplars = learner.identify_exemplars(records, lrn, config["n"])
     traits = []
     for ex in exemplars:
         if ex.admitted_at is None:
@@ -177,22 +175,19 @@ def _learn_pipeline(doc):
             if s.performed is not None and s.performed.symbol not in roots:
                 roots.append(s.performed.symbol)
         for alpha in roots:
-            if not learner.detect_trait(history, alpha, crit):
+            if not learner.detect_trait(history, alpha, config["m"], config["gamma"]):
                 continue
             chosen = [s for s in history
                       if s.performed is not None and s.performed.symbol == alpha]
-            # with gamma < 1, detection can accept alpha on fewer than m
-            # performing situations, too few to learn from
-            if len(chosen) < crit.min_situations:
-                continue
             chosen.sort(key=lambda s: (s.time, s.id))
             try:
                 trait = learner.learn_trait(chosen, [s.performed for s in chosen],
-                                            mode, exemplar=ex.exemplar,
-                                            min_situations=crit.min_situations)
+                                            config["mode"], exemplar=ex.exemplar,
+                                            min_situations=config["m"])
             except (UnboundActionVariable, NoAlignment, Incompatible):
-                # the situations do not determine the action, or share no
-                # formula that generalizes: no trait to learn
+                # the situations do not determine the action, share no
+                # formula that generalizes, or are fewer than m (with
+                # gamma < 1 detection can accept alpha on fewer): no trait
                 continue
             traits.append(trait)
     return tl, records, exemplars, traits, lrn

@@ -13,37 +13,27 @@ from .ec import Timeline
 from .errors import InvalidRecord
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Record, Term
-from .utility import NuTable, mu, mu_bar, nu_bar
+from .utility import mu, mu_bar, nu_bar, nu_table
 
 
-class Theta(Record, per_agent=()):
-    """Per-agent emotional susceptibility: always, never, or a finite set
-    of moments. Undeclared agents default to never."""
-    __slots__ = ("per_agent",)  # of (Constant, "always" | "never" | frozenset[int])
+def theta_gates(doc) -> dict:
+    """θ of a scenario, each agent's emotional susceptibility: "always",
+    "never", or the frozenset of moments its (theta a at t) facts name. A
+    later always or never fact replaces what came before it; an agent
+    without a theta fact is absent and reads as never."""
+    gates = {}
+    for f in doc.theta_facts:
+        cur = gates.get(f.agent)
+        if f.mode == "at":
+            gates[f.agent] = (cur if isinstance(cur, frozenset) else frozenset()) | {f.time}
+        else:
+            gates[f.agent] = f.mode
+    return gates
 
-    @classmethod
-    def from_doc(cls, doc) -> "Theta":
-        modes: dict = {}
-        for f in doc.theta_facts:
-            if f.mode == "at":
-                cur = modes.get(f.agent)
-                if isinstance(cur, frozenset):
-                    modes[f.agent] = cur | {f.time}
-                else:
-                    modes[f.agent] = frozenset({f.time})
-            else:
-                modes[f.agent] = f.mode
-        return cls(tuple(sorted(modes.items(), key=lambda kv: kv[0].name)))
 
-    def holds(self, agent: Constant, t: int) -> bool:
-        for a, mode in self.per_agent:
-            if a == agent:
-                if mode == "always":
-                    return True
-                if mode == "never":
-                    return False
-                return t in mode
-        return False
+def _open(theta: dict, agent: Constant, t: int) -> bool:
+    gate = theta.get(agent, "never")
+    return gate == "always" or (gate != "never" and t in gate)
 
 
 class EmotionKind(enum.Enum):
@@ -78,10 +68,14 @@ class EmotionRecord(Record):
                 print_term(self.event), self.event_time, self.hold_time)
 
 
-class World(Record):
-    """Everything emotion evaluation needs: projected timeline, utility
-    table, theta gates, the declared agent set, and the horizon."""
+class World:
+    """Everything emotion evaluation needs: the projected timeline, ν (a
+    nu_table), θ (a theta_gates map), the declared agents, and the horizon."""
     __slots__ = ("timeline", "nu", "theta", "agents", "horizon")
+
+    def __init__(self, timeline: Timeline, nu: dict, theta: dict, agents, horizon: int):
+        self.timeline, self.nu, self.theta = timeline, nu, theta
+        self.agents, self.horizon = agents, horizon
 
 
 def _no_initiated(occ, pred) -> bool:
@@ -92,17 +86,19 @@ def _no_initiated(occ, pred) -> bool:
 def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
     occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
-    return (world.theta.holds(a, t2)
+    return (_open(world.theta, a, t2)
             and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) > 0
-            and _no_initiated(occ, lambda f: any(world.nu.get(a, f, y) < 0 for y in moments)))
+            and _no_initiated(occ, lambda f: any(world.nu.get((a, f, y), 0.0) < 0
+                                                 for y in moments)))
 
 
 def eval_distress(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
     occ = world.timeline.occurrence(event, t)
     moments = range(world.horizon + 1)
-    return (world.theta.holds(a, t2)
+    return (_open(world.theta, a, t2)
             and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) < 0
-            and _no_initiated(occ, lambda f: any(world.nu.get(a, f, y) > 0 for y in moments)))
+            and _no_initiated(occ, lambda f: any(world.nu.get((a, f, y), 0.0) > 0
+                                                 for y in moments)))
 
 
 def _other_directed(a, b, event, t, t2, world, desirable: bool) -> bool:
@@ -110,15 +106,15 @@ def _other_directed(a, b, event, t, t2, world, desirable: bool) -> bool:
     desirable = positive total for b with no negative consequences for b;
     undesirable is the mirror image."""
     occ = world.timeline.occurrence(event, t)
-    if not world.theta.holds(a, t2) or a == b:
+    if not _open(world.theta, a, t2) or a == b:
         return False
     total = nu_bar(b, event, t, world.timeline, world.nu, world.horizon)
     moments = range(world.horizon + 1)
     if desirable:
         return total > 0 and _no_initiated(
-            occ, lambda f: any(world.nu.get(b, f, y) < 0 for y in moments))
+            occ, lambda f: any(world.nu.get((b, f, y), 0.0) < 0 for y in moments))
     return total < 0 and _no_initiated(
-        occ, lambda f: any(world.nu.get(b, f, y) > 0 for y in moments))
+        occ, lambda f: any(world.nu.get((b, f, y), 0.0) > 0 for y in moments))
 
 
 def eval_happy_for(a, b, event, t, t2, world) -> bool:
@@ -139,7 +135,7 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     is positive with no agent-neutral negative consequences."""
     event = Application(ACTION, (b, action_type))
     occ = world.timeline.occurrence(event, t)
-    if not world.theta.holds(a, t2) or a == b:
+    if not _open(world.theta, a, t2) or a == b:
         return False
     if mu_bar(event, t, world.timeline, world.nu, world.agents, world.horizon) <= 0:
         return False
@@ -179,8 +175,8 @@ def sweep_emotions(world: World) -> list[EmotionRecord]:
 
 
 def world_from_doc(doc, timeline: Timeline) -> World:
-    return World(timeline, NuTable.from_doc(doc), Theta.from_doc(doc),
-                 tuple(doc.agents), timeline.horizon)
+    return World(timeline, nu_table(doc), theta_gates(doc), tuple(doc.agents),
+                 timeline.horizon)
 
 
 def print_record(r: EmotionRecord) -> str:

@@ -55,7 +55,7 @@ class ConflictingEffects(VzError):
         self.time = time
 
 
-class HorizonExceeded(VzError):
+class HorizonExceeded(SourceError):
     pass
 
 

@@ -22,24 +22,6 @@ from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
                     moment)
 
 
-class TraitCriteria(Record, min_situations=2, fraction=0.9, exemplar_threshold=2):
-    """The thresholds m (min_situations), gamma (fraction) and n
-    (exemplar_threshold)."""
-    __slots__ = ("min_situations", "fraction", "exemplar_threshold")
-
-    def __post_init__(self):
-        if self.min_situations < 1 or self.exemplar_threshold < 1:
-            raise ValueError("thresholds must be positive")
-        if not (0 < self.fraction <= 1):
-            raise ValueError("fraction must lie in (0, 1]")
-
-    @classmethod
-    def from_config(cls, config: dict) -> "TraitCriteria":
-        """The criteria of a scenario's settings; an unset one keeps its default."""
-        names = {"m": "min_situations", "gamma": "fraction", "n": "exemplar_threshold"}
-        return cls(**{names[k]: v for k, v in config.items() if k in names})
-
-
 class ExemplarRecord(Record, admitted_at=None):
     __slots__ = ("learner", "exemplar", "admiration_count", "admitted_at")
 
@@ -68,10 +50,11 @@ def _instantiates(term: Term, alpha_symbol) -> bool:
     return isinstance(term, Application) and term.symbol == alpha_symbol
 
 
-def detect_trait(history, alpha_symbol, criteria: TraitCriteria) -> bool:
+def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
     """Does the history establish alpha as a trait? Eligible situations
     offer a consistent instantiation of alpha among at least two genuine
-    alternatives; the performed fraction must reach the threshold."""
+    alternatives; there must be at least m of them, and alpha performed
+    in at least a gamma share."""
     eligible = 0
     performed = 0
     for sigma in sorted(history, key=lambda s: (s.time, s.id)):
@@ -88,13 +71,12 @@ def detect_trait(history, alpha_symbol, criteria: TraitCriteria) -> bool:
         eligible += 1
         if sigma.performed is not None and _instantiates(sigma.performed, alpha_symbol):
             performed += 1
-    if eligible < criteria.min_situations:
+    if eligible < m:
         return False
-    return performed / eligible >= criteria.fraction
+    return performed / eligible >= gamma
 
 
-def identify_exemplars(records, learner: Constant,
-                       criteria: TraitCriteria) -> list[ExemplarRecord]:
+def identify_exemplars(records, learner: Constant, n: int) -> list[ExemplarRecord]:
     """One record per admired agent; admission happens at the hold time
     of the n-th admiration in chronological order."""
     by_exemplar: dict[Constant, list[EmotionRecord]] = {}
@@ -105,15 +87,14 @@ def identify_exemplars(records, learner: Constant,
     for exemplar in sorted(by_exemplar, key=lambda c: c.name):
         rs = sorted(by_exemplar[exemplar],
                     key=lambda r: (r.hold_time, r.event_time, print_term(r.event)))
-        n = criteria.exemplar_threshold
         admitted_at = rs[n - 1].hold_time if len(rs) >= n else None
         out.append(ExemplarRecord(learner, exemplar, len(rs), admitted_at))
     return out
 
 
 def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
-                exemplar: Optional[Constant] = None,
-                min_situations: int = 2) -> LearntTrait:
+                exemplar: Optional[Constant] = None, *,
+                min_situations: int) -> LearntTrait:
     """Generalize the situations and the performed action instances with
     a shared variable memo, yielding a trait whose situation and action
     variables are linked by witness agreement."""

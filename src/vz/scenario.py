@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from .errors import (DepthExceeded, DuplicateDeclaration, ParseError,
+from .errors import (DepthExceeded, DuplicateDeclaration, HorizonExceeded, ParseError,
                      SortMismatch, UnboundActionVariable, UndeclaredSymbol)
 from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
@@ -132,9 +132,9 @@ class ScenarioDoc:
         self.symbols = symbols
         self.facts = [] if facts is None else facts
         self.horizon = horizon
-        # the settings with a default; the rest are present only when set
-        self.config = {"mode": FIRST_ORDER, "max-depth": DEFAULT_MAX_DEPTH} \
-            if config is None else config
+        # every setting's default; learner, when unset, is the first agent
+        self.config = {"mode": FIRST_ORDER, "max-depth": DEFAULT_MAX_DEPTH,
+                       "n": 2, "m": 2, "gamma": 0.9} if config is None else config
 
     def _of(self, cls):
         return [f for f in self.facts if isinstance(f, cls)]
@@ -402,13 +402,14 @@ def check_setting(key, value, loc=(None, None), table=None):
     return value
 
 
-def parse_scenario(text: str) -> ScenarioDoc:
-    """Parse and sort-check a scenario document. The first error wins; no
-    partial documents are returned."""
+def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
+    """Parse and sort-check a scenario document; a horizon given here (by
+    --horizon) replaces the declared one. The first error wins; no partial
+    documents are returned."""
     table = SymbolTable()
     doc = ScenarioDoc(table)
     fp = _FormulaParser(table)
-    asserts = []
+    asserts, happens = [], []
     nu_totals = {}
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
@@ -416,20 +417,29 @@ def parse_scenario(text: str) -> ScenarioDoc:
         _parse_item(sx, doc, table, fp)
         if sx.items[0].text == "assert":
             asserts.append((doc.facts[-1].formula, _loc(sx)))
+        elif sx.items[0].text == "happens":
+            happens.append((doc.facts[-1], _loc(sx.items[2])))
         elif sx.items[0].text == "nu":
-            # nu facts add up in fact order, as NuTable.from_doc sums them:
+            # nu facts add up in fact order, as utility.nu_table sums them:
             # the fact whose value takes the total out of range is at fault
             f = doc.facts[-1]
             key = (f.agent, f.fluent, f.time)
             nu_totals[key] = total = nu_totals.get(key, 0.0) + f.value
             if not math.isfinite(total):
                 raise ParseError(f"nu value must be finite, got {total}", *_loc(sx.items[4]))
-    # (set max-depth d) may follow the asserts it bounds
+    # (set max-depth d) may follow the asserts it bounds, (horizon h) the
+    # occurrences it bounds
     max_depth = doc.config["max-depth"]
     for f, loc in asserts:
         if modal_depth(f) > max_depth:
             raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
                                 f"{print_formula(f)}", *loc)
+    if horizon is not None:
+        doc.horizon = horizon
+    for f, loc in happens:
+        if doc.horizon is not None and f.time > doc.horizon:
+            raise HorizonExceeded(f"happens({print_term(f.event)}, {f.time}) is past horizon "
+                                  f"{doc.horizon}", *loc)
     return doc
 
 

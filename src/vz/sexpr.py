@@ -95,10 +95,8 @@ def read_all(text: str) -> list:
 
     def read_one():
         nonlocal pos
-        tok, line, col = toks[pos]
+        tok, line, col = toks[pos]  # never the end: both callers look first
         pos += 1
-        if tok is None:
-            raise ParseError("unexpected end of input", line, col)
         if tok == "(":
             items = []
             while True:

@@ -14,8 +14,7 @@ from .errors import ArityMismatch, SortMismatch, UnknownSymbol
 
 class Record:
     """Base of vz's value classes. A subclass names its fields in
-    ``__slots__``; a slot whose name starts with ``_`` is private state,
-    not a field. Class keywords give the trailing fields defaults.
+    ``__slots__``. Class keywords give the trailing fields defaults.
 
     Unless its body defines them, each subclass gets an ``__init__`` that
     takes the fields in order and then calls ``__post_init__`` if there is
@@ -27,7 +26,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **defaults):
-        cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._fields = fields = cls.__slots__
         mine = "".join(f"self.{f}, " for f in fields)
         theirs = "".join(f"other.{f}, " for f in fields)
         body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)

@@ -14,8 +14,8 @@ from vz.ec import project
 from vz.emotions import EmotionKind
 from vz.generalize import HIGHER_ORDER, anti_unify, generalize_sets
 from vz.inference import KnowledgeBase, saturate
-from vz.learner import (Situation, TraitCriteria, apply_trait, detect_trait,
-                        identify_exemplars, learn_trait)
+from vz.learner import (Situation, apply_trait, detect_trait, identify_exemplars,
+                        learn_trait)
 from vz.printer import print_formula, print_term
 from vz.scenario import parse_scenario
 from vz.subst import apply_substitution, match
@@ -64,7 +64,7 @@ def test_c1_marketplace_golden():
     with open(os.path.join(CORPUS, "marketplace.vz"), encoding="utf-8") as fh:
         doc = parse_scenario(fh.read())
     situations = doc.observations
-    trait = learn_trait(situations, [s.performed for s in situations])
+    trait = learn_trait(situations, [s.performed for s in situations], min_situations=2)
 
     from vz.terms import HOLDS, Application, FunctionSymbol, Sort
     utter = doc.symbols.functions["utter"]
@@ -135,29 +135,27 @@ def test_c4_utility_identities():
         for f in doc.fluents:
             for t in range(doc.horizon + 1):
                 assert math.isclose(mu(f, t, table, agents),
-                                    sum(table.get(a, f, t) for a in agents),
+                                    sum(table.get((a, f, t), 0.0) for a in agents),
                                     abs_tol=1e-9)
         for e, t in doc.happens:
             assert math.isclose(
                 mu_bar(e, t, tl, table, agents, doc.horizon),
                 sum(nu_bar(a, e, t, tl, table, doc.horizon) for a in agents),
                 abs_tol=1e-9)
-    from vz.utility import NuTable
     for _ in range(100):
         doc, agents, table = random_world(rng)
         # dyadic-rational values keep every partial sum exact, so the
         # independently ordered oracle sum must match bit for bit
-        table = NuTable.of({k: rng.randint(-48, 48) / 16.0
-                            for k, _ in table.entries})
+        table = {k: rng.randint(-48, 48) / 16.0 for k in table}
         tl = project(doc)
         for e, t in doc.happens:
             occ = tl.occurrence(e, t)
             expected = 0.0
             for y in range(t + 1, doc.horizon + 1):
                 for f in occ.initiated:
-                    expected += sum(table.get(a, f, y) for a in agents)
+                    expected += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
-                    expected -= sum(table.get(a, f, y) for a in agents)
+                    expected -= sum(table.get((a, f, y), 0.0) for a in agents)
             assert mu_bar(e, t, tl, table, agents, doc.horizon) == expected
 
 
@@ -194,8 +192,7 @@ def test_c8_threshold_behavior():
     from test_learner import OBSERVER, SELLER, TestDetectTrait, adm
     recs = [adm(OBSERVER, SELLER, i, i + 1) for i in range(5)]
     for n in range(1, 7):
-        out = identify_exemplars(recs, OBSERVER,
-                                 TraitCriteria(exemplar_threshold=n))
+        out = identify_exemplars(recs, OBSERVER, n)
         (r,) = out
         if n <= 5:
             assert r.admitted_at == n  # hold time of the n-th admiration

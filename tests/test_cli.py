@@ -59,10 +59,17 @@ class TestExitCodes:
             main(["frobnicate", "x.vz"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("last", ["(happens flip 2)", "(happens up 9)"])
-    def test_first_fault_in_happens_order_is_named(self, capsys, tmp_path, last):
-        # a cross-event conflict at 1 comes before a self-conflicting flip
-        # at 2, or before an occurrence past the horizon
+    @pytest.mark.parametrize("last, want", [
+        # a cross-event conflict at 1 comes before a self-conflicting flip at 2
+        pytest.param("(happens flip 2)",
+                     "error: fluent (p) both initiated and terminated at 1 (event down)",
+                     id="(happens flip 2)"),
+        # an occurrence past the horizon is refused where it stands, when
+        # the scenario is read and before any projection
+        pytest.param("(happens up 9)", "{p}:14:13: happens(up, 9) is past horizon 3",
+                     id="(happens up 9)"),
+    ])
+    def test_first_fault_in_happens_order_is_named(self, capsys, tmp_path, last, want):
         p = tmp_path / "faults.vz"
         p.write_text("(declare-agent a)\n(declare-fluent p ())\n(declare-fluent q ())\n"
                      "(declare-constant up event)\n(declare-constant down event)\n"
@@ -72,7 +79,25 @@ class TestExitCodes:
                      f"(happens up 1)\n(happens down 1)\n{last}\n")
         code, out, err = run_cli(capsys, "project", str(p))
         assert code == 1 and out == ""
-        assert err == "error: fluent (p) both initiated and terminated at 1 (event down)\n"
+        assert err == want.format(p=p) + "\n"
+
+    @pytest.mark.parametrize("horizon, flags, where", [
+        ("(horizon 2)", [], "4:28: happens((action jack (a)), 3) is past horizon 2"),
+        ("(horizon 5)", ["--horizon", "1"],
+         "4:28: happens((action jack (a)), 3) is past horizon 1"),
+        ("", ["--horizon", "1"], "4:28: happens((action jack (a)), 3) is past horizon 1"),
+    ])
+    def test_happens_past_the_horizon(self, capsys, tmp_path, horizon, flags, where):
+        # declared or set by --horizon, the horizon bounds every occurrence,
+        # checked when the scenario is read, so by every subcommand
+        p = tmp_path / "late.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-action-type a ())\n{horizon}\n"
+                     "(happens (action jack (a)) 3)\n")
+        for command in _COMMANDS:
+            code, out, err = run_cli(capsys, command, str(p), *flags)
+            assert code == 1 and out == ""
+            assert err == f"{p}:{where}\n"
+        assert run_cli(capsys, "check", str(p), "--horizon", "3") == (0, "ok: 1 facts\n", "")
 
 
 class TestMalformedInput:
@@ -127,6 +152,19 @@ class TestMalformedInput:
         # the location is in the trait file, not in the scenario
         assert err == f"{traits}:{where}\n"
 
+
+    @pytest.mark.parametrize("text, where", [
+        ("(declare-agent jack)\n(nu jack $)\n", "2:10: unexpected character '$'"),
+        ("(horizon 1.2.3)\n", "1:10: bad number '1.2.3'"),
+        ("(declare-agent jack)\n(declare-fluent f (agent)\n", "2:1: unclosed parenthesis"),
+        ("(declare-agent jack))\n", "1:21: unmatched ')'"),
+    ])
+    def test_reader_diagnostic(self, capsys, tmp_path, text, where):
+        p = tmp_path / "unreadable.vz"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert code == 1 and out == ""
+        assert err == f"{p}:{where}\n"
 
     def test_moment_constant_rejected(self, capsys, tmp_path):
         # moments are numerals; a named one used to crash `vz infer`

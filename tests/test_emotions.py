@@ -1,18 +1,17 @@
 import pytest
 
 from vz.ec import project
-from vz.emotions import (EmotionKind, EmotionRecord, Theta, World,
-                         eval_admiration, eval_distress, eval_happy_for,
-                         eval_joy, eval_occ_table_emotion, sweep_emotions,
+from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
+                         eval_distress, eval_happy_for, eval_joy,
+                         eval_occ_table_emotion, sweep_emotions, theta_gates,
                          world_from_doc)
 from vz.errors import InvalidRecord, UnknownOccurrence
 from vz.scenario import HappensFact, parse_scenario
 from vz.terms import ACTION, Application, Sort
-from vz.utility import NuTable
 
 from conftest import add_effects, make_doc
 
-ALWAYS = lambda *agents: Theta(tuple((a, "always") for a in agents))
+ALWAYS = lambda *agents: {a: "always" for a in agents}
 
 
 def simple_world(nu_entries, initiated=(), terminated=(), horizon=4,
@@ -28,8 +27,7 @@ def simple_world(nu_entries, initiated=(), terminated=(), horizon=4,
     a0 = doc.symbols.constants["ag0"]
     a1 = doc.symbols.constants["ag1"]
     by_name = {"a0": a0, "a1": a1}
-    table = NuTable.of({(by_name[k[0]], doc.fluents[k[1]], k[2]): v
-                        for k, v in nu_entries.items()})
+    table = {(by_name[k[0]], doc.fluents[k[1]], k[2]): v for k, v in nu_entries.items()}
     theta = theta if theta is not None else ALWAYS(a0, a1)
     return World(tl, table, theta, (a0, a1), horizon), e, a0, a1, doc
 
@@ -37,7 +35,7 @@ def simple_world(nu_entries, initiated=(), terminated=(), horizon=4,
 class TestJoyDistress:
     def test_theta_never_blocks(self):
         w, e, a0, a1, _ = simple_world({("a0", 0, 2): 2.0}, initiated=[0],
-                                       theta=Theta())
+                                       theta={})
         assert not eval_joy(a0, e, 1, 2, w)
 
     def test_joy_positive_clean(self):
@@ -57,7 +55,7 @@ class TestJoyDistress:
         w, e, a0, _, _ = simple_world({("a0", 0, 2): -3.0}, initiated=[0])
         assert eval_distress(a0, e, 1, 0, w)
         assert not eval_distress(a0, e, 1, 0,
-                                 World(w.timeline, w.nu, Theta(), w.agents, w.horizon))
+                                 World(w.timeline, w.nu, {}, w.agents, w.horizon))
 
     def test_unknown_occurrence(self):
         w, e, a0, _, _ = simple_world({}, initiated=[0])
@@ -105,8 +103,7 @@ def action_world(nu_entries, horizon=4):
     doc.facts.append(HappensFact(ev, 1))
     tl = project(doc)
     by_name = {"a0": a0, "a1": a1}
-    table = NuTable.of({(by_name[k[0]], doc.fluents[k[1]], k[2]): v
-                        for k, v in nu_entries.items()})
+    table = {(by_name[k[0]], doc.fluents[k[1]], k[2]): v for k, v in nu_entries.items()}
     w = World(tl, table, ALWAYS(a0, a1), (a0, a1), horizon)
     return w, alpha(), a0, a1
 
@@ -129,25 +126,25 @@ class TestAdmiration:
     def test_invariant_under_nu_redistribution(self, rng):
         w, alpha, a0, a1 = action_world({("a0", 0, 2): 2.0, ("a1", 0, 3): 1.0})
         f = None
-        for (ag, fl, t), v in w.nu._index.items():
+        for (ag, fl, t), v in w.nu.items():
             f = fl
         base = eval_admiration(a1, a0, alpha, 1, 0, w)
         for _ in range(100):
             # redistribute each (fluent, t) total between the two agents
             entries = {}
             for t in range(w.horizon + 1):
-                total = sum(w.nu.get(a, f, t) for a in w.agents)
+                total = sum(w.nu.get((a, f, t), 0.0) for a in w.agents)
                 share = rng.uniform(-5, 5)
                 entries[(a0, f, t)] = share
                 entries[(a1, f, t)] = total - share
-            w2 = World(w.timeline, NuTable.of(entries), w.theta, w.agents, w.horizon)
+            w2 = World(w.timeline, entries, w.theta, w.agents, w.horizon)
             assert eval_admiration(a1, a0, alpha, 1, 0, w2) == base
 
 
 class TestSweep:
     def test_theta_never_empty(self):
         w, e, a0, a1, _ = simple_world({("a0", 0, 2): 1.0}, initiated=[0],
-                                       theta=Theta())
+                                       theta={})
         assert sweep_emotions(w) == []
 
     def test_mutual_exclusion_and_determinism(self):
@@ -169,6 +166,16 @@ class TestSweep:
         part = sweep_emotions(gated)
         assert part == [r for r in full if r.subject == a1]
 
+    def test_theta_gates_of_a_scenario(self):
+        # at facts collect moments; a later always or never replaces what
+        # came before, and an at fact after it starts afresh; an agent
+        # without a theta fact is absent
+        doc = parse_scenario("(declare-agent a) (declare-agent b) (declare-agent c)\n"
+                             "(declare-agent d) (theta a at 1) (theta a at 3)\n"
+                             "(theta b at 2) (theta b never) (theta c always) (theta c at 2)\n")
+        a, b, c, d = doc.agents
+        assert theta_gates(doc) == {a: frozenset({1, 3}), b: "never", c: frozenset({2})}
+
     def test_single_agent_no_other_directed(self):
         doc = make_doc(1, 1, horizon=3)
         # fresh doc with one agent only
@@ -181,7 +188,7 @@ class TestSweep:
         add_effects(doc, e, initiated=[f])
         doc.facts.append(HappensFact(e, 1))
         tl = project(doc)
-        w = World(tl, NuTable.of({(solo, f, 2): 1.0}), ALWAYS(solo), (solo,), 3)
+        w = World(tl, {(solo, f, 2): 1.0}, ALWAYS(solo), (solo,), 3)
         recs = sweep_emotions(w)
         assert recs and all(r.kind is EmotionKind.JOY for r in recs)
 
@@ -194,25 +201,34 @@ class TestSweep:
 def _raw_nu_bar(world, agent, occ):
     s = 0.0
     for y in range(occ.time + 1, world.horizon + 1):
-        s += sum(world.nu.get(agent, f, y) for f in occ.initiated)
-        s -= sum(world.nu.get(agent, f, y) for f in occ.terminated)
+        s += sum(world.nu.get((agent, f, y), 0.0) for f in occ.initiated)
+        s -= sum(world.nu.get((agent, f, y), 0.0) for f in occ.terminated)
     return s
 
 
 def _raw_mu(world, f, t):
-    return sum(world.nu.get(a, f, t) for a in world.agents)
+    return sum(world.nu.get((a, f, t), 0.0) for a in world.agents)
+
+
+def _raw_theta(world, agent, t):
+    gate = world.theta.get(agent)
+    if isinstance(gate, frozenset):
+        return t in gate
+    return gate == "always"
 
 
 def reference_eval(kind, a, b, occ, t2, world):
-    if not world.theta.holds(a, t2):
+    if not _raw_theta(world, a, t2):
         return False
     moments = range(world.horizon + 1)
     if kind is EmotionKind.JOY:
         return (_raw_nu_bar(world, a, occ) > 0 and
-                all(world.nu.get(a, f, y) >= 0 for f in occ.initiated for y in moments))
+                all(world.nu.get((a, f, y), 0.0) >= 0
+                    for f in occ.initiated for y in moments))
     if kind is EmotionKind.DISTRESS:
         return (_raw_nu_bar(world, a, occ) < 0 and
-                all(world.nu.get(a, f, y) <= 0 for f in occ.initiated for y in moments))
+                all(world.nu.get((a, f, y), 0.0) <= 0
+                    for f in occ.initiated for y in moments))
     if kind is EmotionKind.ADMIRATION_FOR:
         ev = occ.event
         if (not isinstance(ev, Application) or ev.symbol.name != "action"
@@ -225,9 +241,9 @@ def reference_eval(kind, a, b, occ, t2, world):
         return False
     nb = _raw_nu_bar(world, b, occ)
     if kind in (EmotionKind.HAPPY_FOR, EmotionKind.RESENTMENT):
-        return nb > 0 and all(world.nu.get(b, f, y) >= 0
+        return nb > 0 and all(world.nu.get((b, f, y), 0.0) >= 0
                               for f in occ.initiated for y in moments)
-    return nb < 0 and all(world.nu.get(b, f, y) <= 0
+    return nb < 0 and all(world.nu.get((b, f, y), 0.0) <= 0
                           for f in occ.initiated for y in moments)
 
 
@@ -246,7 +262,15 @@ def random_emotion_world(rng):
     entries = {(a, f, t): rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
                for a in (a0, a1) for f in doc.fluents
                for t in range(doc.horizon + 1) if rng.random() < 0.6}
-    return World(tl, NuTable.of(entries), ALWAYS(a0, a1), (a0, a1), doc.horizon)
+    # each agent's gate: mostly always, else never, some moments, or none
+    gates = {}
+    for a in (a0, a1):
+        gate = rng.choice(["always", "always", "always", "never", "at", None])
+        if gate == "at":
+            gates[a] = frozenset(t for t in range(doc.horizon + 1) if rng.random() < 0.5)
+        elif gate is not None:
+            gates[a] = gate
+    return World(tl, entries, gates, (a0, a1), doc.horizon)
 
 
 def test_eval_matches_reference_interpreter(rng):

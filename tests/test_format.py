@@ -221,7 +221,7 @@ def test_trait_round_trip(mode):
         sits = doc.observations
         try:
             trait = learn_trait(sits, [s.performed for s in sits], mode,
-                                exemplar=doc.agents[0])
+                                exemplar=doc.agents[0], min_situations=2)
         except (NoAlignment, UnboundActionVariable):
             continue
         text = print_trait(trait)

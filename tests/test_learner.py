@@ -3,9 +3,9 @@ import pytest
 from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.generalize import FIRST_ORDER, HIGHER_ORDER
-from vz.learner import (ExemplarRecord, LearntTrait, Situation, TraitCriteria,
-                        apply_trait, check_consistency, detect_trait,
-                        identify_exemplars, learn_trait)
+from vz.learner import (ExemplarRecord, LearntTrait, Situation, apply_trait,
+                        check_consistency, detect_trait, identify_exemplars,
+                        learn_trait)
 from vz.printer import print_formula, print_term
 from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
@@ -60,21 +60,20 @@ class TestCheckConsistency:
 
 class TestDetectTrait:
     def test_two_of_two_performed(self):
-        assert detect_trait([SIGMA1, SIGMA2], UTTER, TraitCriteria())
+        assert detect_trait([SIGMA1, SIGMA2], UTTER, 2, 0.9)
 
     def test_never_available(self):
         history = [sit("s", 1, [], (BE_TRUTHFUL(), UTTER(BROKEN())), None),
                    sit("s2", 2, [], (BE_TRUTHFUL(),), None)]
-        assert not detect_trait(history, FunctionSymbol("sing", (), Sort.ACTION_TYPE),
-                                TraitCriteria())
+        assert not detect_trait(history, FunctionSymbol("sing", (), Sort.ACTION_TYPE), 2, 0.9)
 
     def test_eight_of_ten_below_fraction(self):
         history = []
         for i in range(10):
             perf = UTTER(BROKEN()) if i < 8 else BE_TRUTHFUL()
             history.append(sit(f"s{i}", i, [], (UTTER(BROKEN()), BE_TRUTHFUL()), perf))
-        assert not detect_trait(history, UTTER, TraitCriteria(fraction=0.9))
-        assert detect_trait(history, UTTER, TraitCriteria(fraction=0.8))
+        assert not detect_trait(history, UTTER, 2, 0.9)
+        assert detect_trait(history, UTTER, 2, 0.8)
 
     def test_gamma_sweep_flips_at_threshold(self):
         # 9 of 10 eligible situations performed: fraction = 0.9
@@ -83,17 +82,17 @@ class TestDetectTrait:
             perf = UTTER(BROKEN()) if i < 9 else BE_TRUTHFUL()
             history.append(sit(f"s{i}", i, [], (UTTER(BROKEN()), BE_TRUTHFUL()), perf))
         for gamma, expected in [(0.5, True), (0.8, True), (0.9, True), (1.0, False)]:
-            assert detect_trait(history, UTTER, TraitCriteria(fraction=gamma)) \
+            assert detect_trait(history, UTTER, 2, gamma) \
                 is expected
 
     def test_min_situations(self):
-        assert not detect_trait([SIGMA1], UTTER, TraitCriteria(min_situations=2))
-        assert detect_trait([SIGMA1], UTTER, TraitCriteria(min_situations=1))
+        assert not detect_trait([SIGMA1], UTTER, 2, 0.9)
+        assert detect_trait([SIGMA1], UTTER, 1, 0.9)
 
     def test_permutation_invariant(self):
         history = [SIGMA1, SIGMA2]
-        assert detect_trait(history, UTTER, TraitCriteria()) \
-            == detect_trait(list(reversed(history)), UTTER, TraitCriteria())
+        assert detect_trait(history, UTTER, 2, 0.9) \
+            == detect_trait(list(reversed(history)), UTTER, 2, 0.9)
 
     def test_inconsistent_alternatives_not_eligible(self):
         # every instantiation of utter contradicts the situation
@@ -101,7 +100,7 @@ class TestDetectTrait:
                  for alt in MARKET_ALTS]
         blocked = sit("s", 1, rules + [Not(Atom(LIED()))], MARKET_ALTS,
                       UTTER(BROKEN()))
-        assert not detect_trait([blocked, blocked], UTTER, TraitCriteria())
+        assert not detect_trait([blocked, blocked], UTTER, 2, 0.9)
 
 
 def adm(subject, obj, event_time, hold_time):
@@ -116,30 +115,30 @@ OBSERVER = Constant("observer", Sort.AGENT)
 
 class TestIdentifyExemplars:
     def test_no_records(self):
-        assert identify_exemplars([], OBSERVER, TraitCriteria()) == []
+        assert identify_exemplars([], OBSERVER, 2) == []
 
     def test_admitted_at_second_admiration(self):
         recs = [adm(OBSERVER, SELLER, 1, 3), adm(OBSERVER, SELLER, 1, 5)]
-        (r,) = identify_exemplars(recs, OBSERVER, TraitCriteria())
+        (r,) = identify_exemplars(recs, OBSERVER, 2)
         assert r == ExemplarRecord(OBSERVER, SELLER, 2, admitted_at=5)
 
     def test_threshold_separates_agents(self):
         recs = [adm(OBSERVER, SELLER, 1, 2), adm(OBSERVER, SELLER, 2, 3),
                 adm(OBSERVER, JILL, 1, 2)]
-        out = identify_exemplars(recs, OBSERVER, TraitCriteria())
+        out = identify_exemplars(recs, OBSERVER, 2)
         by_name = {r.exemplar.name: r for r in out}
         assert by_name["seller"].admitted_at == 3
         assert by_name["jill"].admitted_at is None
 
     def test_other_learners_records_ignored(self):
         recs = [adm(JILL, SELLER, 1, 2), adm(JILL, SELLER, 2, 3)]
-        assert identify_exemplars(recs, OBSERVER, TraitCriteria()) == []
+        assert identify_exemplars(recs, OBSERVER, 2) == []
 
     def test_monotone_admission(self):
         recs = [adm(OBSERVER, SELLER, 1, 2), adm(OBSERVER, SELLER, 2, 3)]
-        before = identify_exemplars(recs, OBSERVER, TraitCriteria())
+        before = identify_exemplars(recs, OBSERVER, 2)
         after = identify_exemplars(recs + [adm(OBSERVER, SELLER, 3, 4)],
-                                   OBSERVER, TraitCriteria())
+                                   OBSERVER, 2)
         admitted = {r.exemplar for r in before if r.admitted_at is not None}
         still = {r.exemplar for r in after if r.admitted_at is not None}
         assert admitted <= still
@@ -149,14 +148,15 @@ class TestLearnTrait:
     def test_marketplace_trait(self):
         trait = learn_trait([SIGMA1, SIGMA2],
                             [SIGMA1.performed, SIGMA2.performed],
-                            exemplar=SELLER)
+                            exemplar=SELLER, min_situations=2)
         (p,) = trait.pattern
         assert print_formula(p) == "(holds ?X0 ?t)"
         assert print_term(trait.action_pattern) == "(utter ?X0)"
         assert trait.source_situations == ("sigma1", "sigma2")
 
     def test_identical_inputs_ground_trait(self):
-        trait = learn_trait([SIGMA1, SIGMA1], [SIGMA1.performed, SIGMA1.performed])
+        trait = learn_trait([SIGMA1, SIGMA1], [SIGMA1.performed, SIGMA1.performed],
+                            min_situations=2)
         assert print_term(trait.action_pattern) == "(utter (broken))"
         assert print_formula(trait.pattern[0]) == "(holds (broken) ?t)"
 
@@ -165,14 +165,14 @@ class TestLearnTrait:
         situations = [sit(f"s{i}", i, [Atom(TALKING_WITH(a))],
                           (BE_TRUTHFUL(), UTTER(BROKEN())), BE_TRUTHFUL())
                       for i, a in enumerate(names)]
-        trait = learn_trait(situations, [BE_TRUTHFUL()] * 3)
+        trait = learn_trait(situations, [BE_TRUTHFUL()] * 3, min_situations=2)
         (p,) = trait.pattern
         assert print_formula(p) == "(talkingWith ?X0)"
         assert print_term(trait.action_pattern) == "(beTruthful)"
 
     def test_length_mismatch(self):
         with pytest.raises(NoAlignment):
-            learn_trait([SIGMA1, SIGMA2], [SIGMA1.performed])
+            learn_trait([SIGMA1, SIGMA2], [SIGMA1.performed], min_situations=2)
 
     def test_too_few_situations(self):
         with pytest.raises(NoAlignment):
@@ -187,7 +187,7 @@ class TestLearnTrait:
 class TestApplyTrait:
     def trait(self):
         return learn_trait([SIGMA1, SIGMA2],
-                           [SIGMA1.performed, SIGMA2.performed])
+                           [SIGMA1.performed, SIGMA2.performed], min_situations=2)
 
     def test_single_match(self):
         sigma = sit("fresh", 5, [holds(BROKEN(), moment(5))])
@@ -366,7 +366,7 @@ def learnt(situations, performed, mode):
     """The trait as one formula (its patterns and a happens atom of its
     action), or the type of the error learning raised."""
     try:
-        trait = learn_trait(situations, performed, mode)
+        trait = learn_trait(situations, performed, mode, min_situations=2)
     except (NoAlignment, UnboundActionVariable) as exc:
         return type(exc)
     return And(trait.pattern + (happens_action(JACK, trait.action_pattern, 0),))

@@ -1,11 +1,11 @@
 import pytest
 
 from vz.ec import Occurrence, Timeline
-from vz.emotions import EmotionKind, EmotionRecord, Theta, World
+from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import SortMismatch
 from vz.generalize import Generalization, SetGeneralization
 from vz.inference import KnowledgeBase
-from vz.learner import ExemplarRecord, TraitCriteria
+from vz.learner import ExemplarRecord
 from vz.scenario import (AssertFact, GroupFact, HappensFact, InitiallyFact,
                          InitiatesRule, LearntTrait, NuFact, QueryFact,
                          ScenarioDoc, Situation, SymbolTable, TerminatesRule,
@@ -16,7 +16,6 @@ from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
                       Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
                       ModalOp, Not, Or, Ought, Record, Sort, SymbolVariable,
                       Variable, fits, moment, sort_of)
-from vz.utility import NuTable
 
 from conftest import (A, B, F2, G1, HUNGRY, JACK, JILL, LIKES, TALKING_WITH,
                       alpha_equal, renaming_equal)
@@ -162,7 +161,6 @@ AT = Atom(HUNGRY(JACK))
 EVENT = Constant("storm", Sort.EVENT)
 WAVE = FunctionSymbol("wave", (), Sort.ACTION_TYPE)
 DO_WAVE = Atom(Application(HAPPENS, (Application(ACTION, (JACK, WAVE())), moment(2))))
-TL = Timeline(3, frozenset({(A, 0)}), ())
 TABLE = SymbolTable()
 
 
@@ -202,12 +200,8 @@ def record_samples():
         LearntTrait: [((AT,), WAVE()), ((AT,), WAVE(), JACK)],
         Occurrence: [(EVENT, 1, (A,), ()), (EVENT, 1, (), (A,))],
         Timeline: [(3, frozenset(), ()), (3, frozenset({(A, 0)}), ())],
-        NuTable: [(), ((((JACK, A, 1), 1.0),),)],
-        Theta: [(), (((JACK, "always"),),)],
         EmotionRecord: [(EmotionKind.JOY, JACK, None, EVENT, 1, 2),
                         (EmotionKind.PITY_FOR, JACK, JILL, EVENT, 1, 2)],
-        World: [(TL, NuTable(), Theta(), (JACK,), 3), (TL, NuTable(), Theta(), (JILL,), 3)],
-        TraitCriteria: [(), (3,)],
         ExemplarRecord: [(JACK, JILL, 2), (JACK, JILL, 2, 5)],
         Generalization: [(AT, ()), (Not(AT), ())],
         SetGeneralization: [((AT,), (), True, ()), ((AT,), (), False, ())],
@@ -268,8 +262,6 @@ def test_record_repr():
         "Modal(op=<ModalOp.KNOWS: 'knows'>, agents=(jack:agent,), time=1:moment, "
         "body=(hungry jack:agent))")
     assert repr(ThetaFact(JACK, "at", 2)) == "ThetaFact(agent=jack:agent, mode='at', time=2)"
-    assert repr(TraitCriteria()) == \
-        "TraitCriteria(min_situations=2, fraction=0.9, exemplar_threshold=2)"
     assert repr(Situation("s", 1, (hungry,))) == (
         "Situation(id='s', time=1, formulas=((hungry jack:agent),), alternatives=(), "
         "performed=None, agent=None)")
@@ -281,18 +273,14 @@ def test_record_repr():
 def test_record_keywords_and_defaults():
     docs = [ScenarioDoc(TABLE, horizon=3) for _ in range(2)]
     assert docs[0].horizon == 3 and docs[0].facts == [] and docs[0].facts is not docs[1].facts
-    assert docs[0].config == {"mode": "fo", "max-depth": 3}
+    assert docs[0].config == {"mode": "fo", "max-depth": 3, "n": 2, "m": 2, "gamma": 0.9}
     assert docs[0].config is not docs[1].config
     docs[0].horizon = 4  # a scenario document is filled in place
     assert docs[0].horizon == 4
-    assert TraitCriteria(fraction=0.9) == TraitCriteria(2, 0.9, 2)
-    assert TraitCriteria(fraction=0.5).fraction == 0.5
     assert ExemplarRecord(JACK, JILL, 2, admitted_at=5).admitted_at == 5
     assert ExemplarRecord(JACK, JILL, 2).admitted_at is None
     assert Application(WAVE).args == ()
     assert Situation("s", 1, (), performed=WAVE()) == Situation("s", 1, (), (), WAVE(), None)
     # __post_init__ still checks each new record
-    with pytest.raises(ValueError):
-        TraitCriteria(fraction=0)
     with pytest.raises(SortMismatch):
         Ought(JACK, moment(1), AT, AT)

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from vz.ec import project
-from vz.errors import SortMismatch, UnknownOccurrence
+from vz.errors import UnknownOccurrence
 from vz.scenario import HappensFact, parse_scenario
-from vz.utility import NuTable, mu, mu_bar, nu_bar
+from vz.utility import mu, mu_bar, nu_bar, nu_table
 
 from conftest import add_effects, make_doc
 
@@ -23,22 +23,20 @@ def two_agent_world():
 
 class TestPointUtilities:
     def test_nu_lookup_and_default(self):
-        doc, f, e, a0, a1 = two_agent_world()
-        table = NuTable.of({(a0, f, 2): 1.5})
-        assert table.get(a0, f, 2) == 1.5
-        assert table.get(a0, f, 3) == 0.0
-        assert table.get(a1, f, 2) == 0.0
+        # nu_table holds the stated entries only; mu and the totals read
+        # an absent one as 0
+        doc = parse_scenario("(declare-agent jack)\n(declare-agent jill)\n"
+                             "(declare-fluent lit ())\n(nu jack (lit) 2 1.5)\n")
+        jack, jill = doc.agents
+        lit = doc.nu_facts[0].fluent
+        assert nu_table(doc) == {(jack, lit, 2): 1.5}
+        assert mu(lit, 2, nu_table(doc), [jack, jill]) == 1.5
+        assert mu(lit, 3, nu_table(doc), [jack, jill]) == 0.0
 
     def test_mu_sums_over_agents(self):
         doc, f, e, a0, a1 = two_agent_world()
-        table = NuTable.of({(a0, f, 2): 1.0, (a1, f, 2): -0.25})
+        table = {(a0, f, 2): 1.0, (a1, f, 2): -0.25}
         assert mu(f, 2, table, [a0, a1]) == 0.75
-
-    def test_non_finite_rejected(self):
-        doc, f, e, a0, _ = two_agent_world()
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(SortMismatch):
-                NuTable.of({(a0, f, 1): bad})
 
     def test_duplicate_nu_facts_are_summed(self):
         # each (nu a f t v) fact adds v, so stating one twice reads 2v
@@ -46,14 +44,14 @@ class TestPointUtilities:
                              "(nu jack (lit) 2 1.5)\n(nu jack (lit) 2 1.5)\n")
         jack = doc.symbols.constants["jack"]
         lit = doc.nu_facts[0].fluent
-        assert NuTable.from_doc(doc).get(jack, lit, 2) == 3.0
+        assert nu_table(doc) == {(jack, lit, 2): 3.0}
 
 
 class TestEventTotals:
     def test_nu_bar_sums_future_initiated(self):
         doc, f, e, a0, _ = two_agent_world()
         tl = project(doc)
-        table = NuTable.of({(a0, f, t): 1.0 for t in range(5)})
+        table = {(a0, f, t): 1.0 for t in range(5)}
         # y ranges over 2..4; the entry at the event's own moment is excluded
         assert nu_bar(a0, e, 1, tl, table, 4) == 3.0
 
@@ -64,21 +62,20 @@ class TestEventTotals:
         doc.facts.append(HappensFact(e, 0))
         a0 = doc.symbols.constants["ag0"]
         tl = project(doc)
-        table = NuTable.of({(a0, f, t): 2.0 for t in range(4)})
+        table = {(a0, f, t): 2.0 for t in range(4)}
         assert nu_bar(a0, e, 0, tl, table, 3) == -6.0
 
     def test_mu_bar_example(self):
         doc, f, e, a0, a1 = two_agent_world()
         tl = project(doc)
-        table = NuTable.of({(a0, f, 2): 1.0, (a1, f, 2): 1.0,
-                            (a0, f, 3): -0.5})
+        table = {(a0, f, 2): 1.0, (a1, f, 2): 1.0, (a0, f, 3): -0.5}
         assert mu_bar(e, 1, tl, table, [a0, a1], 4) == 1.5
 
     def test_unknown_occurrence(self):
         doc, f, e, a0, _ = two_agent_world()
         tl = project(doc)
         with pytest.raises(UnknownOccurrence):
-            nu_bar(a0, e, 2, tl, NuTable(), 4)
+            nu_bar(a0, e, 2, tl, {}, 4)
 
 
 def random_world(rng):
@@ -105,10 +102,10 @@ def _random_world_once(rng):
     doc.facts.append(HappensFact(doc.events[1], rng.randint(0, doc.horizon)))
     agents = [doc.symbols.constants["ag0"],
               doc.symbols.constants["ag1"]]
-    table = NuTable.of({
+    table = {
         (a, f, t): round(rng.uniform(-3, 3), 3)
         for a in agents for f in doc.fluents for t in range(doc.horizon + 1)
-        if rng.random() < 0.7})
+        if rng.random() < 0.7}
     return doc, agents, table
 
 
@@ -134,15 +131,17 @@ def test_event_totals_match_double_sum_oracle(rng):
             for a in agents:
                 expected = 0.0
                 for y in range(t + 1, doc.horizon + 1):
-                    expected += sum(table.get(a, f, y) for f in sorted(occ.initiated, key=str))
-                    expected -= sum(table.get(a, f, y) for f in sorted(occ.terminated, key=str))
+                    expected += sum(table.get((a, f, y), 0.0)
+                                    for f in sorted(occ.initiated, key=str))
+                    expected -= sum(table.get((a, f, y), 0.0)
+                                    for f in sorted(occ.terminated, key=str))
                 assert math.isclose(nu_bar(a, e, t, tl, table, doc.horizon),
                                     expected, abs_tol=1e-9)
             expected_mu = 0.0
             for y in range(t + 1, doc.horizon + 1):
                 for f in occ.initiated:
-                    expected_mu += sum(table.get(a, f, y) for a in agents)
+                    expected_mu += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
-                    expected_mu -= sum(table.get(a, f, y) for a in agents)
+                    expected_mu -= sum(table.get((a, f, y), 0.0) for a in agents)
             assert math.isclose(mu_bar(e, t, tl, table, agents, doc.horizon),
                                 expected_mu, abs_tol=1e-9)
