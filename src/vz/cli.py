@@ -50,9 +50,9 @@ def _load(path: str, args):
 
 
 def _learner_agent(doc) -> Constant:
-    if not doc.agents:
+    if not doc.symbols.agents:
         raise VzError("scenario declares no agents")
-    return doc.config.get("learner", doc.agents[0])
+    return doc.config.get("learner", doc.symbols.agents[0])
 
 
 def cmd_check(args, rep):
@@ -81,17 +81,17 @@ def cmd_project(args, rep):
 
 
 def cmd_utility(args, rep):
-    from .utility import mu_bar, nu_bar, nu_table
+    from .utility import mu_bar, nu_bar
     doc = _load(args.file, args)
     tl = ec.project(doc)
-    table = nu_table(doc)
+    agents = doc.symbols.agents
     for occ in tl.occurrences:
         ev = print_term(occ.event)
-        total = mu_bar(occ.event, occ.time, tl, table, doc.agents, tl.horizon)
+        total = mu_bar(occ.event, occ.time, tl, doc.nu, agents, tl.horizon)
         rep.emit("mu-bar", f"(mu-bar {ev} {occ.time} {print_real(total)})",
                  event=ev, time=occ.time, value=total)
-        for a in doc.agents:
-            v = nu_bar(a, occ.event, occ.time, tl, table, tl.horizon)
+        for a in agents:
+            v = nu_bar(a, occ.event, occ.time, tl, doc.nu, tl.horizon)
             rep.emit("nu-bar", f"(nu-bar {a.name} {ev} {occ.time} {print_real(v)})",
                      agent=a.name, event=ev, time=occ.time, value=v)
 

@@ -5,7 +5,7 @@ makes its initiated fluents hold from t+1 onward, until clipped.
 """
 from __future__ import annotations
 
-from .errors import ConflictingEffects, HorizonExceeded, UnknownOccurrence
+from .errors import ConflictingEffects, UnknownOccurrence
 from .printer import print_term
 from .scenario import ScenarioDoc
 from .subst import apply_substitution, match
@@ -20,9 +20,6 @@ class Occurrence(Record):
 class Timeline(Record):
     # holds_set: a frozenset of (fluent Term, moment int); occurrences: a tuple
     __slots__ = ("horizon", "holds_set", "occurrences")
-
-    def holds(self, fluent: Term, t: int) -> bool:
-        return (fluent, t) in self.holds_set
 
     def occurrence(self, event: Term, t: int) -> Occurrence:
         for occ in self.occurrences:
@@ -51,18 +48,16 @@ def project(doc: ScenarioDoc) -> Timeline:
     """Inertia over [0, H] in one forward pass: the state at t+1 is the
     state at t, less the fluents terminated at t when t > 0 (clipping is
     over an open interval, so a terminator at 0 clips nothing), plus those
-    initiated at t. Occurrences are checked in `happens` order; the first
-    past the horizon, or the first whose moment then both initiates and
-    terminates a fluent, is an error. Each distinct event is matched
-    against the effect rules once."""
+    initiated at t. Occurrences are taken in `happens` order, which the
+    reader has checked against the horizon; the first whose moment then
+    both initiates and terminates a fluent is an error. Each distinct
+    event is matched against the effect rules once."""
     horizon = doc.effective_horizon()
-    rules = (doc.initiates_rules, doc.terminates_rules)
+    rules = (doc.initiates, doc.terminates)
     matched: dict = {}  # event -> [(rule, substitution)] of each rule kind
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
     for event, t in doc.happens:
-        if t > horizon:
-            raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon {horizon}")
         if event not in matched:
             matched[event] = [[(r, s) for r in kind if (s := match(r.event, event)) is not None]
                               for kind in rules]

@@ -10,25 +10,9 @@ from __future__ import annotations
 import enum
 
 from .ec import Timeline
-from .errors import InvalidRecord
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Record, Term
-from .utility import mu, mu_bar, nu_bar, nu_table
-
-
-def theta_gates(doc) -> dict:
-    """θ of a scenario, each agent's emotional susceptibility: "always",
-    "never", or the frozenset of moments its (theta a at t) facts name. A
-    later always or never fact replaces what came before it; an agent
-    without a theta fact is absent and reads as never."""
-    gates = {}
-    for f in doc.theta_facts:
-        cur = gates.get(f.agent)
-        if f.mode == "at":
-            gates[f.agent] = (cur if isinstance(cur, frozenset) else frozenset()) | {f.time}
-        else:
-            gates[f.agent] = f.mode
-    return gates
+from .utility import mu, mu_bar, nu_bar
 
 
 def _open(theta: dict, agent: Constant, t: int) -> bool:
@@ -46,21 +30,11 @@ class EmotionKind(enum.Enum):
     ADMIRATION_FOR = "admiration-for"
 
 
-_OTHER_DIRECTED = {EmotionKind.HAPPY_FOR, EmotionKind.GLOATING,
-                   EmotionKind.PITY_FOR, EmotionKind.RESENTMENT,
-                   EmotionKind.ADMIRATION_FOR}
-
-
 class EmotionRecord(Record):
     """An emotion of ``subject`` (towards ``object``, a Constant or None)
     held at ``hold_time`` about the occurrence of ``event`` at
     ``event_time``."""
     __slots__ = ("kind", "subject", "object", "event", "event_time", "hold_time")
-
-    def __post_init__(self):
-        if self.kind in _OTHER_DIRECTED and (self.object is None
-                                             or self.object == self.subject):
-            raise InvalidRecord(f"{self.kind.value} needs an object other than its subject")
 
     def sort_key(self):
         return (self.kind.value, self.subject.name,
@@ -69,8 +43,9 @@ class EmotionRecord(Record):
 
 
 class World:
-    """Everything emotion evaluation needs: the projected timeline, ν (a
-    nu_table), θ (a theta_gates map), the declared agents, and the horizon."""
+    """Everything emotion evaluation needs: the projected timeline, ν and
+    θ (dicts as in ScenarioDoc.nu and ScenarioDoc.theta), the declared
+    agents, and the horizon."""
     __slots__ = ("timeline", "nu", "theta", "agents", "horizon")
 
     def __init__(self, timeline: Timeline, nu: dict, theta: dict, agents, horizon: int):
@@ -175,8 +150,7 @@ def sweep_emotions(world: World) -> list[EmotionRecord]:
 
 
 def world_from_doc(doc, timeline: Timeline) -> World:
-    return World(timeline, nu_table(doc), theta_gates(doc), tuple(doc.agents),
-                 timeline.horizon)
+    return World(timeline, doc.nu, doc.theta, tuple(doc.symbols.agents), timeline.horizon)
 
 
 def print_record(r: EmotionRecord) -> str:

@@ -71,10 +71,6 @@ class DepthExceeded(SourceError):
     pass
 
 
-class InvalidRecord(VzError):
-    pass
-
-
 class Incompatible(VzError):
     pass
 

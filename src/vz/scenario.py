@@ -9,7 +9,6 @@ against a scenario's symbols and written by ``print_trait``.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .errors import (DepthExceeded, DuplicateDeclaration, HorizonExceeded, ParseError,
                      SortMismatch, UnboundActionVariable, UndeclaredSymbol)
@@ -74,36 +73,10 @@ class SymbolTable:
 # Document model
 
 
-class InitiallyFact(Record):
-    __slots__ = ("fluent",)
-
-
-class HappensFact(Record):
-    __slots__ = ("event", "time")  # a Term, an int
-
-
-class NuFact(Record):
-    __slots__ = ("agent", "fluent", "time", "value")  # a Constant, a Term, an int, a float
-
-
-class ThetaFact(Record, time=None):
-    __slots__ = ("agent", "mode", "time")  # mode: always | never | at; time: an int for at
-
-
-class InitiatesRule(Record):
-    __slots__ = ("event", "fluent", "time")  # Terms; time a moment constant or variable
-
-
-class TerminatesRule(Record):
+class EffectRule(Record):
+    """An (initiates ...) or (terminates ...) rule: the event and fluent
+    Terms, and a moment constant or variable."""
     __slots__ = ("event", "fluent", "time")
-
-
-class AssertFact(Record):
-    __slots__ = ("formula",)
-
-
-class GroupFact(Record):
-    __slots__ = ("formulas",)  # a tuple of Formulas
 
 
 class Situation(Record, alternatives=(), performed=None, agent=None):
@@ -118,83 +91,45 @@ class QueryFact(Record):
     __slots__ = ("id", "time", "formulas")
 
 
-Fact = Union[InitiallyFact, HappensFact, NuFact, ThetaFact, InitiatesRule,
-             TerminatesRule, AssertFact, GroupFact, Situation, QueryFact]
-
-
 class ScenarioDoc:
-    """A parsed scenario, filled in place by the parser and the
-    command-line overrides; horizon is None when undeclared."""
-    __slots__ = ("symbols", "facts", "horizon", "config")
+    """A parsed scenario, filled in place by the reader and the
+    command-line overrides. The reader files each fact where its stage
+    reads it:
 
-    def __init__(self, symbols: SymbolTable, facts: list[Fact] | None = None,
-                 horizon: int | None = None, config: dict | None = None):
+    - facts: the (line, col) of each fact item;
+    - initially: fluents;
+    - happens: a dict whose keys are the distinct (event, moment)
+      occurrences in first-seen order (happens is a predicate, so a
+      repeated fact states nothing new), each mapped to the (line, col)
+      of its first moment, or None in a document built in code;
+    - nu: ν, from (agent, fluent, moment) to the sum of its nu facts,
+      added in fact order; an absent key reads 0;
+    - theta: Θ, from an agent to "always", "never" or the frozenset of
+      moments its (theta a at t) facts name; a later always or never
+      replaces what came before it, and an absent agent reads never;
+    - initiates and terminates: EffectRules;
+    - asserts: formulas; groups: tuples of formulas;
+    - observations: Situations; queries: QueryFacts.
+
+    horizon is None when undeclared; last_moment is the largest moment
+    that a happens, nu, theta, observe or query item names."""
+    __slots__ = ("symbols", "horizon", "config", "facts", "initially", "happens", "nu",
+                 "theta", "initiates", "terminates", "asserts", "groups", "observations",
+                 "queries", "last_moment")
+
+    def __init__(self, symbols: SymbolTable, horizon: int | None = None):
         self.symbols = symbols
-        self.facts = [] if facts is None else facts
         self.horizon = horizon
         # every setting's default; learner, when unset, is the first agent
         self.config = {"mode": FIRST_ORDER, "max-depth": DEFAULT_MAX_DEPTH,
-                       "n": 2, "m": 2, "gamma": 0.9} if config is None else config
-
-    def _of(self, cls):
-        return [f for f in self.facts if isinstance(f, cls)]
-
-    @property
-    def agents(self) -> list[Constant]:
-        return list(self.symbols.agents)
-
-    @property
-    def initially(self):
-        return [f.fluent for f in self._of(InitiallyFact)]
-
-    @property
-    def happens(self):
-        """Distinct (event, time) occurrences in first-seen order: happens
-        is a predicate, so a repeated fact states nothing new."""
-        return list(dict.fromkeys((f.event, f.time) for f in self._of(HappensFact)))
-
-    @property
-    def nu_facts(self):
-        return self._of(NuFact)
-
-    @property
-    def theta_facts(self):
-        return self._of(ThetaFact)
-
-    @property
-    def initiates_rules(self):
-        return self._of(InitiatesRule)
-
-    @property
-    def terminates_rules(self):
-        return self._of(TerminatesRule)
-
-    @property
-    def asserts(self):
-        return [f.formula for f in self._of(AssertFact)]
-
-    @property
-    def groups(self):
-        return [f.formulas for f in self._of(GroupFact)]
-
-    @property
-    def observations(self):
-        return self._of(Situation)
-
-    @property
-    def queries(self):
-        return self._of(QueryFact)
+                       "n": 2, "m": 2, "gamma": 0.9}
+        self.facts, self.initially, self.happens, self.nu, self.theta = [], [], {}, {}, {}
+        self.initiates, self.terminates, self.asserts, self.groups = [], [], [], []
+        self.observations, self.queries = [], []
+        self.last_moment = 0
 
     def effective_horizon(self) -> int:
-        if self.horizon is not None:
-            return self.horizon
-        times = [0]
-        for f in self.facts:
-            if isinstance(f, (HappensFact, NuFact, Situation, QueryFact)):
-                times.append(f.time)
-            elif isinstance(f, ThetaFact) and f.time is not None:
-                times.append(f.time)
-        return max(times)
+        return self.last_moment if self.horizon is None else self.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -406,52 +341,44 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     """Parse and sort-check a scenario document; a horizon given here (by
     --horizon) replaces the declared one. The first error wins; no partial
     documents are returned."""
-    table = SymbolTable()
-    doc = ScenarioDoc(table)
-    fp = _FormulaParser(table)
-    asserts, happens = [], []
-    nu_totals = {}
+    doc = ScenarioDoc(SymbolTable())
+    fp = _FormulaParser(doc.symbols)
+    assert_locs = []  # the (line, col) of each of doc.asserts
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
             raise ParseError("expected a (keyword ...) item", *_loc(sx))
-        _parse_item(sx, doc, table, fp)
-        if sx.items[0].text == "assert":
-            asserts.append((doc.facts[-1].formula, _loc(sx)))
-        elif sx.items[0].text == "happens":
-            happens.append((doc.facts[-1], _loc(sx.items[2])))
-        elif sx.items[0].text == "nu":
-            # nu facts add up in fact order, as utility.nu_table sums them:
-            # the fact whose value takes the total out of range is at fault
-            f = doc.facts[-1]
-            key = (f.agent, f.fluent, f.time)
-            nu_totals[key] = total = nu_totals.get(key, 0.0) + f.value
-            if not math.isfinite(total):
-                raise ParseError(f"nu value must be finite, got {total}", *_loc(sx.items[4]))
+        _parse_item(sx, doc, fp, assert_locs)
     # (set max-depth d) may follow the asserts it bounds, (horizon h) the
     # occurrences it bounds
     max_depth = doc.config["max-depth"]
-    for f, loc in asserts:
+    for f, loc in zip(doc.asserts, assert_locs):
         if modal_depth(f) > max_depth:
             raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
                                 f"{print_formula(f)}", *loc)
     if horizon is not None:
         doc.horizon = horizon
-    for f, loc in happens:
-        if doc.horizon is not None and f.time > doc.horizon:
-            raise HorizonExceeded(f"happens({print_term(f.event)}, {f.time}) is past horizon "
+    for (event, t), loc in doc.happens.items():
+        if doc.horizon is not None and t > doc.horizon:
+            raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon "
                                   f"{doc.horizon}", *loc)
     return doc
 
 
-def _parse_item(sx, doc, table, fp):
+def _parse_item(sx, doc, fp, assert_locs):
     head = sx.items[0].text
     body = sx.items[1:]
     loc = _loc(sx)
+    table = doc.symbols
     fp.fresh_scope()
 
     def need(n):
         if len(body) != n:
             raise ParseError(f"({head} ...) expects {n} parts", *loc)
+
+    def fact_moment(part) -> int:
+        t = _expect_moment(part)
+        doc.last_moment = max(doc.last_moment, t)
+        return t
 
     if head == "declare-agent":
         need(1)
@@ -497,21 +424,23 @@ def _parse_item(sx, doc, table, fp):
         doc.config[key] = check_setting(key, value, _loc(body[1]), table)
     elif head == "initially":
         need(1)
-        doc.facts.append(InitiallyFact(fp.term(body[0], Sort.FLUENT)))
+        doc.initially.append(fp.term(body[0], Sort.FLUENT))
     elif head == "happens":
         need(2)
-        ev = fp.term(body[0], Sort.EVENT)
-        doc.facts.append(HappensFact(ev, _expect_moment(body[1])))
+        occurrence = (fp.term(body[0], Sort.EVENT), fact_moment(body[1]))
+        doc.happens.setdefault(occurrence, _loc(body[1]))
     elif head == "nu":
         need(4)
-        agent = fp.term(body[0], Sort.AGENT)
-        fluent = fp.term(body[1], Sort.FLUENT)
-        t = _expect_moment(body[2])
+        key = (fp.term(body[0], Sort.AGENT), fp.term(body[1], Sort.FLUENT),
+               fact_moment(body[2]))
         if not isinstance(body[3], SNum):
             raise ParseError("nu value must be a number", *_loc(body[3]))
         # float of the literal text: a literal too large for a float reads
-        # as inf (float of its int would raise), which parse_scenario rejects
-        doc.facts.append(NuFact(agent, fluent, t, float(body[3].text)))
+        # as inf (float of its int would raise); the fact whose value takes
+        # its key's sum out of range is at fault
+        doc.nu[key] = total = doc.nu.get(key, 0.0) + float(body[3].text)
+        if not math.isfinite(total):
+            raise ParseError(f"nu value must be finite, got {total}", *_loc(body[3]))
     elif head == "theta":
         if len(body) not in (2, 3):
             raise ParseError("(theta ...) expects 2 or 3 parts", *loc)
@@ -519,28 +448,33 @@ def _parse_item(sx, doc, table, fp):
         mode = _expect_sym(body[1])
         if mode in ("always", "never"):
             need(2)
-            doc.facts.append(ThetaFact(agent, mode))
+            doc.theta[agent] = mode
         elif mode == "at":
             need(3)
-            doc.facts.append(ThetaFact(agent, "at", _expect_moment(body[2])))
+            gate = doc.theta.get(agent)
+            doc.theta[agent] = ((gate if isinstance(gate, frozenset) else frozenset())
+                                | {fact_moment(body[2])})
         else:
             raise ParseError("theta mode must be always, never, or at", *loc)
     elif head in ("initiates", "terminates"):
         need(3)
-        ev = fp.term(body[0], Sort.EVENT)
-        fl = fp.term(body[1], Sort.FLUENT)
-        tm = fp.effect_time(body[2])
-        cls = InitiatesRule if head == "initiates" else TerminatesRule
-        doc.facts.append(cls(ev, fl, tm))
+        rule = EffectRule(fp.term(body[0], Sort.EVENT), fp.term(body[1], Sort.FLUENT),
+                          fp.effect_time(body[2]))
+        (doc.initiates if head == "initiates" else doc.terminates).append(rule)
     elif head == "assert":
         need(1)
-        doc.facts.append(AssertFact(fp.formula(body[0])))
+        doc.asserts.append(fp.formula(body[0]))
+        assert_locs.append(loc)
     elif head == "group":
-        doc.facts.append(GroupFact(tuple(fp.formula(f) for f in body)))
+        doc.groups.append(tuple(fp.formula(f) for f in body))
     elif head in _SITUATION_SECTIONS:
-        doc.facts.append(_parse_situation(head, body, loc, fp))
+        fact = _parse_situation(head, body, loc, fp)
+        doc.last_moment = max(doc.last_moment, fact.time)
+        (doc.queries if head == "query" else doc.observations).append(fact)
     else:
         raise ParseError(f"unknown item {head!r}", *loc)
+    if head not in ("horizon", "set") and not head.startswith("declare-"):
+        doc.facts.append(loc)
 
 
 def _section_arg(sec, what):

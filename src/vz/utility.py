@@ -1,23 +1,12 @@
 """Agent-specific and agent-neutral utilities and their event totals.
 
-ν is a plain dict from (agent, fluent, moment) to a real; an absent key
-reads 0.
+ν is a plain dict from (agent, fluent, moment) to a real, as the reader
+files it in ScenarioDoc.nu; an absent key reads 0.
 """
 from __future__ import annotations
 
 from .ec import Timeline
 from .terms import Constant, Term
-
-
-def nu_table(doc) -> dict:
-    """ν of a scenario: each (agent, fluent, moment) maps to the sum of its
-    (nu ...) facts, added in fact order, which the parser has checked is
-    finite."""
-    table = {}
-    for f in doc.nu_facts:
-        key = (f.agent, f.fluent, f.time)
-        table[key] = table.get(key, 0.0) + f.value
-    return table
 
 
 def mu(fluent: Term, t: int, table: dict, agents) -> float:

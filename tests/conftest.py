@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from vz.scenario import (HappensFact, InitiallyFact, InitiatesRule, NuFact,
-                         ScenarioDoc, SymbolTable, TerminatesRule, ThetaFact)
+from vz.scenario import EffectRule, ScenarioDoc, SymbolTable
 from vz.terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
                       Sort, SymbolVariable, Variable, children, rebuild)
 
@@ -50,10 +49,8 @@ TVAR = Variable("t", MO)
 
 
 def add_effects(doc, event, initiated=(), terminated=()):
-    for f in initiated:
-        doc.facts.append(InitiatesRule(event, f, TVAR))
-    for f in terminated:
-        doc.facts.append(TerminatesRule(event, f, TVAR))
+    doc.initiates.extend(EffectRule(event, f, TVAR) for f in initiated)
+    doc.terminates.extend(EffectRule(event, f, TVAR) for f in terminated)
 
 
 def random_ec_doc(rng: random.Random, max_fluents=4, max_events=3, max_h=5):
@@ -63,7 +60,7 @@ def random_ec_doc(rng: random.Random, max_fluents=4, max_events=3, max_h=5):
     doc = make_doc(nf, ne, horizon=h)
     for f in doc.fluents:
         if rng.random() < 0.5:
-            doc.facts.append(InitiallyFact(f))
+            doc.initially.append(f)
     for e in doc.events:
         pool = list(doc.fluents)
         rng.shuffle(pool)
@@ -71,7 +68,7 @@ def random_ec_doc(rng: random.Random, max_fluents=4, max_events=3, max_h=5):
         init = pool[:k // 2]
         term = pool[k // 2:k]
         add_effects(doc, e, init, term)
-        doc.facts.append(HappensFact(e, rng.randint(0, h)))
+        doc.happens[e, rng.randint(0, h)] = None
     return doc
 
 

@@ -302,8 +302,20 @@ class TestMalformedInput:
 
 class TestSubcommands:
     def test_check_counts_facts(self, capsys):
-        code, out, _ = run_cli(capsys, "check", MARKETPLACE)
-        assert code == 0 and out.startswith("ok: ")
+        # one per fact item; declarations, (horizon h) and (set ...) are not facts
+        for path, count in ((HONESTY, 2), (LIKES, 2), (MARKETPLACE, 13), (OBLIGATION, 3)):
+            assert run_cli(capsys, "check", path) == (0, f"ok: {count} facts\n", "")
+
+    def test_check_counts_each_repeated_fact(self, capsys, tmp_path):
+        # a repeated happens and two nu facts on one key each count as a
+        # fact, though projection sees one occurrence and ν one sum
+        p = tmp_path / "repeated.vz"
+        p.write_text("(declare-agent a)\n(declare-fluent p ())\n(declare-action-type up ())\n"
+                     "(initiates (action ?x (up)) (p) t)\n(happens (action a (up)) 1)\n"
+                     "(happens (action a (up)) 1)\n(nu a (p) 2 1.5)\n(nu a (p) 2 1.5)\n")
+        assert run_cli(capsys, "check", str(p)) == (0, "ok: 5 facts\n", "")
+        assert run_cli(capsys, "utility", str(p)) == (
+            0, "(mu-bar (action a (up)) 1 3.0)\n(nu-bar a (action a (up)) 1 3.0)\n", "")
 
     def test_project(self, capsys):
         code, out, _ = run_cli(capsys, "project", MARKETPLACE)
@@ -564,6 +576,19 @@ class TestOverrides:
         code, out, _ = run_cli(capsys, "project", MARKETPLACE, "--horizon", "4")
         assert code == 0
         assert out.splitlines()[0] == "(horizon 4)"
+
+    @pytest.mark.parametrize("item", [
+        "(theta a at 9) (theta a always)", "(nu a (p) 9 1.0)", "(happens (action a (up)) 9)",
+        "(observe s (agent a) (time 9))", "(query q (time 9))"])
+    def test_undeclared_horizon_is_the_largest_moment_read(self, capsys, tmp_path, item):
+        # a theta moment counts even when a later always fact replaces it;
+        # a rule's time and the moments in formulas do not count
+        p = tmp_path / "moments.vz"
+        p.write_text("(declare-agent a)\n(declare-fluent p ())\n(declare-action-type up ())\n"
+                     "(initiates (action ?x (up)) (p) 12)\n(assert (knows a 15 (holds (p) 15)))\n"
+                     "(theta a at 3)\n" + item + "\n")
+        code, out, _ = run_cli(capsys, "project", str(p))
+        assert code == 0 and out.splitlines()[0] == "(horizon 9)"
 
 
 # Mutation test: corpus s-expressions with items dropped, duplicated,

@@ -6,8 +6,7 @@ import pytest
 from vz.ec import project
 from vz.errors import ConflictingEffects, HorizonExceeded
 from vz.printer import print_term
-from vz.scenario import (HappensFact, InitiallyFact, InitiatesRule,
-                         parse_scenario)
+from vz.scenario import parse_scenario
 from vz.subst import apply_substitution, match
 from vz.terms import Application, Sort, Variable, is_ground, moment
 
@@ -42,7 +41,7 @@ class TestProjectExamples:
     def test_pure_inertia(self):
         doc = make_doc(1, 0, horizon=3)
         f = doc.fluents[0]
-        doc.facts.append(InitiallyFact(f))
+        doc.initially.append(f)
         tl = project(doc)
         assert tl.holds_set == frozenset((f, t) for t in range(4))
 
@@ -50,32 +49,34 @@ class TestProjectExamples:
         doc = make_doc(1, 1, horizon=3)
         f, e = doc.fluents[0], doc.events[0]
         add_effects(doc, e, initiated=[f])
-        doc.facts.append(HappensFact(e, 1))
+        doc.happens[e, 1] = None
         tl = project(doc)
-        assert tl.holds(f, 2) and tl.holds(f, 3)
-        assert not tl.holds(f, 1) and not tl.holds(f, 0)
+        assert {t for (g, t) in tl.holds_set if g == f} == {2, 3}
 
     def test_termination_clips(self):
         doc = make_doc(1, 2, horizon=4)
         f, e, e2 = doc.fluents[0], doc.events[0], doc.events[1]
         add_effects(doc, e, initiated=[f])
         add_effects(doc, e2, terminated=[f])
-        doc.facts.append(HappensFact(e, 1))
-        doc.facts.append(HappensFact(e2, 2))
+        doc.happens[e, 1] = None
+        doc.happens[e2, 2] = None
         tl = project(doc)
         assert {t for (g, t) in tl.holds_set if g == f} == {2}
 
     def test_horizon_exceeded(self):
-        doc = make_doc(1, 1, horizon=2)
-        doc.facts.append(HappensFact(doc.events[0], 5))
-        with pytest.raises(HorizonExceeded):
-            project(doc)
+        # the reader rejects an occurrence past the horizon, declared before
+        # or after it or given to the reader, so projection never meets one
+        for text, horizon in (("(horizon 2) (happens e0 5)", None),
+                              ("(happens e0 5) (horizon 9)", 2), ("(happens e0 5)", 4)):
+            with pytest.raises(HorizonExceeded) as exc:
+                parse_scenario("(declare-constant e0 event) " + text, horizon)
+            assert exc.value.message == f"happens(e0, 5) is past horizon {horizon or 2}"
 
     def test_conflicting_effects(self):
         doc = make_doc(1, 1, horizon=3)
         f, e = doc.fluents[0], doc.events[0]
         add_effects(doc, e, initiated=[f], terminated=[f])
-        doc.facts.append(HappensFact(e, 1))
+        doc.happens[e, 1] = None
         with pytest.raises(ConflictingEffects):
             project(doc)
 
@@ -84,8 +85,8 @@ class TestProjectExamples:
         f, e, e2 = doc.fluents[0], doc.events[0], doc.events[1]
         add_effects(doc, e, initiated=[f])
         add_effects(doc, e2, terminated=[f])
-        doc.facts.append(HappensFact(e, 1))
-        doc.facts.append(HappensFact(e2, 1))
+        doc.happens[e, 1] = None
+        doc.happens[e2, 1] = None
         with pytest.raises(ConflictingEffects):
             project(doc)
 
@@ -93,7 +94,7 @@ class TestProjectExamples:
 class TestEffects:
     def test_no_matching_rules(self):
         doc = make_doc(1, 1, horizon=2)
-        doc.facts.append(HappensFact(doc.events[0], 1))
+        doc.happens[doc.events[0], 1] = None
         (occ,) = project(doc).occurrences
         assert (occ.initiated, occ.terminated) == ((), ())
 
@@ -166,13 +167,13 @@ def test_exhaustive_small_family_matches_oracle():
             fl = doc.fluents
             for i, m in enumerate(init_state):
                 if m:
-                    doc.facts.append(InitiallyFact(fl[i]))
+                    doc.initially.append(fl[i])
             add_effects(doc, doc.events[0],
                         [fl[i] for i in s1[0]], [fl[i] for i in s1[1]])
             add_effects(doc, doc.events[1],
                         [fl[i] for i in s2[0]], [fl[i] for i in s2[1]])
-            doc.facts.append(HappensFact(doc.events[0], t1))
-            doc.facts.append(HappensFact(doc.events[1], t2))
+            doc.happens[doc.events[0], t1] = None
+            doc.happens[doc.events[1], t2] = None
             try:
                 tl, expected, by_definition = oracle_holds(doc)
             except ConflictingEffects:
@@ -198,7 +199,7 @@ def test_random_scenarios_match_oracle_and_invariants(rng):
             for t2 in range(t + 1, tl.horizon + 1):
                 if any(t <= o.time < t2 and f in o.terminated for o in tl.occurrences):
                     break
-                assert tl.holds(f, t2)
+                assert (f, t2) in tl.holds_set
         # no spontaneous fluents
         initial = set(doc.initially)
         for (f, t) in tl.holds_set:
@@ -261,8 +262,8 @@ def test_rule_effects_match_per_occurrence_oracle(rng):
         doc = parse_scenario(random_rule_text(rng))
         expected, conflict, by_time = [], None, {}
         for event, t in doc.happens:
-            init = per_occurrence_effects(doc.initiates_rules, event, t)
-            term = per_occurrence_effects(doc.terminates_rules, event, t)
+            init = per_occurrence_effects(doc.initiates, event, t)
+            term = per_occurrence_effects(doc.terminates, event, t)
             init_t, term_t = by_time.setdefault(t, (set(), set()))
             init_t |= init
             term_t |= term
@@ -278,7 +279,7 @@ def test_rule_effects_match_per_occurrence_oracle(rng):
             continue
         got = [(o.event, o.time, o.initiated, o.terminated) for o in project(doc).occurrences]
         assert got == expected
-        fixed = {r.time for r in doc.initiates_rules + doc.terminates_rules
+        fixed = {r.time for r in doc.initiates + doc.terminates
                  if not isinstance(r.time, Variable)}
         seen_fixed += any(o[2] + o[3] and moment(o[1]) in fixed for o in got)
         effects = {}

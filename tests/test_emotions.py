@@ -3,10 +3,9 @@ import pytest
 from vz.ec import project
 from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
                          eval_distress, eval_happy_for, eval_joy,
-                         eval_occ_table_emotion, sweep_emotions, theta_gates,
-                         world_from_doc)
-from vz.errors import InvalidRecord, UnknownOccurrence
-from vz.scenario import HappensFact, parse_scenario
+                         eval_occ_table_emotion, sweep_emotions)
+from vz.errors import UnknownOccurrence
+from vz.scenario import parse_scenario
 from vz.terms import ACTION, Application, Sort
 
 from conftest import add_effects, make_doc
@@ -22,7 +21,7 @@ def simple_world(nu_entries, initiated=(), terminated=(), horizon=4,
     add_effects(doc, e,
                 [doc.fluents[i] for i in initiated],
                 [doc.fluents[i] for i in terminated])
-    doc.facts.append(HappensFact(e, 1))
+    doc.happens[e, 1] = None
     tl = project(doc)
     a0 = doc.symbols.constants["ag0"]
     a1 = doc.symbols.constants["ag1"]
@@ -100,7 +99,7 @@ def action_world(nu_entries, horizon=4):
     a1 = doc.symbols.constants["ag1"]
     ev = Application(ACTION, (a0, alpha()))
     add_effects(doc, ev, initiated=[doc.fluents[0]])
-    doc.facts.append(HappensFact(ev, 1))
+    doc.happens[ev, 1] = None
     tl = project(doc)
     by_name = {"a0": a0, "a1": a1}
     table = {(by_name[k[0]], doc.fluents[k[1]], k[2]): v for k, v in nu_entries.items()}
@@ -173,8 +172,8 @@ class TestSweep:
         doc = parse_scenario("(declare-agent a) (declare-agent b) (declare-agent c)\n"
                              "(declare-agent d) (theta a at 1) (theta a at 3)\n"
                              "(theta b at 2) (theta b never) (theta c always) (theta c at 2)\n")
-        a, b, c, d = doc.agents
-        assert theta_gates(doc) == {a: frozenset({1, 3}), b: "never", c: frozenset({2})}
+        a, b, c, d = doc.symbols.agents
+        assert doc.theta == {a: frozenset({1, 3}), b: "never", c: frozenset({2})}
 
     def test_single_agent_no_other_directed(self):
         doc = make_doc(1, 1, horizon=3)
@@ -186,7 +185,7 @@ class TestSweep:
         e = table.declare_constant("e0", Sort.EVENT)
         solo = table.declare_constant("solo", Sort.AGENT)
         add_effects(doc, e, initiated=[f])
-        doc.facts.append(HappensFact(e, 1))
+        doc.happens[e, 1] = None
         tl = project(doc)
         w = World(tl, {(solo, f, 2): 1.0}, ALWAYS(solo), (solo,), 3)
         recs = sweep_emotions(w)
@@ -257,7 +256,7 @@ def random_emotion_world(rng):
     rng.shuffle(pool)
     k = rng.randint(1, len(pool))
     add_effects(doc, ev, pool[:k // 2 + 1], pool[k // 2 + 1:k])
-    doc.facts.append(HappensFact(ev, rng.randint(0, doc.horizon)))
+    doc.happens[ev, rng.randint(0, doc.horizon)] = None
     tl = project(doc)
     entries = {(a, f, t): rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
                for a in (a0, a1) for f in doc.fluents
@@ -300,14 +299,20 @@ def test_eval_matches_reference_interpreter(rng):
                                               a, b, occ, t2, w)
 
 
-@pytest.mark.parametrize("kind", [EmotionKind.HAPPY_FOR, EmotionKind.GLOATING,
-                                  EmotionKind.PITY_FOR, EmotionKind.RESENTMENT,
-                                  EmotionKind.ADMIRATION_FOR])
-def test_other_directed_record_needs_another_object(kind):
-    doc = make_doc(1, 1)
-    a0, a1 = doc.symbols.constants["ag0"], doc.symbols.constants["ag1"]
-    e = doc.events[0]
-    EmotionRecord(kind, a0, a1, e, 1, 2)
-    for obj in (None, a0):
-        with pytest.raises(InvalidRecord):
-            EmotionRecord(kind, a0, obj, e, 1, 2)
+def test_sweep_matches_reference_interpreter(rng):
+    """On the same random worlds, the sweep yields each instance that the
+    transcription accepts exactly once, in sort order, and no other: so
+    no record lacks its object or is directed at its own subject."""
+    for _ in range(300):
+        w = random_emotion_world(rng)
+        occ = w.timeline.occurrences[0]
+        records = sweep_emotions(w)
+        got = [(r.kind, r.subject, r.object, r.event, r.event_time, r.hold_time)
+               for r in records]
+        self_directed = (EmotionKind.JOY, EmotionKind.DISTRESS)
+        expected = {(kind, a, b, occ.event, occ.time, t2)
+                    for t2 in range(w.horizon + 1) for a in w.agents for kind in EmotionKind
+                    for b in ((None,) if kind in self_directed else w.agents)
+                    if reference_eval(kind, a, b, occ, t2, w)}
+        assert len(got) == len(set(got)) and set(got) == expected
+        assert records == sorted(records, key=EmotionRecord.sort_key)

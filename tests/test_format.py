@@ -10,8 +10,8 @@ from vz.errors import (DuplicateDeclaration, ParseError, SortMismatch,
 from vz.printer import print_formula, print_term
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.learner import learn_trait
-from vz.scenario import (NuFact, SymbolTable, _FormulaParser, parse_scenario,
-                         parse_traits, print_trait)
+from vz.scenario import (SymbolTable, _FormulaParser, parse_scenario, parse_traits,
+                         print_trait)
 from vz.sexpr import read_all
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
                       Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
@@ -43,10 +43,8 @@ class TestScenarioParsing:
 
     def test_nu_fact(self):
         doc = parse_scenario(HEADER + "(nu jack (broken) 1 -2.0)")
-        fact = doc.nu_facts[0]
-        assert fact == NuFact(Constant("jack", Sort.AGENT),
-                              fact.fluent, 1, -2.0)
-        assert fact.value == -2.0
+        broken = doc.symbols.functions["broken"]()
+        assert doc.nu == {(Constant("jack", Sort.AGENT), broken, 1): -2.0}
 
     def test_situation_fact(self):
         doc = parse_scenario(HEADER + "(initially (broken))\n(horizon 3)")
@@ -221,7 +219,7 @@ def test_trait_round_trip(mode):
         sits = doc.observations
         try:
             trait = learn_trait(sits, [s.performed for s in sits], mode,
-                                exemplar=doc.agents[0], min_situations=2)
+                                exemplar=doc.symbols.agents[0], min_situations=2)
         except (NoAlignment, UnboundActionVariable):
             continue
         text = print_trait(trait)

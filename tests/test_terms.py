@@ -6,10 +6,8 @@ from vz.errors import SortMismatch
 from vz.generalize import Generalization, SetGeneralization
 from vz.inference import KnowledgeBase
 from vz.learner import ExemplarRecord
-from vz.scenario import (AssertFact, GroupFact, HappensFact, InitiallyFact,
-                         InitiatesRule, LearntTrait, NuFact, QueryFact,
-                         ScenarioDoc, Situation, SymbolTable, TerminatesRule,
-                         ThetaFact)
+from vz.scenario import (EffectRule, LearntTrait, QueryFact, ScenarioDoc, Situation,
+                         SymbolTable)
 from vz.sexpr import SList, SNum, SSym
 from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
@@ -187,14 +185,7 @@ def record_samples():
         SSym: [("a", 1, 2), ("a", 1, 3)],
         SNum: [("1", 1, 2), ("2", 1, 2)],
         SList: [((), 1, 1), ((SSym("a", 1, 2),), 1, 1)],
-        InitiallyFact: [(A,), (B,)],
-        HappensFact: [(EVENT, 1), (EVENT, 2)],
-        NuFact: [(JACK, A, 1, 1.0), (JACK, A, 1, -1.0)],
-        ThetaFact: [(JACK, "always"), (JACK, "at", 2)],
-        InitiatesRule: [(EVENT, A, T), (EVENT, B, T)],
-        TerminatesRule: [(EVENT, A, T), (EVENT, A, moment(1))],
-        AssertFact: [(AT,), (Not(AT),)],
-        GroupFact: [((AT,),), ((AT, AT),)],
+        EffectRule: [(EVENT, A, T), (EVENT, A, moment(1))],
         Situation: [("s", 1, (AT,)), ("s", 1, (AT,), (), WAVE())],
         QueryFact: [("q", 1, (AT,)), ("q", 2, (AT,))],
         LearntTrait: [((AT,), WAVE()), ((AT,), WAVE(), JACK)],
@@ -232,7 +223,6 @@ def test_records_equal_iff_same_class_and_fields():
             same = type(x) is type(y) and fields(x) == fields(y)
             assert (x == y) is same and (x != y) is not same, (x, y)
     # same fields, other class
-    assert InitiatesRule(EVENT, A, T) != TerminatesRule(EVENT, A, T)
     assert Variable("x", Sort.AGENT) != Constant("x", Sort.AGENT)
 
 
@@ -261,7 +251,7 @@ def test_record_repr():
     assert repr(Modal(ModalOp.KNOWS, (JACK,), moment(1), hungry)) == (
         "Modal(op=<ModalOp.KNOWS: 'knows'>, agents=(jack:agent,), time=1:moment, "
         "body=(hungry jack:agent))")
-    assert repr(ThetaFact(JACK, "at", 2)) == "ThetaFact(agent=jack:agent, mode='at', time=2)"
+    assert repr(QueryFact("q", 2, ())) == "QueryFact(id='q', time=2, formulas=())"
     assert repr(Situation("s", 1, (hungry,))) == (
         "Situation(id='s', time=1, formulas=((hungry jack:agent),), alternatives=(), "
         "performed=None, agent=None)")

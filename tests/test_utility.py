@@ -4,8 +4,8 @@ import pytest
 
 from vz.ec import project
 from vz.errors import UnknownOccurrence
-from vz.scenario import HappensFact, parse_scenario
-from vz.utility import mu, mu_bar, nu_bar, nu_table
+from vz.scenario import parse_scenario
+from vz.utility import mu, mu_bar, nu_bar
 
 from conftest import add_effects, make_doc
 
@@ -15,7 +15,7 @@ def two_agent_world():
     doc = make_doc(1, 1, horizon=4)
     f, e = doc.fluents[0], doc.events[0]
     add_effects(doc, e, initiated=[f])
-    doc.facts.append(HappensFact(e, 1))
+    doc.happens[e, 1] = None
     a0 = doc.symbols.constants["ag0"]
     a1 = doc.symbols.constants["ag1"]
     return doc, f, e, a0, a1
@@ -23,15 +23,15 @@ def two_agent_world():
 
 class TestPointUtilities:
     def test_nu_lookup_and_default(self):
-        # nu_table holds the stated entries only; mu and the totals read
-        # an absent one as 0
+        # the reader's ν holds the stated entries only; mu and the totals
+        # read an absent one as 0
         doc = parse_scenario("(declare-agent jack)\n(declare-agent jill)\n"
                              "(declare-fluent lit ())\n(nu jack (lit) 2 1.5)\n")
-        jack, jill = doc.agents
-        lit = doc.nu_facts[0].fluent
-        assert nu_table(doc) == {(jack, lit, 2): 1.5}
-        assert mu(lit, 2, nu_table(doc), [jack, jill]) == 1.5
-        assert mu(lit, 3, nu_table(doc), [jack, jill]) == 0.0
+        jack, jill = doc.symbols.agents
+        lit = doc.symbols.functions["lit"]()
+        assert doc.nu == {(jack, lit, 2): 1.5}
+        assert mu(lit, 2, doc.nu, [jack, jill]) == 1.5
+        assert mu(lit, 3, doc.nu, [jack, jill]) == 0.0
 
     def test_mu_sums_over_agents(self):
         doc, f, e, a0, a1 = two_agent_world()
@@ -43,8 +43,8 @@ class TestPointUtilities:
         doc = parse_scenario("(declare-agent jack)\n(declare-fluent lit ())\n"
                              "(nu jack (lit) 2 1.5)\n(nu jack (lit) 2 1.5)\n")
         jack = doc.symbols.constants["jack"]
-        lit = doc.nu_facts[0].fluent
-        assert nu_table(doc) == {(jack, lit, 2): 3.0}
+        lit = doc.symbols.functions["lit"]()
+        assert doc.nu == {(jack, lit, 2): 3.0}
 
 
 class TestEventTotals:
@@ -59,7 +59,7 @@ class TestEventTotals:
         doc = make_doc(1, 1, horizon=3)
         f, e = doc.fluents[0], doc.events[0]
         add_effects(doc, e, terminated=[f])
-        doc.facts.append(HappensFact(e, 0))
+        doc.happens[e, 0] = None
         a0 = doc.symbols.constants["ag0"]
         tl = project(doc)
         table = {(a0, f, t): 2.0 for t in range(4)}
@@ -98,8 +98,8 @@ def _random_world_once(rng):
         rng.shuffle(pool)
         k = rng.randint(0, len(pool))
         add_effects(doc, e, pool[:k // 2], pool[k // 2:k])
-    doc.facts.append(HappensFact(doc.events[0], 0))
-    doc.facts.append(HappensFact(doc.events[1], rng.randint(0, doc.horizon)))
+    doc.happens[doc.events[0], 0] = None
+    doc.happens[doc.events[1], rng.randint(0, doc.horizon)] = None
     agents = [doc.symbols.constants["ag0"],
               doc.symbols.constants["ag1"]]
     table = {
