@@ -99,11 +99,13 @@ def cmd_utility(args, rep):
 def _emit_records(records, rep):
     from . import emotions
     for r in records:
-        rep.emit("emotion", emotions.print_record(r),
-                 kind=r.kind.value, subject=r.subject.name,
-                 object=r.object.name if r.object else None,
-                 event=print_term(r.event), event_time=r.event_time,
-                 hold_time=r.hold_time)
+        if rep.as_json:
+            rep.emit("emotion", "", kind=r.kind.value, subject=r.subject.name,
+                     object=r.object.name if r.object else None,
+                     event=print_term(r.event), event_time=r.event_time,
+                     hold_time=r.hold_time)
+        else:
+            rep.emit("emotion", emotions.print_record(r))
 
 
 def cmd_emotions(args, rep):

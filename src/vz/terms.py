@@ -20,9 +20,11 @@ class Record:
     takes the fields in order and then calls ``__post_init__`` if there is
     one, an ``__eq__`` that holds between records of the same class with
     equal fields, and a ``__hash__`` of the tuple of the fields. These are
-    compiled once per class. A record refuses assignment."""
+    compiled once per class. A record refuses assignment, so its hash is
+    computed on first use and kept in the private ``_hash`` slot, which is
+    not a field; a record with an unhashable field raises on every hash."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **defaults):
@@ -38,9 +40,13 @@ class Record:
                   f"        return ({mine}) == ({theirs})\n"
                   f"    return NotImplemented\n"
                   f"def __hash__(self):\n"
-                  f"    return hash(({mine}))\n")
+                  f"    try:\n"
+                  f"        return self._hash\n"
+                  f"    except AttributeError:\n"
+                  f"        _set__hash(self, hash(({mine})))\n"
+                  f"        return self._hash\n")
         # the slot descriptors' setters write a field past the refusing __setattr__
-        methods = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        methods = {f"_set_{f}": getattr(cls, f).__set__ for f in fields + ("_hash",)}
         exec(source, methods)
         trailing = fields[len(fields) - len(defaults):]
         methods["__init__"].__defaults__ = tuple(defaults[f] for f in trailing)

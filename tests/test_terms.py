@@ -230,7 +230,49 @@ def test_record_hash_is_the_hash_of_its_fields():
     for cls, cases in record_samples().items():
         for args in cases:
             x = cls(*args)
-            assert hash(x) == hash(fields(x))
+            # the second hash reads the cached value
+            assert hash(x) == hash(x) == hash(fields(x))
+
+
+class CountingLeaf:
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+
+def test_record_hashes_its_fields_once():
+    leaf = CountingLeaf()
+    x = Not(leaf)
+    assert leaf.hashes == 0  # nothing is hashed until asked
+    assert hash(x) == hash(x) == hash((leaf,))
+    assert leaf.hashes == 2  # once for x, once for the tuple above
+
+
+def test_equal_records_built_apart_hash_equal():
+    x, y = (Modal(ModalOp.KNOWS, (JACK,), moment(1), AT) for _ in range(2))
+    assert x is not y
+    hash(x)  # only x has its hash cached
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+
+
+def test_unhashable_record_raises_on_every_hash():
+    x = Generalization(AT, ({X: A},))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_hash_cache_is_not_a_field():
+    x = Not(AT)
+    hash(x)
+    with pytest.raises(AttributeError):
+        setattr(x, "_hash", 0)
+    assert Not._fields == ("body",) and repr(x) == "Not(body=(hungry jack:agent))"
+    assert x == Not(AT) and hash(x) == hash((AT,))
 
 
 def test_frozen_records_refuse_assignment():
