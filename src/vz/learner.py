@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .emotions import EmotionKind, EmotionRecord
+from .emotions import EmotionKind
 from .errors import NoAlignment, UnsupportedFragment
 from .generalize import FIRST_ORDER, VarNamer, anti_unify, generalize_sets
 from .inference import horn_closure
 from .printer import print_term
-from .scenario import LearntTrait, QueryFact, Situation
+from .scenario import LearntTrait, Situation
 from .subst import apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
                     Constant, Not, Record, Sort, Term, free_variables, is_ground,
@@ -26,7 +26,7 @@ class ExemplarRecord(Record, admitted_at=None):
     __slots__ = ("learner", "exemplar", "admiration_count", "admitted_at")
 
 
-def check_consistency(sigma: Situation | QueryFact, alpha: Term, agent: Constant) -> bool:
+def check_consistency(sigma: Situation, alpha: Term, agent: Constant) -> bool:
     """True iff adding happens(action(agent, alpha), sigma.time) to the
     situation derives no contradiction and no effect conflict under the
     Horn closure."""
@@ -79,16 +79,15 @@ def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
 def identify_exemplars(records, learner: Constant, n: int) -> list[ExemplarRecord]:
     """One record per admired agent; admission happens at the hold time
     of the n-th admiration in chronological order."""
-    by_exemplar: dict[Constant, list[EmotionRecord]] = {}
+    hold_times: dict[Constant, list[int]] = {}
     for r in records:
         if r.kind is EmotionKind.ADMIRATION_FOR and r.subject == learner:
-            by_exemplar.setdefault(r.object, []).append(r)
+            hold_times.setdefault(r.object, []).append(r.hold_time)
     out = []
-    for exemplar in sorted(by_exemplar, key=lambda c: c.name):
-        rs = sorted(by_exemplar[exemplar],
-                    key=lambda r: (r.hold_time, r.event_time, print_term(r.event)))
-        admitted_at = rs[n - 1].hold_time if len(rs) >= n else None
-        out.append(ExemplarRecord(learner, exemplar, len(rs), admitted_at))
+    for exemplar in sorted(hold_times, key=lambda c: c.name):
+        times = sorted(hold_times[exemplar])
+        admitted_at = times[n - 1] if len(times) >= n else None
+        out.append(ExemplarRecord(learner, exemplar, len(times), admitted_at))
     return out
 
 
@@ -134,7 +133,7 @@ def _match_all(patterns, formulas, keep, binding: dict, i: int = 0):
         yield from _match_all(patterns, formulas, keep, merged, i + 1)
 
 
-def apply_trait(trait: LearntTrait, sigma: Situation | QueryFact,
+def apply_trait(trait: LearntTrait, sigma: Situation,
                 learner: Constant) -> list[Term]:
     """Proposed events: for every substitution making all pattern
     formulas match the situation (or query), the learner performs the

@@ -81,14 +81,11 @@ class EffectRule(Record):
 
 class Situation(Record, alternatives=(), performed=None, agent=None):
     """An (observe ...) item: the situation sigma in which an agent chose
-    the performed action type among the alternatives. Its id is a str,
-    its time an int, its formulas and alternatives tuples; performed and
-    agent may be None."""
+    the performed action type among the alternatives; or a (query ...)
+    item, which has only its id, time and formulas. Its id is a str, its
+    time an int, its formulas and alternatives tuples; performed and agent
+    may be None."""
     __slots__ = ("id", "time", "formulas", "alternatives", "performed", "agent")
-
-
-class QueryFact(Record):
-    __slots__ = ("id", "time", "formulas")
 
 
 class ScenarioDoc:
@@ -109,7 +106,7 @@ class ScenarioDoc:
       replaces what came before it, and an absent agent reads never;
     - initiates and terminates: EffectRules;
     - asserts: formulas; groups: tuples of formulas;
-    - observations: Situations; queries: QueryFacts.
+    - observations and queries: Situations.
 
     horizon is None when undeclared; last_moment is the largest moment
     that a happens, nu, theta, observe or query item names."""
@@ -522,7 +519,7 @@ def _parse_situation(head, body, loc, fp):
     time = _expect_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
     formulas = tuple(fp.formula(f) for f in _section_items(secs, "formulas"))
     if head == "query":
-        return QueryFact(sid, time, formulas)
+        return Situation(sid, time, formulas)
     alts = tuple(fp.term(t, Sort.ACTION_TYPE) for t in _section_items(secs, "alternatives"))
     performed = None
     if "performed" in secs:

@@ -1,14 +1,24 @@
 """Minimal s-expression reader with source positions.
 
-Tokens: parens, symbols (ASCII alphanumerics plus ``-_?*``), and signed
-decimal numbers. ``;`` starts a comment running to end of line.
+The input is ASCII. Its tokens are parens; numbers, an optional sign, a
+digit, then digits and at most one dot (``[+-]?[0-9][0-9.]*``); and
+symbols, runs of letters, digits and ``-_?*``. Spaces, tabs, carriage
+returns, newlines and comments (``;`` to the end of the line) separate
+them; any other character is an error. Lists nest at most MAX_NESTING
+deep.
 """
 from __future__ import annotations
 
-import bisect
+import re
 
 from .errors import ParseError
 from .terms import Record
+
+# The deepest that lists may nest. Every later pass over a term or
+# formula (the parser, modal_depth, printing, matching, saturate,
+# anti-unification) recurses a few frames per level, so this one bound
+# keeps them all inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 class SSym(Record):
@@ -37,80 +47,44 @@ class SList(Record):
     __slots__ = ("items", "line", "col")
 
 
-_SYMCHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_?*")
-_NUMCHARS = set("0123456789.")
+# [0-9] and the symbol class are ASCII only, unlike \d and \w
+_TOKEN = re.compile(r"(?P<skip>[ \t\r]+|;[^\n]*)|(?P<newline>\n)|(?P<open>\()|(?P<close>\))"
+                    r"|(?P<num>[+-]?[0-9][0-9.]*)|(?P<sym>[A-Za-z0-9_?*-]+)|(?P<bad>.)")
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.line_starts = [0]
-        for i, c in enumerate(text):
-            if c == "\n":
-                self.line_starts.append(i + 1)
-
-    def pos(self, i):
-        ln = bisect.bisect_right(self.line_starts, i) - 1
-        return ln + 1, i - self.line_starts[ln] + 1
-
-    def tokens(self):
-        text, n, i = self.text, len(self.text), 0
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n":
-                i += 1
-            elif c == ";":
-                while i < n and text[i] != "\n":
-                    i += 1
-            elif c in "()":
-                yield (c,) + self.pos(i)
-                i += 1
-            elif c.isdigit() or (c in "+-" and i + 1 < n and text[i + 1].isdigit()):
-                start = i
-                i += 1
-                while i < n and text[i] in _NUMCHARS:
-                    i += 1
-                word = text[start:i]
-                line, col = self.pos(start)
-                if word.count(".") > 1:
-                    raise ParseError(f"bad number {word!r}", line, col)
-                yield (SNum(word, line, col), line, col)
-            elif c in _SYMCHARS:
-                start = i
-                while i < n and text[i] in _SYMCHARS:
-                    i += 1
-                line, col = self.pos(start)
-                yield (SSym(text[start:i], line, col), line, col)
-            else:
-                line, col = self.pos(i)
-                raise ParseError(f"unexpected character {c!r}", line, col)
-        yield (None,) + self.pos(n)
+def _tokens(text):
+    """Yield (kind, text, line, col) for each paren and atom; kind is
+    "open", "close", "num" or "sym"."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        elif kind == "num" and word.count(".") > 1:
+            raise ParseError(f"bad number {word!r}", line, col)
+        elif kind != "skip":
+            yield kind, word, line, col
 
 
 def read_all(text: str) -> list:
-    """Parse every top-level s-expression in the input."""
-    toks = list(_Lexer(text).tokens())
-    pos = 0
-    out = []
-
-    def read_one():
-        nonlocal pos
-        tok, line, col = toks[pos]  # never the end: both callers look first
-        pos += 1
-        if tok == "(":
-            items = []
-            while True:
-                nxt, _, _ = toks[pos]
-                if nxt is None:
-                    raise ParseError("unclosed parenthesis", line, col)
-                if nxt == ")":
-                    pos += 1
-                    return SList(tuple(items), line, col)
-                items.append(read_one())
-        if tok == ")":
-            raise ParseError("unmatched ')'", line, col)
-        return tok
-
-    while toks[pos][0] is not None:
-        out.append(read_one())
-    return out
+    """Parse every top-level s-expression in the input. The whole text is
+    lexed first, so a lexical fault is named before a structural one."""
+    stack = [([], None, None)]  # each open list's items and (line, col), the top level first
+    for kind, word, line, col in list(_tokens(text)):
+        if kind == "open":
+            if len(stack) > MAX_NESTING:
+                raise ParseError(f"lists nest more than {MAX_NESTING} deep", line, col)
+            stack.append(([], line, col))
+        elif kind == "close":
+            if len(stack) == 1:
+                raise ParseError("unmatched ')'", line, col)
+            items, open_line, open_col = stack.pop()
+            stack[-1][0].append(SList(tuple(items), open_line, open_col))
+        else:
+            stack[-1][0].append((SNum if kind == "num" else SSym)(word, line, col))
+    if len(stack) > 1:
+        _, line, col = stack[-1]  # the innermost list left open
+        raise ParseError("unclosed parenthesis", line, col)
+    return stack[0][0]

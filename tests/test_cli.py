@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vz.cli import _COMMANDS, main
 from vz.errors import VzError
 from vz.scenario import parse_scenario
-from vz.sexpr import SList, read_all
+from vz.sexpr import MAX_NESTING, SList, read_all
 from vz.terms import TERMS, Atom, Modal, Ought, Sort, children, sort_of
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -158,13 +158,57 @@ class TestMalformedInput:
         ("(horizon 1.2.3)\n", "1:10: bad number '1.2.3'"),
         ("(declare-agent jack)\n(declare-fluent f (agent)\n", "2:1: unclosed parenthesis"),
         ("(declare-agent jack))\n", "1:21: unmatched ')'"),
+        # numbers are ASCII: other digits are no token
+        ("(horizon \u00b2)\n", "1:10: unexpected character '\u00b2'"),
+        ("(horizon \u0663)\n", "1:10: unexpected character '\u0663'"),
     ])
     def test_reader_diagnostic(self, capsys, tmp_path, text, where):
         p = tmp_path / "unreadable.vz"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "check", str(p))
         assert code == 1 and out == ""
         assert err == f"{p}:{where}\n"
+
+    @pytest.mark.parametrize("mode", ["fo", "ho"])
+    def test_nesting_at_the_bound(self, tmp_path, mode):
+        # every recursive pass after the reader handles the deepest input
+        # it accepts: each command ends in exit 0 or names another fault
+        traits = tmp_path / "traits.vz"
+        for i, text in enumerate(_at_nesting_bound()):
+            assert max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in text)) \
+                == MAX_NESTING
+            p = tmp_path / f"deep{i}.vz"
+            p.write_text(text)
+            for command in ["learn"] + sorted(set(_COMMANDS) - {"learn"}):
+                argv = [command, str(p), "--mode", mode]
+                if command in ("learn", "act", "run"):
+                    argv += ["--traits", str(traits)]  # learn writes it, act and run read it
+                for as_json in ([], ["--json"]):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(argv + as_json)
+                    assert (code, err.getvalue()) == (0, "") or \
+                        (code == 1 and "nest" not in err.getvalue()), (command, i)
+
+    def test_nesting_past_the_bound(self, capsys, tmp_path):
+        # the reader names the paren that opens the list one too deep
+        line = "(assert " + "(not " * MAX_NESTING + "(p)" + ")" * (MAX_NESTING + 1)
+        p = tmp_path / "deep.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-predicate p ())\n{line}\n")
+        col = 9 + 5 * (MAX_NESTING - 1)
+        for command in _COMMANDS:
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 1 and out == ""
+            assert err == f"{p}:3:{col}: lists nest more than {MAX_NESTING} deep\n"
+        # and in a trait file, which the same reader reads
+        traits = tmp_path / "traits.vz"
+        traits.write_text("; too deep\n(trait (pattern " + "(not " * (MAX_NESTING - 1)
+                          + "(holds ?X0 ?t)" + ")" * (MAX_NESTING - 1)
+                          + ") (action (utter ?X0)))\n")
+        col = 17 + 5 * (MAX_NESTING - 2)
+        code, out, err = run_cli(capsys, "act", MARKETPLACE, "--traits", str(traits))
+        assert code == 1 and out == ""
+        assert err == f"{traits}:2:{col}: lists nest more than {MAX_NESTING} deep\n"
 
     def test_moment_constant_rejected(self, capsys, tmp_path):
         # moments are numerals; a named one used to crash `vz infer`
@@ -594,6 +638,38 @@ class TestOverrides:
 # Mutation test: corpus s-expressions with items dropped, duplicated,
 # swapped or replaced by another atom of the same file must end in exit 0
 # or exit 1 with a diagnostic, never in an exception.
+
+
+def _nest(k, head, inner):
+    return f"({head} " * k + inner + ")" * k
+
+
+def _at_nesting_bound():
+    """Scenarios whose lists nest exactly MAX_NESTING deep: marketplace.vz
+    with its fluents wrapped in terms that deep, reaching the projection,
+    the sweep, the learner and the trait matcher; deep modal, deontic,
+    boolean and quantified asserts for saturation; and deep groups for
+    set generalization."""
+    n = MAX_NESTING
+    market = pathlib.Path(MARKETPLACE).read_text().replace(
+        "(declare-action-type", "(declare-fluent wrap (fluent))\n(declare-action-type")
+    for fluent in ("(broken)", "(unbroken)"):
+        market = market.replace(fluent, _nest(n - 4, "wrap", fluent))
+    header = ("(declare-agent jack)\n(declare-agent jill)\n(declare-predicate p (agent))\n"
+              "(declare-predicate payday ())\n(declare-action-type pay ())\n(horizon 2)\n"
+              f"(set max-depth {n})\n")
+    asserts = [_nest(n - 2, "believes jack 1", "(payday)"),
+               _nest(n - 2, "knows jack 2", "(payday)"),
+               _nest(n - 2, "not", "(p jill)"),
+               _nest(n - 2, "and (payday)", "(payday)"),
+               _nest(n - 5, "intends jack 1",
+                     "(ought jack 1 (payday) (happens (action jack (pay)) 2))"),
+               _nest(n - 3, "forall ((x agent))", "(p x)")]
+    groups = [(_nest(n - 2, f"implies (p {a})", "(payday)"), _nest(n - 2, "not", f"(p {a})"))
+              for a in ("jack", "jill")]
+    return [market,
+            header + "".join(f"(assert {f})\n" for f in asserts),
+            header + "".join(f"(group {f} {g})\n" for f, g in groups)]
 
 
 def _tree(sx):

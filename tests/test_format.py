@@ -12,7 +12,7 @@ from vz.errors import NoAlignment, UnboundActionVariable
 from vz.learner import learn_trait
 from vz.scenario import (SymbolTable, _FormulaParser, parse_scenario, parse_traits,
                          print_trait)
-from vz.sexpr import read_all
+from vz.sexpr import SList, SNum, read_all
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
                       Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
                       ModalOp, Not, Or, Ought, Sort, Variable, children,
@@ -227,3 +227,103 @@ def test_trait_round_trip(mode):
         learnt += 1
         declared += "(signatures" in text
     assert learnt > 250 and declared > 50
+
+
+# ---------------------------------------------------------------------------
+# The s-expression reader against a token-level oracle: a document is built
+# from random atoms and lists, with random whitespace and comments between
+# them, and each atom's and each list's (line, col) is recorded as it is
+# written.
+
+_SYM_CHARS = string.ascii_letters + string.digits + "_?*-"
+_SYMBOLS = st.builds(lambda first, rest: first + rest,
+                     st.sampled_from(string.ascii_letters + "_?*-"),
+                     st.text(_SYM_CHARS, max_size=6)).filter(
+    lambda s: not (s[0] == "-" and s[1:2].isdigit()))  # -5... is a number
+_NUMBERS = st.builds(lambda sign, whole, frac: sign + whole + frac,
+                     st.sampled_from(["", "+", "-"]),
+                     st.text(string.digits, min_size=1, max_size=4),
+                     st.sampled_from(["", "."])
+                     | st.text(string.digits, max_size=3).map(".".__add__))
+_TREES = st.recursive(st.one_of(_SYMBOLS.map(lambda t: ("sym", t)),
+                                _NUMBERS.map(lambda t: ("num", t))),
+                      lambda kids: st.lists(kids, max_size=4).map(lambda l: ("list", l)),
+                      max_leaves=25)
+# a comment runs to the newline, and may hold any other character
+_GAPS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", ";\n", "; (x 1.2.3 @é\r;\n"]),
+                 max_size=3).map("".join)
+
+
+@st.composite
+def _documents(draw):
+    """(text, the expected tree, gaps): each gap is a place between tokens,
+    outside any comment, as its offset, line, col and the (line, col) of
+    each list open there, outermost first."""
+    out, gaps, open_lists = [], [], []
+    pos = {"offset": 0, "line": 1, "col": 1, "atom": False}
+
+    def put(s):
+        out.append(s)
+        pos["offset"] += len(s)
+        for ch in s:
+            pos["line"], pos["col"] = ((pos["line"] + 1, 1) if ch == "\n"
+                                       else (pos["line"], pos["col"] + 1))
+
+    def gap(before_atom):
+        gaps.append((pos["offset"], pos["line"], pos["col"], tuple(open_lists)))
+        # two atoms in a row need a separator
+        put(draw(_GAPS) or (" " if before_atom and pos["atom"] else ""))
+
+    def write(node):
+        kind, value = node
+        gap(kind != "list")
+        line, col = pos["line"], pos["col"]
+        if kind != "list":
+            put(value)
+            pos["atom"] = True
+            return (kind, value, line, col)
+        put("(")
+        open_lists.append((line, col))
+        pos["atom"] = False
+        items = [write(n) for n in value]
+        gap(False)
+        put(")")
+        open_lists.pop()
+        pos["atom"] = False
+        return ("list", tuple(items), line, col)
+
+    tree = [write(n) for n in draw(st.lists(_TREES, max_size=5))]
+    gap(False)
+    return "".join(out), tree, gaps
+
+
+def _read_tree(sx):
+    if isinstance(sx, SList):
+        return ("list", tuple(_read_tree(i) for i in sx.items), sx.line, sx.col)
+    return ("num" if isinstance(sx, SNum) else "sym", sx.text, sx.line, sx.col)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(), st.data())
+def test_reader_matches_token_oracle(doc, data):
+    """read_all gives the recorded tree, and names one injected fault
+    where it stands."""
+    text, tree, gaps = doc
+    assert [_read_tree(sx) for sx in read_all(text)] == tree
+    offset, line, col, open_lists = data.draw(st.sampled_from(gaps))
+    fault = data.draw(st.sampled_from(["character", "number", "paren"]))
+    insert = lambda bad: text[:offset] + bad + text[offset:]
+    if fault == "character":  # a character no token starts with or continues
+        c = data.draw(st.sampled_from("@$#%&\"'!,/[]{}~^|<>=\\`\x00\x0b\x0c\u00e9"))
+        faulty, where = insert(c), (line, col, f"unexpected character {c!r}")
+    elif fault == "number":
+        faulty, where = insert(" 1.2.3 "), (line, col + 1, "bad number '1.2.3'")
+    elif not open_lists:  # a paren at the top level, never opened or never closed
+        p = data.draw(st.sampled_from("()"))
+        faulty = insert(p)
+        where = (line, col, "unmatched ')'" if p == ")" else "unclosed parenthesis")
+    else:  # the text cut off inside lists: the innermost is named
+        faulty, where = text[:offset], open_lists[-1] + ("unclosed parenthesis",)
+    with pytest.raises(ParseError) as exc:
+        read_all(faulty)
+    assert (exc.value.line, exc.value.col, exc.value.message) == where

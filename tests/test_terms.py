@@ -6,8 +6,7 @@ from vz.errors import SortMismatch
 from vz.generalize import Generalization, SetGeneralization
 from vz.inference import KnowledgeBase
 from vz.learner import ExemplarRecord
-from vz.scenario import (EffectRule, LearntTrait, QueryFact, ScenarioDoc, Situation,
-                         SymbolTable)
+from vz.scenario import EffectRule, LearntTrait, ScenarioDoc, Situation, SymbolTable
 from vz.sexpr import SList, SNum, SSym
 from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
@@ -187,7 +186,6 @@ def record_samples():
         SList: [((), 1, 1), ((SSym("a", 1, 2),), 1, 1)],
         EffectRule: [(EVENT, A, T), (EVENT, A, moment(1))],
         Situation: [("s", 1, (AT,)), ("s", 1, (AT,), (), WAVE())],
-        QueryFact: [("q", 1, (AT,)), ("q", 2, (AT,))],
         LearntTrait: [((AT,), WAVE()), ((AT,), WAVE(), JACK)],
         Occurrence: [(EVENT, 1, (A,), ()), (EVENT, 1, (), (A,))],
         Timeline: [(3, frozenset(), ()), (3, frozenset({(A, 0)}), ())],
@@ -293,7 +291,6 @@ def test_record_repr():
     assert repr(Modal(ModalOp.KNOWS, (JACK,), moment(1), hungry)) == (
         "Modal(op=<ModalOp.KNOWS: 'knows'>, agents=(jack:agent,), time=1:moment, "
         "body=(hungry jack:agent))")
-    assert repr(QueryFact("q", 2, ())) == "QueryFact(id='q', time=2, formulas=())"
     assert repr(Situation("s", 1, (hungry,))) == (
         "Situation(id='s', time=1, formulas=((hungry jack:agent),), alternatives=(), "
         "performed=None, agent=None)")
