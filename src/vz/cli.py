@@ -87,11 +87,11 @@ def cmd_utility(args, rep):
     agents = doc.symbols.agents
     for occ in tl.occurrences:
         ev = print_term(occ.event)
-        total = mu_bar(occ.event, occ.time, tl, doc.nu, agents, tl.horizon)
+        total = mu_bar(occ, doc.nu, agents, tl.horizon)
         rep.emit("mu-bar", f"(mu-bar {ev} {occ.time} {print_real(total)})",
                  event=ev, time=occ.time, value=total)
         for a in agents:
-            v = nu_bar(a, occ.event, occ.time, tl, doc.nu, tl.horizon)
+            v = nu_bar(a, occ, doc.nu, tl.horizon)
             rep.emit("nu-bar", f"(nu-bar {a.name} {ev} {occ.time} {print_real(v)})",
                      agent=a.name, event=ev, time=occ.time, value=v)
 
@@ -311,10 +311,7 @@ def main(argv=None) -> int:
     except SourceError as exc:
         print(f"{exc.path or args.file}:{exc}", file=sys.stderr)
         return 1
-    except VzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rep.flush(sys.stdout)

@@ -1,9 +1,10 @@
 """OCC-style emotion fluents.
 
-Each emotion is a per-agent gate (theta) conjoined with utility
-conditions on an event occurrence. Agents are treated as having
-veridical, complete beliefs: the belief wrapper is evaluated directly
-against the world model.
+Each emotion is a per-agent gate (theta) conjoined with the OCC
+appraisal of an event occurrence (Ortony, Clore & Collins 1988), which
+the seven kinds share up to whose utility it reads and its sign. Agents
+are treated as having veridical, complete beliefs: the belief wrapper is
+evaluated directly against the world model.
 """
 from __future__ import annotations
 
@@ -53,70 +54,57 @@ class World:
         self.agents, self.horizon = agents, horizon
 
 
-def _no_initiated(occ, pred) -> bool:
-    """True iff no initiated fluent satisfies pred at any moment."""
-    return not any(pred(f) for f in occ.initiated)
+# The sign of the other agent's appraisal that each other-directed kind
+# needs: happy-for and resentment, desirable for b; gloating and pity-for,
+# undesirable for b.
+_TOWARDS = {EmotionKind.HAPPY_FOR: 1, EmotionKind.GLOATING: -1,
+            EmotionKind.PITY_FOR: -1, EmotionKind.RESENTMENT: 1}
+
+
+def _appraised(world: World, occ, who, sign: int) -> bool:
+    """The appraisal all seven emotions share: the occurrence's total
+    utility (ν̄ for agent ``who``; μ̄ when who is None) has the given sign,
+    and no initiated fluent has a utility (ν, or μ) of the opposite sign
+    at any moment in [0, H]."""
+    nu, moments = world.nu, range(world.horizon + 1)
+    if who is None:
+        return (sign * mu_bar(occ, nu, world.agents, world.horizon) > 0
+                and not any(sign * mu(f, y, nu, world.agents) < 0
+                            for f in occ.initiated for y in moments))
+    return (sign * nu_bar(who, occ, nu, world.horizon) > 0
+            and not any(sign * nu.get((who, f, y), 0.0) < 0
+                        for f in occ.initiated for y in moments))
 
 
 def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
     occ = world.timeline.occurrence(event, t)
-    moments = range(world.horizon + 1)
-    return (_open(world.theta, a, t2)
-            and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) > 0
-            and _no_initiated(occ, lambda f: any(world.nu.get((a, f, y), 0.0) < 0
-                                                 for y in moments)))
+    return _open(world.theta, a, t2) and _appraised(world, occ, a, 1)
 
 
 def eval_distress(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
     occ = world.timeline.occurrence(event, t)
-    moments = range(world.horizon + 1)
-    return (_open(world.theta, a, t2)
-            and nu_bar(a, event, t, world.timeline, world.nu, world.horizon) < 0
-            and _no_initiated(occ, lambda f: any(world.nu.get((a, f, y), 0.0) > 0
-                                                 for y in moments)))
-
-
-def _other_directed(a, b, event, t, t2, world, desirable: bool) -> bool:
-    """Shared utility conditions of the other-directed table rows:
-    desirable = positive total for b with no negative consequences for b;
-    undesirable is the mirror image."""
-    occ = world.timeline.occurrence(event, t)
-    if not _open(world.theta, a, t2) or a == b:
-        return False
-    total = nu_bar(b, event, t, world.timeline, world.nu, world.horizon)
-    moments = range(world.horizon + 1)
-    if desirable:
-        return total > 0 and _no_initiated(
-            occ, lambda f: any(world.nu.get((b, f, y), 0.0) < 0 for y in moments))
-    return total < 0 and _no_initiated(
-        occ, lambda f: any(world.nu.get((b, f, y), 0.0) > 0 for y in moments))
+    return _open(world.theta, a, t2) and _appraised(world, occ, a, -1)
 
 
 def eval_happy_for(a, b, event, t, t2, world) -> bool:
-    return _other_directed(a, b, event, t, t2, world, desirable=True)
+    occ = world.timeline.occurrence(event, t)
+    return (_open(world.theta, a, t2) and a != b
+            and _appraised(world, occ, b, _TOWARDS[EmotionKind.HAPPY_FOR]))
 
 
 def eval_occ_table_emotion(kind: EmotionKind, a, b, event, t, t2, world) -> bool:
-    if kind is EmotionKind.GLOATING or kind is EmotionKind.PITY_FOR:
-        return _other_directed(a, b, event, t, t2, world, desirable=False)
-    if kind is EmotionKind.RESENTMENT:
-        return _other_directed(a, b, event, t, t2, world, desirable=True)
-    raise ValueError(f"not a table-only emotion: {kind}")
+    if kind is EmotionKind.HAPPY_FOR or kind not in _TOWARDS:
+        raise ValueError(f"not a table-only emotion: {kind}")
+    occ = world.timeline.occurrence(event, t)
+    return _open(world.theta, a, t2) and a != b and _appraised(world, occ, b, _TOWARDS[kind])
 
 
 def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
                     t2: int, world: World) -> bool:
-    """a admires b's action iff the action's agent-neutral total utility
-    is positive with no agent-neutral negative consequences."""
-    event = Application(ACTION, (b, action_type))
-    occ = world.timeline.occurrence(event, t)
-    if not _open(world.theta, a, t2) or a == b:
-        return False
-    if mu_bar(event, t, world.timeline, world.nu, world.agents, world.horizon) <= 0:
-        return False
-    moments = range(world.horizon + 1)
-    return _no_initiated(
-        occ, lambda f: any(mu(f, y, world.nu, world.agents) < 0 for y in moments))
+    """a admires b's action iff the action is appraised agent-neutrally:
+    positive μ̄ and no negative μ."""
+    occ = world.timeline.occurrence(Application(ACTION, (b, action_type)), t)
+    return _open(world.theta, a, t2) and a != b and _appraised(world, occ, None, 1)
 
 
 def sweep_emotions(world: World) -> list[EmotionRecord]:

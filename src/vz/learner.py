@@ -57,7 +57,7 @@ def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
     in at least a gamma share."""
     eligible = 0
     performed = 0
-    for sigma in sorted(history, key=lambda s: (s.time, s.id)):
+    for sigma in history:
         if len(sigma.alternatives) < 2:
             continue
         agent = sigma.agent or Constant("_self", Sort.AGENT)

@@ -5,7 +5,7 @@ files it in ScenarioDoc.nu; an absent key reads 0.
 """
 from __future__ import annotations
 
-from .ec import Timeline
+from .ec import Occurrence
 from .terms import Constant, Term
 
 
@@ -14,25 +14,21 @@ def mu(fluent: Term, t: int, table: dict, agents) -> float:
     return sum(table.get((a, fluent, t), 0.0) for a in agents)
 
 
-def nu_bar(agent: Constant, event: Term, t: int, timeline: Timeline,
-           table: dict, horizon: int) -> float:
+def nu_bar(agent: Constant, occ: Occurrence, table: dict, horizon: int) -> float:
     """Total utility for one agent of an event occurrence: future nu of
     initiated fluents minus future nu of terminated fluents, up to H."""
-    occ = timeline.occurrence(event, t)
     total = 0.0
-    for y in range(t + 1, horizon + 1):
+    for y in range(occ.time + 1, horizon + 1):
         total += sum(table.get((agent, f, y), 0.0) for f in occ.initiated)
         total -= sum(table.get((agent, f, y), 0.0) for f in occ.terminated)
     return total
 
 
-def mu_bar(event: Term, t: int, timeline: Timeline, table: dict,
-           agents, horizon: int) -> float:
+def mu_bar(occ: Occurrence, table: dict, agents, horizon: int) -> float:
     """Total agent-neutral utility of an event occurrence; the same
     double sum as nu_bar but over mu."""
-    occ = timeline.occurrence(event, t)
     total = 0.0
-    for y in range(t + 1, horizon + 1):
+    for y in range(occ.time + 1, horizon + 1):
         total += sum(mu(f, y, table, agents) for f in occ.initiated)
         total -= sum(mu(f, y, table, agents) for f in occ.terminated)
     return total

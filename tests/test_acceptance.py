@@ -137,10 +137,10 @@ def test_c4_utility_identities():
                 assert math.isclose(mu(f, t, table, agents),
                                     sum(table.get((a, f, t), 0.0) for a in agents),
                                     abs_tol=1e-9)
-        for e, t in doc.happens:
+        for occ in tl.occurrences:
             assert math.isclose(
-                mu_bar(e, t, tl, table, agents, doc.horizon),
-                sum(nu_bar(a, e, t, tl, table, doc.horizon) for a in agents),
+                mu_bar(occ, table, agents, doc.horizon),
+                sum(nu_bar(a, occ, table, doc.horizon) for a in agents),
                 abs_tol=1e-9)
     for _ in range(100):
         doc, agents, table = random_world(rng)
@@ -156,7 +156,7 @@ def test_c4_utility_identities():
                     expected += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
                     expected -= sum(table.get((a, f, y), 0.0) for a in agents)
-            assert mu_bar(e, t, tl, table, agents, doc.horizon) == expected
+            assert mu_bar(occ, table, agents, doc.horizon) == expected
 
 
 def test_c5_event_calculus_oracle():

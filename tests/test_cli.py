@@ -392,6 +392,44 @@ class TestSubcommands:
             assert proc.stdout == ("(mu-bar go 0 0.6000000000000001)\n"
                                    "(nu-bar a go 0 0.6000000000000001)\n")
 
+    def test_utility_totals_add_per_moment(self, capsys, tmp_path):
+        # ν̄ adds each moment's sum over the fluents (in printed order) to
+        # the total; μ̄ does the same with each fluent's sum over the agents.
+        # Jack's ν̄ added per fluent would read 1.8, and μ̄ as the sum of
+        # the agents' ν̄ would read 6.3999999999999995.
+        p = tmp_path / "grouping.vz"
+        p.write_text("(declare-agent jack)\n(declare-agent jill)\n(declare-constant go event)\n"
+                     "(declare-fluent a ())\n(declare-fluent b ())\n(horizon 3)\n"
+                     "(initiates go (a) t)\n(initiates go (b) t)\n(happens go 1)\n"
+                     "(nu jack (a) 2 0.7)\n(nu jack (b) 2 0.1)\n"
+                     "(nu jack (a) 3 0.7)\n(nu jack (b) 3 0.3)\n"
+                     "(nu jill (a) 2 2.0)\n(nu jill (b) 2 0.3)\n"
+                     "(nu jill (a) 3 0.3)\n(nu jill (b) 3 2.0)\n")
+        assert run_cli(capsys, "utility", str(p)) == (
+            0, "(mu-bar go 1 6.4)\n(nu-bar jack go 1 1.7999999999999998)\n"
+               "(nu-bar jill go 1 4.6)\n", "")
+
+    def test_nan_total_is_not_positive(self, capsys, tmp_path):
+        # finite ν whose sums overflow: μ̄ and the seller's ν̄ are
+        # inf - inf = nan, which no emotion reads as positive, admiration
+        # included, though no initiated fluent has a negative μ
+        big = "1" + "0" * 308
+        p = tmp_path / "nan.vz"
+        p.write_text("(declare-agent seller)\n(declare-agent observer)\n"
+                     "(declare-action-type act ())\n(horizon 4)\n(theta observer always)\n"
+                     + "".join(f"(declare-fluent {f} ())\n" for f in ("f1", "f2", "g1", "g2"))
+                     + "(initially (g1))\n(initially (g2))\n"
+                     "(initiates (action ?a (act)) (f1) t)\n(initiates (action ?a (act)) (f2) t)\n"
+                     "(terminates (action ?a (act)) (g1) t)\n"
+                     "(terminates (action ?a (act)) (g2) t)\n(happens (action seller (act)) 1)\n"
+                     f"(nu seller (f1) 2 {big})\n(nu seller (f2) 2 {big})\n"
+                     f"(nu seller (g1) 3 {big})\n(nu seller (g2) 3 {big})\n")
+        assert run_cli(capsys, "utility", str(p)) == (
+            0, "(mu-bar (action seller (act)) 1 nan)\n"
+               "(nu-bar seller (action seller (act)) 1 nan)\n"
+               "(nu-bar observer (action seller (act)) 1 0.0)\n", "")
+        assert run_cli(capsys, "emotions", str(p)) == (0, "", "")
+
     def test_emotions(self, capsys):
         code, out, _ = run_cli(capsys, "emotions", MARKETPLACE)
         assert code == 0

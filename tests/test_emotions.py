@@ -90,6 +90,15 @@ class TestOtherDirected:
         assert eval_occ_table_emotion(EmotionKind.PITY_FOR, a0, a1, e, 1, 0, w)
         assert not eval_occ_table_emotion(EmotionKind.PITY_FOR, a1, a1, e, 1, 0, w)
 
+    def test_table_rejects_the_other_kinds(self):
+        # happy-for has eval_happy_for, the self-directed kinds and
+        # admiration their own evaluators
+        w, e, a0, a1, _ = simple_world({("a1", 0, 2): 1.0}, initiated=[0])
+        for kind in (EmotionKind.JOY, EmotionKind.DISTRESS, EmotionKind.HAPPY_FOR,
+                     EmotionKind.ADMIRATION_FOR):
+            with pytest.raises(ValueError, match=f"not a table-only emotion: {kind}"):
+                eval_occ_table_emotion(kind, a0, a1, e, 1, 0, w)
+
 
 def action_world(nu_entries, horizon=4):
     """ag0 performs an action at t=1 initiating fluent 0."""

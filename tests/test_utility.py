@@ -53,7 +53,7 @@ class TestEventTotals:
         tl = project(doc)
         table = {(a0, f, t): 1.0 for t in range(5)}
         # y ranges over 2..4; the entry at the event's own moment is excluded
-        assert nu_bar(a0, e, 1, tl, table, 4) == 3.0
+        assert nu_bar(a0, tl.occurrence(e, 1), table, 4) == 3.0
 
     def test_nu_bar_subtracts_terminated(self):
         doc = make_doc(1, 1, horizon=3)
@@ -63,19 +63,19 @@ class TestEventTotals:
         a0 = doc.symbols.constants["ag0"]
         tl = project(doc)
         table = {(a0, f, t): 2.0 for t in range(4)}
-        assert nu_bar(a0, e, 0, tl, table, 3) == -6.0
+        assert nu_bar(a0, tl.occurrence(e, 0), table, 3) == -6.0
 
     def test_mu_bar_example(self):
         doc, f, e, a0, a1 = two_agent_world()
         tl = project(doc)
         table = {(a0, f, 2): 1.0, (a1, f, 2): 1.0, (a0, f, 3): -0.5}
-        assert mu_bar(e, 1, tl, table, [a0, a1], 4) == 1.5
+        assert mu_bar(tl.occurrence(e, 1), table, [a0, a1], 4) == 1.5
 
     def test_unknown_occurrence(self):
         doc, f, e, a0, _ = two_agent_world()
         tl = project(doc)
         with pytest.raises(UnknownOccurrence):
-            nu_bar(a0, e, 2, tl, {}, 4)
+            tl.occurrence(e, 2)
 
 
 def random_world(rng):
@@ -114,9 +114,9 @@ def test_mu_bar_is_sum_of_nu_bar(rng):
     for _ in range(500):
         doc, agents, table = random_world(rng)
         tl = project(doc)
-        for e, t in doc.happens:
-            total = sum(nu_bar(a, e, t, tl, table, doc.horizon) for a in agents)
-            assert math.isclose(mu_bar(e, t, tl, table, agents, doc.horizon),
+        for occ in tl.occurrences:
+            total = sum(nu_bar(a, occ, table, doc.horizon) for a in agents)
+            assert math.isclose(mu_bar(occ, table, agents, doc.horizon),
                                 total, rel_tol=0, abs_tol=1e-9)
 
 
@@ -135,7 +135,7 @@ def test_event_totals_match_double_sum_oracle(rng):
                                     for f in sorted(occ.initiated, key=str))
                     expected -= sum(table.get((a, f, y), 0.0)
                                     for f in sorted(occ.terminated, key=str))
-                assert math.isclose(nu_bar(a, e, t, tl, table, doc.horizon),
+                assert math.isclose(nu_bar(a, occ, table, doc.horizon),
                                     expected, abs_tol=1e-9)
             expected_mu = 0.0
             for y in range(t + 1, doc.horizon + 1):
@@ -143,5 +143,5 @@ def test_event_totals_match_double_sum_oracle(rng):
                     expected_mu += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
                     expected_mu -= sum(table.get((a, f, y), 0.0) for a in agents)
-            assert math.isclose(mu_bar(e, t, tl, table, agents, doc.horizon),
+            assert math.isclose(mu_bar(occ, table, agents, doc.horizon),
                                 expected_mu, abs_tol=1e-9)
