@@ -7,6 +7,7 @@ writes a deterministic text report (or line-delimited JSON with
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import ec
@@ -80,6 +81,11 @@ def cmd_project(args, rep):
     _emit_timeline(ec.project(doc), rep)
 
 
+def _json_real(x: float):
+    """JSON has no nan or infinity (RFC 8259): a total that is not finite is null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_utility(args, rep):
     from .utility import mu_bar, nu_bar
     doc = _load(args.file, args)
@@ -89,11 +95,11 @@ def cmd_utility(args, rep):
         ev = print_term(occ.event)
         total = mu_bar(occ, doc.nu, agents, tl.horizon)
         rep.emit("mu-bar", f"(mu-bar {ev} {occ.time} {print_real(total)})",
-                 event=ev, time=occ.time, value=total)
+                 event=ev, time=occ.time, value=_json_real(total))
         for a in agents:
             v = nu_bar(a, occ, doc.nu, tl.horizon)
             rep.emit("nu-bar", f"(nu-bar {a.name} {ev} {occ.time} {print_real(v)})",
-                     agent=a.name, event=ev, time=occ.time, value=v)
+                     agent=a.name, event=ev, time=occ.time, value=_json_real(v))
 
 
 def _emit_records(records, rep):
@@ -143,20 +149,26 @@ def cmd_generalize(args, rep):
     from .generalize import anti_unify, generalize_sets
     doc = _load(args.file, args)
     mode = doc.config["mode"]
-    if doc.groups:
-        gen = generalize_sets(doc.groups, mode)
-        for p in gen.closed_patterns():
-            rep.emit("pattern", print_formula(p), formula=print_formula(p))
-        for s in gen.substitutions:
-            rep.emit("subst", _print_subst(s), subst=_print_subst(s))
-        rep.emit("total", f"(total {'true' if gen.total else 'false'})", total=gen.total)
-    elif doc.asserts:
-        gen = anti_unify(doc.asserts, mode)
-        rep.emit("pattern", print_formula(gen.pattern), formula=print_formula(gen.pattern))
-        for s in gen.substitutions:
-            rep.emit("subst", _print_subst(s), subst=_print_subst(s))
-    else:
+    # a failure is reported at the first item of the kind generalized
+    keyword = "group" if doc.groups else "assert"
+    at = next((loc for head, loc in doc.facts if head == keyword), None)
+    if at is None:
         raise VzError("nothing to generalize: no (group ...) or (assert ...) items")
+    try:
+        if doc.groups:
+            gen = generalize_sets(doc.groups, mode)
+            patterns = gen.closed_patterns()
+        else:
+            gen = anti_unify(doc.asserts, mode)
+            patterns = [gen.pattern]
+    except (Incompatible, NoAlignment) as exc:
+        raise SourceError(str(exc), *at) from exc
+    for p in patterns:
+        rep.emit("pattern", print_formula(p), formula=print_formula(p))
+    for s in gen.substitutions:
+        rep.emit("subst", _print_subst(s), subst=_print_subst(s))
+    if doc.groups:
+        rep.emit("total", f"(total {'true' if gen.total else 'false'})", total=gen.total)
 
 
 def _learn_pipeline(doc):
@@ -174,13 +186,13 @@ def _learn_pipeline(doc):
         history = [s for s in doc.observations if s.agent == ex.exemplar]
         roots = []
         for s in history:
-            if s.performed is not None and s.performed.symbol not in roots:
-                roots.append(s.performed.symbol)
+            if s.performed is not None and learner.action_root(s.performed) not in roots:
+                roots.append(learner.action_root(s.performed))
         for alpha in roots:
             if not learner.detect_trait(history, alpha, config["m"], config["gamma"]):
                 continue
-            chosen = [s for s in history
-                      if s.performed is not None and s.performed.symbol == alpha]
+            chosen = [s for s in history if s.performed is not None
+                      and learner.action_root(s.performed) == alpha]
             chosen.sort(key=lambda s: (s.time, s.id))
             try:
                 trait = learner.learn_trait(chosen, [s.performed for s in chosen],

@@ -54,11 +54,14 @@ class World:
         self.agents, self.horizon = agents, horizon
 
 
-# The sign of the other agent's appraisal that each other-directed kind
-# needs: happy-for and resentment, desirable for b; gloating and pity-for,
-# undesirable for b.
-_TOWARDS = {EmotionKind.HAPPY_FOR: 1, EmotionKind.GLOATING: -1,
-            EmotionKind.PITY_FOR: -1, EmotionKind.RESENTMENT: 1}
+# Each kind's appraisal: whose it reads and its sign. SELF reads the
+# subject's own ν̄; OTHER, the object agent's; ACTOR, the agent-neutral μ̄
+# of the action of the object (the actor of an (action b α) event).
+SELF, OTHER, ACTOR = "self", "other", "actor"
+OCC_TABLE = {EmotionKind.JOY: (SELF, 1), EmotionKind.DISTRESS: (SELF, -1),
+             EmotionKind.HAPPY_FOR: (OTHER, 1), EmotionKind.GLOATING: (OTHER, -1),
+             EmotionKind.PITY_FOR: (OTHER, -1), EmotionKind.RESENTMENT: (OTHER, 1),
+             EmotionKind.ADMIRATION_FOR: (ACTOR, 1)}
 
 
 def _appraised(world: World, occ, who, sign: int) -> bool:
@@ -76,27 +79,33 @@ def _appraised(world: World, occ, who, sign: int) -> bool:
                         for f in occ.initiated for y in moments))
 
 
+def _holds(kind: EmotionKind, a: Constant, b, occ, t2: int, world: World) -> bool:
+    """Does ``a`` hold ``kind`` (towards ``b``) at t2 about ``occ``? Θ must
+    be open for a; an emotion towards an agent needs b ≠ a."""
+    whose, sign = OCC_TABLE[kind]
+    if not _open(world.theta, a, t2):
+        return False
+    if whose is SELF:
+        return _appraised(world, occ, a, sign)
+    return a != b and _appraised(world, occ, b if whose is OTHER else None, sign)
+
+
 def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
-    occ = world.timeline.occurrence(event, t)
-    return _open(world.theta, a, t2) and _appraised(world, occ, a, 1)
+    return _holds(EmotionKind.JOY, a, None, world.timeline.occurrence(event, t), t2, world)
 
 
 def eval_distress(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
-    occ = world.timeline.occurrence(event, t)
-    return _open(world.theta, a, t2) and _appraised(world, occ, a, -1)
+    return _holds(EmotionKind.DISTRESS, a, None, world.timeline.occurrence(event, t), t2, world)
 
 
 def eval_happy_for(a, b, event, t, t2, world) -> bool:
-    occ = world.timeline.occurrence(event, t)
-    return (_open(world.theta, a, t2) and a != b
-            and _appraised(world, occ, b, _TOWARDS[EmotionKind.HAPPY_FOR]))
+    return _holds(EmotionKind.HAPPY_FOR, a, b, world.timeline.occurrence(event, t), t2, world)
 
 
 def eval_occ_table_emotion(kind: EmotionKind, a, b, event, t, t2, world) -> bool:
-    if kind is EmotionKind.HAPPY_FOR or kind not in _TOWARDS:
+    if kind is EmotionKind.HAPPY_FOR or OCC_TABLE[kind][0] is not OTHER:
         raise ValueError(f"not a table-only emotion: {kind}")
-    occ = world.timeline.occurrence(event, t)
-    return _open(world.theta, a, t2) and a != b and _appraised(world, occ, b, _TOWARDS[kind])
+    return _holds(kind, a, b, world.timeline.occurrence(event, t), t2, world)
 
 
 def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
@@ -104,35 +113,23 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     """a admires b's action iff the action is appraised agent-neutrally:
     positive μ̄ and no negative μ."""
     occ = world.timeline.occurrence(Application(ACTION, (b, action_type)), t)
-    return _open(world.theta, a, t2) and a != b and _appraised(world, occ, None, 1)
+    return _holds(EmotionKind.ADMIRATION_FOR, a, b, occ, t2, world)
 
 
 def sweep_emotions(world: World) -> list[EmotionRecord]:
-    """All true emotion instances over agents, occurrences, and hold
-    times, in deterministic lexicographic order."""
+    """All true emotion instances over occurrences, hold times, subjects
+    and the (kind, object) pairs of OCC_TABLE, in deterministic
+    lexicographic order."""
     out = []
     for occ in world.timeline.occurrences:
-        ev, t = occ.event, occ.time
-        is_action = isinstance(ev, Application) and ev.symbol is ACTION
-        actor = ev.args[0] if is_action else None
+        ev = occ.event
+        actors = ev.args[:1] if isinstance(ev, Application) and ev.symbol is ACTION else ()
+        objects = {SELF: (None,), OTHER: world.agents, ACTOR: actors}
+        pairs = [(kind, b) for kind, (whose, _) in OCC_TABLE.items() for b in objects[whose]]
         for t2 in range(world.horizon + 1):
             for a in world.agents:
-                if eval_joy(a, ev, t, t2, world):
-                    out.append(EmotionRecord(EmotionKind.JOY, a, None, ev, t, t2))
-                if eval_distress(a, ev, t, t2, world):
-                    out.append(EmotionRecord(EmotionKind.DISTRESS, a, None, ev, t, t2))
-                for b in world.agents:
-                    if a == b:
-                        continue
-                    if eval_happy_for(a, b, ev, t, t2, world):
-                        out.append(EmotionRecord(EmotionKind.HAPPY_FOR, a, b, ev, t, t2))
-                    for kind in (EmotionKind.GLOATING, EmotionKind.PITY_FOR,
-                                 EmotionKind.RESENTMENT):
-                        if eval_occ_table_emotion(kind, a, b, ev, t, t2, world):
-                            out.append(EmotionRecord(kind, a, b, ev, t, t2))
-                if is_action and a != actor:
-                    if eval_admiration(a, actor, ev.args[1], t, t2, world):
-                        out.append(EmotionRecord(EmotionKind.ADMIRATION_FOR, a, actor, ev, t, t2))
+                out += [EmotionRecord(kind, a, b, ev, occ.time, t2)
+                        for kind, b in pairs if _holds(kind, a, b, occ, t2, world)]
     out.sort(key=EmotionRecord.sort_key)
     return out
 

@@ -46,11 +46,13 @@ def check_consistency(sigma: Situation, alpha: Term, agent: Constant) -> bool:
     return not (initiated & terminated)
 
 
-def _instantiates(term: Term, alpha_symbol) -> bool:
-    return isinstance(term, Application) and term.symbol == alpha_symbol
+def action_root(action_type: Term):
+    """What trait detection groups action types by: the function symbol
+    of an application; any other term, such as a constant, is its own root."""
+    return action_type.symbol if isinstance(action_type, Application) else action_type
 
 
-def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
+def detect_trait(history, alpha_root, m: int, gamma: float) -> bool:
     """Does the history establish alpha as a trait? Eligible situations
     offer a consistent instantiation of alpha among at least two genuine
     alternatives; there must be at least m of them, and alpha performed
@@ -61,7 +63,7 @@ def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
         if len(sigma.alternatives) < 2:
             continue
         agent = sigma.agent or Constant("_self", Sort.AGENT)
-        candidates = [t for t in sigma.alternatives if _instantiates(t, alpha_symbol)]
+        candidates = [t for t in sigma.alternatives if action_root(t) == alpha_root]
         try:
             ok = any(check_consistency(sigma, c, agent) for c in candidates)
         except UnsupportedFragment:
@@ -69,7 +71,7 @@ def detect_trait(history, alpha_symbol, m: int, gamma: float) -> bool:
         if not ok:
             continue
         eligible += 1
-        if sigma.performed is not None and _instantiates(sigma.performed, alpha_symbol):
+        if sigma.performed is not None and action_root(sigma.performed) == alpha_root:
             performed += 1
     if eligible < m:
         return False

@@ -93,7 +93,7 @@ class ScenarioDoc:
     command-line overrides. The reader files each fact where its stage
     reads it:
 
-    - facts: the (line, col) of each fact item;
+    - facts: the keyword and (line, col) of each fact item;
     - initially: fluents;
     - happens: a dict whose keys are the distinct (event, moment)
       occurrences in first-seen order (happens is a predicate, so a
@@ -340,14 +340,14 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     documents are returned."""
     doc = ScenarioDoc(SymbolTable())
     fp = _FormulaParser(doc.symbols)
-    assert_locs = []  # the (line, col) of each of doc.asserts
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
             raise ParseError("expected a (keyword ...) item", *_loc(sx))
-        _parse_item(sx, doc, fp, assert_locs)
+        _parse_item(sx, doc, fp)
     # (set max-depth d) may follow the asserts it bounds, (horizon h) the
     # occurrences it bounds
     max_depth = doc.config["max-depth"]
+    assert_locs = [loc for head, loc in doc.facts if head == "assert"]
     for f, loc in zip(doc.asserts, assert_locs):
         if modal_depth(f) > max_depth:
             raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
@@ -361,7 +361,7 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     return doc
 
 
-def _parse_item(sx, doc, fp, assert_locs):
+def _parse_item(sx, doc, fp):
     head = sx.items[0].text
     body = sx.items[1:]
     loc = _loc(sx)
@@ -461,7 +461,6 @@ def _parse_item(sx, doc, fp, assert_locs):
     elif head == "assert":
         need(1)
         doc.asserts.append(fp.formula(body[0]))
-        assert_locs.append(loc)
     elif head == "group":
         doc.groups.append(tuple(fp.formula(f) for f in body))
     elif head in _SITUATION_SECTIONS:
@@ -471,7 +470,7 @@ def _parse_item(sx, doc, fp, assert_locs):
     else:
         raise ParseError(f"unknown item {head!r}", *loc)
     if head not in ("horizon", "set") and not head.startswith("declare-"):
-        doc.facts.append(loc)
+        doc.facts.append((head, loc))
 
 
 def _section_arg(sec, what):

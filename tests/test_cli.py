@@ -169,6 +169,20 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert err == f"{p}:{where}\n"
 
+    @pytest.mark.parametrize("items, where", [
+        # well-formed items that do not generalize: named at the first
+        # (assert ...) item, or the first (group ...) item when there is one
+        ("(assert (knows jack 1 (p)))\n(assert (believes jack 1 (p)))\n",
+         "3:1: modal operators disagree"),
+        ("(assert (p))\n(group (p))\n(group (not (p)))\n",
+         "4:1: input sets share no alignable formula"),
+    ])
+    def test_generalize_failure_is_located(self, capsys, tmp_path, items, where):
+        p = tmp_path / "apart.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-predicate p ())\n{items}")
+        for extra in ([], ["--json"]):
+            assert run_cli(capsys, "generalize", str(p), *extra) == (1, "", f"{p}:{where}\n")
+
     @pytest.mark.parametrize("mode", ["fo", "ho"])
     def test_nesting_at_the_bound(self, tmp_path, mode):
         # every recursive pass after the reader handles the deepest input
@@ -187,8 +201,10 @@ class TestMalformedInput:
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = main(argv + as_json)
+                    # the message, not the file name (this test's name has "nest")
+                    message = err.getvalue().replace(str(tmp_path), "")
                     assert (code, err.getvalue()) == (0, "") or \
-                        (code == 1 and "nest" not in err.getvalue()), (command, i)
+                        (code == 1 and "nest" not in message), (command, i)
 
     def test_nesting_past_the_bound(self, capsys, tmp_path):
         # the reader names the paren that opens the list one too deep
@@ -409,10 +425,10 @@ class TestSubcommands:
             0, "(mu-bar go 1 6.4)\n(nu-bar jack go 1 1.7999999999999998)\n"
                "(nu-bar jill go 1 4.6)\n", "")
 
-    def test_nan_total_is_not_positive(self, capsys, tmp_path):
-        # finite ν whose sums overflow: μ̄ and the seller's ν̄ are
-        # inf - inf = nan, which no emotion reads as positive, admiration
-        # included, though no initiated fluent has a negative μ
+    @staticmethod
+    def _overflow(tmp_path, losses=True):
+        """Finite ν whose sums overflow: the seller's gains at 2 add to
+        inf, and with the losses at 3, to inf - inf = nan."""
         big = "1" + "0" * 308
         p = tmp_path / "nan.vz"
         p.write_text("(declare-agent seller)\n(declare-agent observer)\n"
@@ -423,12 +439,32 @@ class TestSubcommands:
                      "(terminates (action ?a (act)) (g1) t)\n"
                      "(terminates (action ?a (act)) (g2) t)\n(happens (action seller (act)) 1)\n"
                      f"(nu seller (f1) 2 {big})\n(nu seller (f2) 2 {big})\n"
-                     f"(nu seller (g1) 3 {big})\n(nu seller (g2) 3 {big})\n")
+                     + (f"(nu seller (g1) 3 {big})\n(nu seller (g2) 3 {big})\n" if losses else ""))
+        return p
+
+    def test_nan_total_is_not_positive(self, capsys, tmp_path):
+        # finite ν whose sums overflow: μ̄ and the seller's ν̄ are
+        # inf - inf = nan, which no emotion reads as positive, admiration
+        # included, though no initiated fluent has a negative μ
+        p = self._overflow(tmp_path)
         assert run_cli(capsys, "utility", str(p)) == (
             0, "(mu-bar (action seller (act)) 1 nan)\n"
                "(nu-bar seller (action seller (act)) 1 nan)\n"
                "(nu-bar observer (action seller (act)) 1 0.0)\n", "")
         assert run_cli(capsys, "emotions", str(p)) == (0, "", "")
+
+    @pytest.mark.parametrize("losses, text", [(True, "nan"), (False, "inf")])
+    def test_total_not_finite_is_json_null(self, capsys, tmp_path, losses, text):
+        # JSON has no NaN or Infinity (RFC 8259); the text report keeps them
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+        p = self._overflow(tmp_path, losses)
+        code, out, err = run_cli(capsys, "utility", str(p), "--json")
+        assert (code, err) == (0, "")
+        values = [json.loads(line, parse_constant=reject)["value"] for line in out.splitlines()]
+        assert values == [None, None, 0.0]
+        assert run_cli(capsys, "utility", str(p))[1].splitlines()[0] == \
+            f"(mu-bar (action seller (act)) 1 {text})"
 
     def test_emotions(self, capsys):
         code, out, _ = run_cli(capsys, "emotions", MARKETPLACE)
@@ -563,6 +599,39 @@ class TestSubcommands:
             assert code == 0 and err == ""
             assert "(exemplar observer seller 14 0)" in out.splitlines()
             assert "(trait" not in out and "(proposal" not in out
+
+    @pytest.mark.parametrize("sigma1, trait", [
+        # sigma1 performs utter, sigma2 shrug: neither root is a trait
+        ("(performed (utter (broken)))", None),
+        # both perform shrug: a constant action type is its own root
+        ("(performed shrug)", "(trait (pattern (holds ?X0 ?t)) (action shrug) "
+                              "(exemplar seller) (sources sigma1 sigma2))"),
+    ], ids=["mixed", "constant-trait"])
+    def test_constant_action_type(self, capsys, tmp_path, sigma1, trait):
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        # both situations offer utter and shrug; sigma2 performs shrug
+        for old, new, count in [
+                ("(declare-action-type utter (fluent))\n",
+                 "(declare-action-type utter (fluent))\n(declare-constant shrug action-type)\n", 1),
+                ("(alternatives (utter (broken)) (utter (unbroken)))",
+                 "(alternatives (utter (broken)) shrug)", 2),
+                ("(performed (utter (broken)))", sigma1, 1),
+                ("(performed (utter (unbroken)))", "(performed shrug)", 1)]:
+            assert text.count(old) == count
+            text = text.replace(old, new)
+        p, traits = tmp_path / "shrug.vz", tmp_path / "traits.vz"
+        p.write_text(text)
+        proposal = "(proposal fresh (happens (action observer shrug) 5))"
+        for command in ("learn", "run"):
+            code, out, err = run_cli(capsys, command, str(p))
+            assert code == 0 and err == ""
+            assert "(exemplar observer seller 14 0)" in out.splitlines()
+            assert (trait in out.splitlines()) if trait else "(trait" not in out
+            assert (proposal in out) == (command == "run" and trait is not None)
+        assert run_cli(capsys, "learn", str(p), "--traits", str(traits))[0] == 0
+        code, out, err = run_cli(capsys, "act", str(p), "--traits", str(traits))
+        assert (code, out, err) == (0, f"{proposal}\n" if trait else "", "")
 
     def test_run_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "run", MARKETPLACE)

@@ -325,3 +325,64 @@ def test_sweep_matches_reference_interpreter(rng):
                     if reference_eval(kind, a, b, occ, t2, w)}
         assert len(got) == len(set(got)) and set(got) == expected
         assert records == sorted(records, key=EmotionRecord.sort_key)
+
+
+def crowded_emotion_world(rng):
+    """Three agents and 2-4 occurrences at distinct moments: wave by one
+    agent and the non-action event e0; maybe wave by a second agent; maybe
+    one of these events again at a second moment. Each agent's gate is
+    always, never, some moments, or none."""
+    doc = make_doc(4, 1, horizon=rng.randint(3, 5))
+    alpha = doc.symbols.declare_function("wave", (), Sort.ACTION_TYPE)
+    doc.symbols.declare_constant("ag2", Sort.AGENT)
+    agents = tuple(doc.symbols.constants[f"ag{i}"] for i in range(3))
+    actors = rng.sample(agents, 2)
+    events = [Application(ACTION, (actors[0], alpha())), doc.events[0]]
+    if rng.random() < 0.7:
+        events.append(Application(ACTION, (actors[1], alpha())))
+    for ev in events:
+        pool = list(doc.fluents)
+        rng.shuffle(pool)
+        k = rng.randint(1, len(pool))
+        add_effects(doc, ev, pool[:k // 2 + 1], pool[k // 2 + 1:k])
+    if rng.random() < 0.7:
+        events.append(rng.choice(events))
+    for ev, t in zip(events, rng.sample(range(doc.horizon + 1), len(events))):
+        doc.happens[ev, t] = None
+    tl = project(doc)
+    entries = {(a, f, t): rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0])
+               for a in agents for f in doc.fluents
+               for t in range(doc.horizon + 1) if rng.random() < 0.6}
+    gates = {}
+    for a in agents:
+        gate = rng.choice(["always", "always", "never", "at", None])
+        if gate == "at":
+            gates[a] = frozenset(t for t in range(doc.horizon + 1) if rng.random() < 0.5)
+        elif gate is not None:
+            gates[a] = gate
+    return World(tl, entries, gates, agents, doc.horizon)
+
+
+def test_sweep_matches_reference_interpreter_on_crowded_worlds(rng):
+    """With three agents and several occurrences, by different actors and
+    at several moments, the sweep yields each instance that the
+    transcription accepts exactly once, in sort order, and no other."""
+    self_directed = (EmotionKind.JOY, EmotionKind.DISTRESS)
+    shapes = set()
+    for _ in range(200):
+        w = crowded_emotion_world(rng)
+        occs = w.timeline.occurrences
+        shapes.add((len(occs), len({o.event for o in occs})))
+        records = sweep_emotions(w)
+        got = [(r.kind, r.subject, r.object, r.event, r.event_time, r.hold_time)
+               for r in records]
+        expected = {(kind, a, b, occ.event, occ.time, t2)
+                    for occ in occs for t2 in range(w.horizon + 1)
+                    for a in w.agents for kind in EmotionKind
+                    for b in ((None,) if kind in self_directed else w.agents)
+                    if reference_eval(kind, a, b, occ, t2, w)}
+        assert len(got) == len(set(got)) and set(got) == expected
+        assert records == sorted(records, key=EmotionRecord.sort_key)
+    # every shape of the family was drawn: 2-4 occurrences, with and
+    # without an event at two moments
+    assert shapes == {(2, 2), (3, 2), (3, 3), (4, 3)}
