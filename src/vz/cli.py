@@ -131,7 +131,7 @@ def cmd_infer(args, rep):
     from .inference import KnowledgeBase
     doc = _load(args.file, args)
     kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
-                          horizon=doc.horizon)
+                          horizon=doc.effective_horizon())
     closed = saturate(kb)
     for line in sorted(print_formula(f) for f in closed.formulas):
         rep.emit("formula", line, formula=line)
@@ -184,15 +184,13 @@ def _learn_pipeline(doc):
         if ex.admitted_at is None:
             continue
         history = [s for s in doc.observations if s.agent == ex.exemplar]
-        roots = []
+        performing = {}  # action root -> its performing situations, roots in first-performed order
         for s in history:
-            if s.performed is not None and learner.action_root(s.performed) not in roots:
-                roots.append(learner.action_root(s.performed))
-        for alpha in roots:
+            if s.performed is not None:
+                performing.setdefault(learner.action_root(s.performed), []).append(s)
+        for alpha, chosen in performing.items():
             if not learner.detect_trait(history, alpha, config["m"], config["gamma"]):
                 continue
-            chosen = [s for s in history if s.performed is not None
-                      and learner.action_root(s.performed) == alpha]
             chosen.sort(key=lambda s: (s.time, s.id))
             try:
                 trait = learner.learn_trait(chosen, [s.performed for s in chosen],
@@ -216,9 +214,11 @@ def _emit_exemplar(ex, rep):
              count=ex.admiration_count, admitted_at=ex.admitted_at)
 
 
-def _emit_trait(trait, rep):
+def _emit_trait(trait, rep) -> str:
+    """Report the trait; return its (trait ...) record, the line a trait file holds."""
     line = print_trait(trait)
     rep.emit("trait", line, trait=line)
+    return line
 
 
 def cmd_learn(args, rep):
@@ -226,15 +226,10 @@ def cmd_learn(args, rep):
     _, _, exemplars, traits, _ = _learn_pipeline(doc)
     for ex in exemplars:
         _emit_exemplar(ex, rep)
-    for t in traits:
-        _emit_trait(t, rep)
+    lines = [_emit_trait(t, rep) for t in traits]
     if args.traits:
         with open(args.traits, "w", encoding="utf-8") as fh:
-            for t in traits:
-                src = " ".join(t.source_situations)
-                fh.write(f"; learnt from {t.exemplar.name if t.exemplar else 'unknown'}"
-                         f" (sources {src})\n")
-                fh.write(print_trait(t) + "\n")
+            fh.writelines(line + "\n" for line in lines)
 
 
 def _load_traits(path: str, doc) -> list:
@@ -250,11 +245,11 @@ def _load_traits(path: str, doc) -> list:
 def _apply_to_queries(doc, traits, lrn, rep):
     from . import learner
     for q in doc.queries:
-        for trait in traits:
-            for event in learner.apply_trait(trait, q, lrn):
-                rep.emit("proposal",
-                         f"(proposal {q.id} (happens {print_term(event)} {q.time}))",
-                         query=q.id, event=print_term(event), time=q.time)
+        # an event that several traits propose is one proposal, in first-proposed order
+        events = dict.fromkeys(e for trait in traits for e in learner.apply_trait(trait, q, lrn))
+        for event in map(print_term, events):
+            rep.emit("proposal", f"(proposal {q.id} (happens {event} {q.time}))",
+                     query=q.id, event=event, time=q.time)
 
 
 def cmd_act(args, rep):

@@ -212,15 +212,16 @@ class _Fold:
         return rebuild(p, map(self.step, children(p), children(g)))
 
     def extend(self, p, g):
-        """(p generalized with g, the holes that pattern holds), or None
-        when p is None or the two do not generalize."""
-        if p is None:
-            return None
+        """(p generalized with g, the holes that pattern holds); or the
+        Incompatible raised when the two do not generalize, and p itself
+        when p is one."""
+        if isinstance(p, Incompatible):
+            return p
         self.seen = set()
         try:
             return self.step(p, g), self.seen
-        except Incompatible:
-            return None
+        except Incompatible as exc:
+            return exc
 
 
 class Generalization(Record):
@@ -308,8 +309,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
         keyed.append(d)
 
     common = sorted(set(keyed[0]).intersection(*keyed[1:]))
-    aligned: list[tuple] = []
-    rows: list = []  # the pattern of each aligned tuple; None when incompatible
+    rows: list = []  # the pattern of each aligned tuple, or the Incompatible it raised
     used = [set() for _ in gammas]
     for key in common:
         lists = [k[key] for k in keyed]
@@ -323,7 +323,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
                 best, best_cost = None, None
                 for perm in itertools.permutations(range(len(lst)), width):
                     picked = [ext[i][k] for i, k in enumerate(perm)]
-                    cost = 10 ** 9 if None in picked else \
+                    cost = 10 ** 9 if any(isinstance(e, Incompatible) for e in picked) else \
                         len(set().union(*(holes for _, holes in picked)))
                     if best_cost is None or cost < best_cost:
                         best, best_cost = perm, cost
@@ -332,21 +332,17 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
                 best = range(width)
                 picked = [fold.extend(p, g) for p, (_, g) in zip(pats, lst)]
             chosen.append([lst[k] for k in best])
-            pats = [None if e is None else e[0] for e in picked]
-        for i in range(width):
-            aligned.append(tuple(c[i][1] for c in chosen))
-            for j, c in enumerate(chosen):
-                used[j].add(c[i][0])
+            pats = [e if isinstance(e, Incompatible) else e[0] for e in picked]
+        for j, c in enumerate(chosen):
+            used[j].update(text for text, _ in c)
         rows += pats
 
-    if not aligned:
+    if not rows:
         raise NoAlignment("input sets share no alignable formula")
-
-    patterns = []
-    for tup, row in zip(aligned, rows):
-        if row is None:
-            anti_unify(tup, mode)  # raises Incompatible, naming the disagreement
-        patterns.append(namer.name(row, len(gammas)))
+    for row in rows:
+        if isinstance(row, Incompatible):
+            raise row  # the first failed row's own disagreement
+    patterns = [namer.name(row, len(gammas)) for row in rows]
 
     total = all(len(u) == len({text for entries in k.values() for text, _ in entries})
                 for u, k in zip(used, keyed))

@@ -106,7 +106,7 @@ class ScenarioDoc:
       replaces what came before it, and an absent agent reads never;
     - initiates and terminates: EffectRules;
     - asserts: formulas; groups: tuples of formulas;
-    - observations and queries: Situations.
+    - observations and queries: Situations, no two with one id.
 
     horizon is None when undeclared; last_moment is the largest moment
     that a happens, nu, theta, observe or query item names."""
@@ -178,7 +178,9 @@ class _FormulaParser:
     def fresh_scope(self):
         self.freevars = {}
 
-    def term(self, sx, expected: Sort, env=None) -> Term:
+    def term(self, sx, expected: Sort, env=None, ground=False) -> Term:
+        """The term sx of the expected sort; with ground set, a term that
+        names a thing of the scenario, so it may hold no ?variable."""
         env = env or {}
         if isinstance(sx, SNum):
             if expected is Sort.MOMENT and sx.is_int and not sx.text.startswith("-"):
@@ -187,6 +189,9 @@ class _FormulaParser:
         if isinstance(sx, SSym):
             name = sx.text
             if name.startswith("?"):
+                if ground:
+                    raise ParseError(f"variable {name} where a ground term is expected",
+                                     *_loc(sx))
                 return self._variable(name[1:], expected, _loc(sx))
             if name in env:
                 v = env[name]
@@ -218,7 +223,7 @@ class _FormulaParser:
             if len(args) != len(sym.arg_sorts):
                 raise ParseError(f"{head} expects {len(sym.arg_sorts)} arguments, "
                                  f"got {len(args)}", *_loc(sx))
-            terms = tuple(self.term(a, s, env) for a, s in zip(args, sym.arg_sorts))
+            terms = tuple(self.term(a, s, env, ground) for a, s in zip(args, sym.arg_sorts))
             if not fits(sym.result_sort, expected):
                 raise SortMismatch(f"{head} yields {sym.result_sort.value}, "
                                    f"expected {expected.value}", *_loc(sx))
@@ -340,10 +345,11 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     documents are returned."""
     doc = ScenarioDoc(SymbolTable())
     fp = _FormulaParser(doc.symbols)
+    situation_ids: set[str] = set()  # observe and query items share one namespace
     for sx in read_all(text):
         if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
             raise ParseError("expected a (keyword ...) item", *_loc(sx))
-        _parse_item(sx, doc, fp)
+        _parse_item(sx, doc, fp, situation_ids)
     # (set max-depth d) may follow the asserts it bounds, (horizon h) the
     # occurrences it bounds
     max_depth = doc.config["max-depth"]
@@ -361,7 +367,7 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     return doc
 
 
-def _parse_item(sx, doc, fp):
+def _parse_item(sx, doc, fp, situation_ids):
     head = sx.items[0].text
     body = sx.items[1:]
     loc = _loc(sx)
@@ -421,15 +427,15 @@ def _parse_item(sx, doc, fp):
         doc.config[key] = check_setting(key, value, _loc(body[1]), table)
     elif head == "initially":
         need(1)
-        doc.initially.append(fp.term(body[0], Sort.FLUENT))
+        doc.initially.append(fp.term(body[0], Sort.FLUENT, ground=True))
     elif head == "happens":
         need(2)
-        occurrence = (fp.term(body[0], Sort.EVENT), fact_moment(body[1]))
+        occurrence = (fp.term(body[0], Sort.EVENT, ground=True), fact_moment(body[1]))
         doc.happens.setdefault(occurrence, _loc(body[1]))
     elif head == "nu":
         need(4)
-        key = (fp.term(body[0], Sort.AGENT), fp.term(body[1], Sort.FLUENT),
-               fact_moment(body[2]))
+        key = (fp.term(body[0], Sort.AGENT, ground=True),
+               fp.term(body[1], Sort.FLUENT, ground=True), fact_moment(body[2]))
         if not isinstance(body[3], SNum):
             raise ParseError("nu value must be a number", *_loc(body[3]))
         # float of the literal text: a literal too large for a float reads
@@ -441,7 +447,7 @@ def _parse_item(sx, doc, fp):
     elif head == "theta":
         if len(body) not in (2, 3):
             raise ParseError("(theta ...) expects 2 or 3 parts", *loc)
-        agent = fp.term(body[0], Sort.AGENT)
+        agent = fp.term(body[0], Sort.AGENT, ground=True)
         mode = _expect_sym(body[1])
         if mode in ("always", "never"):
             need(2)
@@ -464,7 +470,7 @@ def _parse_item(sx, doc, fp):
     elif head == "group":
         doc.groups.append(tuple(fp.formula(f) for f in body))
     elif head in _SITUATION_SECTIONS:
-        fact = _parse_situation(head, body, loc, fp)
+        fact = _parse_situation(head, body, loc, fp, situation_ids)
         doc.last_moment = max(doc.last_moment, fact.time)
         (doc.queries if head == "query" else doc.observations).append(fact)
     else:
@@ -505,24 +511,30 @@ _SITUATION_SECTIONS = {"observe": {"agent", "time", "formulas", "alternatives", 
                        "query": {"time", "formulas"}}
 
 
-def _parse_situation(head, body, loc, fp):
-    """An (observe id ...) or (query id ...) item; a query has only the
-    time and formulas sections."""
+def _parse_situation(head, body, loc, fp, taken):
+    """An (observe id ...) or (query id ...) item, whose id is not in the
+    set taken; a query has only the time and formulas sections. The
+    agent, alternatives and performed action types are ground."""
     if not body:
         raise ParseError(f"({head} ...) needs an id", *loc)
     sid = _expect_sym(body[0], "situation id")
+    if sid in taken:
+        raise DuplicateDeclaration(f"duplicate situation id {sid!r}", *_loc(body[0]))
+    taken.add(sid)
     secs = _sections(body[1:], _SITUATION_SECTIONS[head])
     agent = None
     if "agent" in secs:
-        agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT)
+        agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT, ground=True)
     time = _expect_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
     formulas = tuple(fp.formula(f) for f in _section_items(secs, "formulas"))
     if head == "query":
         return Situation(sid, time, formulas)
-    alts = tuple(fp.term(t, Sort.ACTION_TYPE) for t in _section_items(secs, "alternatives"))
+    alts = tuple(fp.term(t, Sort.ACTION_TYPE, ground=True)
+                 for t in _section_items(secs, "alternatives"))
     performed = None
     if "performed" in secs:
-        performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE)
+        performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE,
+                            ground=True)
     return Situation(sid, time, formulas, alts, performed, agent)
 
 

@@ -263,6 +263,10 @@ class TestMalformedInput:
         ("(observe s (time 10001))", "3:18: moments are at most 10000, got 10001"),
         ("(query q (time 10001))", "3:16: moments are at most 10000, got 10001"),
         ("(assert (believes jack 10001 (p)))", "3:24: moments are at most 10000, got 10001"),
+        # observe and query items share one namespace of ids
+        ("(observe s (time 1)) (observe s (time 2))", "3:31: duplicate situation id 's'"),
+        ("(observe s (time 1)) (query s (time 2))", "3:29: duplicate situation id 's'"),
+        ("(query s (time 1)) (observe s (time 2))", "3:29: duplicate situation id 's'"),
     ])
     def test_rejected_item(self, capsys, tmp_path, item, where):
         p = tmp_path / "bad.vz"
@@ -272,6 +276,32 @@ class TestMalformedInput:
             code, out, err = run_cli(capsys, command, str(p))
             assert code == 1 and out == ""
             assert err == f"{p}:{where}\n"
+
+    @pytest.mark.parametrize("item", [
+        "(observe s (agent ?a))",
+        "(observe s (agent a) (alternatives (utter (f b)) (utter (f ?y))))",
+        "(observe s (agent a) (formulas (holds (f ?y) ?t)) (performed (utter (f ?y))))",
+        "(observe s (agent a) (performed ?x))",
+        "(happens (action ?a (utter (f b))) 1)",
+        "(initially (f ?x))",
+        "(nu ?q (f b) 2 1.0)",
+        "(nu a (f ?q) 2 1.0)",
+        "(theta ?a always)",
+        "(theta ?a at 1)",
+    ])
+    def test_variable_in_ground_position(self, capsys, tmp_path, item):
+        # a fact, and an observation's agent and action types, name things:
+        # the first ?variable there is rejected where it stands (a variable
+        # in the situation's formulas, before it, is legal)
+        p = tmp_path / "open.vz"
+        p.write_text("(declare-agent a)\n(declare-agent b)\n(declare-fluent f (agent))\n"
+                     f"(declare-action-type utter (fluent))\n{item}\n")
+        col = item.rindex("?") + 1
+        var = item[col - 1:].split(")")[0].split()[0]
+        want = f"{p}:5:{col}: variable {var} where a ground term is expected\n"
+        for command in ("check", "run", "infer"):
+            for as_json in ([], ["--json"]):
+                assert run_cli(capsys, command, str(p), *as_json) == (1, "", want)
 
     @pytest.mark.parametrize("setting, where", [
         # max-depth may follow the asserts it bounds
@@ -704,6 +734,36 @@ class TestTraitFiles:
                 assert proposals == [
                     "(proposal later (happens (action observer (utter (broken))) 5))"]
 
+    def test_event_proposed_by_two_traits_is_one_proposal(self, capsys, tmp_path):
+        # both traits propose (utter (broken)) on the query fresh
+        traits = tmp_path / "traits.vz"
+        traits.write_text("(trait (pattern (holds ?X0 ?t)) (action (utter ?X0)))\n"
+                          "(trait (pattern (holds (broken) ?t)) (action (utter (broken))))\n")
+        proposal = "(proposal fresh (happens (action observer (utter (broken))) 5))\n"
+        assert run_cli(capsys, "act", MARKETPLACE, "--traits", str(traits)) == (0, proposal, "")
+        code, out, err = run_cli(capsys, "run", MARKETPLACE, "--traits", str(traits))
+        assert (code, err) == (0, "") and out.count("(proposal") == 1 and out.endswith(proposal)
+        code, out, _ = run_cli(capsys, "act", MARKETPLACE, "--traits", str(traits), "--json")
+        assert code == 0 and [json.loads(line)["event"] for line in out.splitlines()] == [
+            "(action observer (utter (broken)))"]
+
+    @pytest.mark.parametrize("mode", ["fo", "ho"])
+    def test_trait_file_is_the_trait_lines(self, capsys, tmp_path, mode):
+        # learn --traits writes the trait lines it reports, and nothing else
+        text, _ = perfbench.generate("learn-traits", 0)
+        generated = tmp_path / "learn-traits-0.vz"
+        generated.write_text(text)
+        traits = tmp_path / "traits.vz"
+        learnt = 0
+        for scenario in sorted(glob.glob(os.path.join(CORPUS, "*.vz"))) + [str(generated)]:
+            code, out, _ = run_cli(capsys, "learn", scenario, "--mode", mode,
+                                   "--traits", str(traits))
+            assert code == 0
+            lines = [l for l in out.splitlines() if l.startswith("(trait")]
+            assert traits.read_text().splitlines() == lines
+            learnt += len(lines)
+        assert learnt >= 2
+
     def test_act_requires_traits(self, capsys):
         code, _, err = run_cli(capsys, "act", MARKETPLACE)
         assert code == 1 and "--traits" in err
@@ -727,6 +787,17 @@ class TestOverrides:
         code, out, _ = run_cli(capsys, "project", MARKETPLACE, "--horizon", "4")
         assert code == 0
         assert out.splitlines()[0] == "(horizon 4)"
+
+    def test_infer_reads_the_undeclared_horizon(self, capsys, tmp_path):
+        # without (horizon ...), infer persists to the largest moment read,
+        # as project does, and as --horizon of that moment does
+        p = tmp_path / "persist.vz"
+        p.write_text("(declare-agent a)\n(declare-predicate p ())\n(declare-action-type go ())\n"
+                     "(happens (action a (go)) 3)\n(assert (knows a 1 (p)))\n")
+        assert run_cli(capsys, "project", str(p))[1].splitlines()[0] == "(horizon 3)"
+        want = "".join(f"(knows a {t} (p))\n" for t in (1, 2, 3)) + "(p)\n"
+        assert run_cli(capsys, "infer", str(p)) == (0, want, "")
+        assert run_cli(capsys, "infer", str(p), "--horizon", "3") == (0, want, "")
 
     @pytest.mark.parametrize("item", [
         "(theta a at 9) (theta a always)", "(nu a (p) 9 1.0)", "(happens (action a (up)) 9)",

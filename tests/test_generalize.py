@@ -511,12 +511,19 @@ def test_fold_matches_nary_anti_unification(rng, mode):
 
 def fold_row(fold, row):
     """The fold's pattern of a row, extended one input at a time as
-    generalize_sets extends it; None once incompatible."""
+    generalize_sets extends it; the Incompatible once incompatible."""
     pattern = row[0]
     for g in row[1:]:
         step = fold.extend(pattern, g)
-        pattern = None if step is None else step[0]
+        pattern = step if isinstance(step, Incompatible) else step[0]
     return pattern
+
+
+def anti_unify_message(row, mode):
+    """The message of the Incompatible that anti-unifying row raises."""
+    with pytest.raises(Incompatible) as exc:
+        anti_unify(row, mode)
+    return str(exc.value)
 
 
 @pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
@@ -524,7 +531,8 @@ def test_row_pattern_scoring_matches_namer_keys(rng, mode):
     """Extending a row's pattern by a candidate holds as many holes as
     anti-unifying the whole extended row introduces keys, it fails exactly
     when that does, and rows sharing one table count shared witness
-    tuples once."""
+    tuples once. A failed extension is the Incompatible that anti-unifying
+    the extended row raises."""
     compared = incompatible = 0
     for _ in range(400):
         width = rng.randint(1, 7)
@@ -536,10 +544,11 @@ def test_row_pattern_scoring_matches_namer_keys(rng, mode):
         # ext[i][k] / want[i][k]: row i extended by candidate k
         ext = [[fold.extend(p, g) for g in candidates] for p in patterns]
         want = [[namer_keys(row + (g,), mode) for g in candidates] for row in rows]
-        for got_row, want_row in zip(ext, want):
-            for got, keys in zip(got_row, want_row):
-                assert (got is None) == (keys is None)
-                if got is None:
+        for got_row, want_row, row in zip(ext, want, rows):
+            for got, keys, g in zip(got_row, want_row, candidates):
+                assert isinstance(got, Incompatible) == (keys is None)
+                if keys is None:
+                    assert str(got) == anti_unify_message(row + (g,), mode)
                     incompatible += 1
                 else:
                     assert len(got[1]) == len(keys)
@@ -658,6 +667,26 @@ def test_generalize_sets_matches_whole_row_alignment(rng, mode):
         reordered += moved
     # the permutation search decides the alignment in a good share of cases
     assert outcomes > 100 and reordered > 30
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_failed_row_raises_anti_unify_message(mode):
+    # one alignment key with two rows; the second and third sets offer 3
+    # and 2 candidates, so the permutation search picks each row's formula.
+    # Every permutation of the second set gives some row a binder of sort
+    # fluent, so the first permutation wins: the agent binder over jim goes
+    # to row 0, the fluent binder over jack to row 1, and row 1 fails. Its
+    # error is the one anti-unifying that row alone raises.
+    def binder(sort, who):
+        return ForAll((Variable("x", sort),), Atom(HUNGRY(who)))
+    gammas = [[binder(Sort.AGENT, JACK), binder(Sort.AGENT, JILL)],
+              [binder(Sort.FLUENT, JILL), binder(Sort.AGENT, JIM), binder(Sort.FLUENT, JACK)],
+              [binder(Sort.AGENT, JILL), binder(Sort.AGENT, JACK)]]
+    assert len({_structure_key(f, mode) for g in gammas for f in g}) == 1
+    with pytest.raises(Incompatible) as exc:
+        generalize_sets(gammas, mode)
+    row = (binder(Sort.AGENT, JILL), binder(Sort.FLUENT, JACK), binder(Sort.AGENT, JILL))
+    assert str(exc.value) == anti_unify_message(row, mode) == "binders disagree"
 
 
 @pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
