@@ -18,23 +18,59 @@ from .terms import Constant, SymbolVariable
 # A command imports the later stages it runs itself, so it starts without the others.
 
 
+# Each record type's text line, from its fields as emitted (text reports only).
+_TEXT = {
+    "check": lambda facts: f"ok: {facts} facts",
+    "horizon": lambda horizon: f"(horizon {horizon})",
+    "occurrence": lambda event, time, initiated, terminated: f"(occurrence {event} {time} "
+                  f"(initiated {' '.join(initiated)}) (terminated {' '.join(terminated)}))",
+    "holds": lambda fluent, time: f"(holds {fluent} {time})",
+    "mu-bar": lambda event, time, value: f"(mu-bar {event} {time} {value})",
+    "nu-bar": lambda agent, event, time, value: f"(nu-bar {agent} {event} {time} {value})",
+    "emotion": lambda kind, subject, object, event, event_time, hold_time: f"({kind} {subject}"
+               f"{'' if object is None else ' ' + object} {event} {event_time} {hold_time})",
+    "formula": lambda formula: formula,
+    "pattern": lambda formula: formula,
+    "subst": lambda subst: subst,
+    "total": lambda total: f"(total {'true' if total else 'false'})",
+    "exemplar": lambda learner, exemplar, count, admitted_at: f"(exemplar {learner} {exemplar} "
+                f"{count} {'never' if admitted_at is None else admitted_at})",
+    "trait": lambda trait: trait,
+    "proposal": lambda query, event, time: f"(proposal {query} (happens {event} {time}))",
+}
+
+
 class Report:
+    """A command's records, each rendered once, when emitted: as its _TEXT line,
+    or with --json as {"type": rtype, **fields}. `real` renders a utility total."""
+
     def __init__(self, as_json: bool):
-        self.as_json = as_json
         self.lines: list[str] = []
         if as_json:
             import json  # only JSON reports pay for its import
-            self.dumps = json.dumps
-
-    def emit(self, rtype: str, text: str, **fields):
-        if self.as_json:
-            self.lines.append(self.dumps({"type": rtype, **fields}, sort_keys=True))
+            encode = json.JSONEncoder(sort_keys=True).encode
+            self.render = lambda rtype, fields: encode({"type": rtype, **fields})
+            self.real = lambda x: x if math.isfinite(x) else None  # JSON has no nan or inf
         else:
-            self.lines.append(text)
+            self.render = lambda rtype, fields: _TEXT[rtype](**fields)
+            self.real = print_real
+
+    def emit(self, rtype: str, **fields):
+        self.lines.append(self.render(rtype, fields))
 
     def flush(self, out):
-        for line in self.lines:
-            print(line, file=out)
+        """Write the whole report at once, past any buffer, so that a failed
+        write leaves nothing to retry at exit. An empty report writes nothing."""
+        if not self.lines:
+            return
+        text = "\n".join(self.lines) + "\n"
+        if hasattr(out, "buffer"):
+            out.flush()
+            raw, data = getattr(out.buffer, "raw", out.buffer), memoryview(text.encode(out.encoding))
+            while data:  # a pipe or a file may take only a part
+                data = data[raw.write(data):]
+        else:  # a text stream, such as io.StringIO
+            out.write(text)
 
 
 # settings that a command-line flag of the same name overrides
@@ -57,33 +93,22 @@ def _learner_agent(doc) -> Constant:
 
 
 def cmd_check(args, rep):
-    doc = _load(args.file, args)
-    rep.emit("check", f"ok: {len(doc.facts)} facts", facts=len(doc.facts))
+    rep.emit("check", facts=len(_load(args.file, args).facts))
 
 
 def _emit_timeline(tl, rep):
-    rep.emit("horizon", f"(horizon {tl.horizon})", horizon=tl.horizon)
+    rep.emit("horizon", horizon=tl.horizon)
     for occ in tl.occurrences:
-        init = [print_term(f) for f in occ.initiated]
-        term = [print_term(f) for f in occ.terminated]
-        rep.emit("occurrence",
-                 f"(occurrence {print_term(occ.event)} {occ.time} "
-                 f"(initiated {' '.join(init)}) (terminated {' '.join(term)}))",
-                 event=print_term(occ.event), time=occ.time,
-                 initiated=init, terminated=term)
+        rep.emit("occurrence", event=print_term(occ.event), time=occ.time,
+                 initiated=[print_term(f) for f in occ.initiated],
+                 terminated=[print_term(f) for f in occ.terminated])
     text = {f: print_term(f) for f in {f for f, _ in tl.holds_set}}
     for fluent, t in sorted((text[f], t) for f, t in tl.holds_set):
-        rep.emit("holds", f"(holds {fluent} {t})", fluent=fluent, time=t)
+        rep.emit("holds", fluent=fluent, time=t)
 
 
 def cmd_project(args, rep):
-    doc = _load(args.file, args)
-    _emit_timeline(ec.project(doc), rep)
-
-
-def _json_real(x: float):
-    """JSON has no nan or infinity (RFC 8259): a total that is not finite is null."""
-    return x if math.isfinite(x) else None
+    _emit_timeline(ec.project(_load(args.file, args)), rep)
 
 
 def cmd_utility(args, rep):
@@ -93,25 +118,19 @@ def cmd_utility(args, rep):
     agents = doc.symbols.agents
     for occ in tl.occurrences:
         ev = print_term(occ.event)
-        total = mu_bar(occ, doc.nu, agents, tl.horizon)
-        rep.emit("mu-bar", f"(mu-bar {ev} {occ.time} {print_real(total)})",
-                 event=ev, time=occ.time, value=_json_real(total))
+        rep.emit("mu-bar", event=ev, time=occ.time,
+                 value=rep.real(mu_bar(occ, doc.nu, agents, tl.horizon)))
         for a in agents:
-            v = nu_bar(a, occ, doc.nu, tl.horizon)
-            rep.emit("nu-bar", f"(nu-bar {a.name} {ev} {occ.time} {print_real(v)})",
-                     agent=a.name, event=ev, time=occ.time, value=_json_real(v))
+            rep.emit("nu-bar", agent=a.name, event=ev, time=occ.time,
+                     value=rep.real(nu_bar(a, occ, doc.nu, tl.horizon)))
 
 
 def _emit_records(records, rep):
-    from . import emotions
+    events = {e: print_term(e) for e in {r.event for r in records}}
     for r in records:
-        if rep.as_json:
-            rep.emit("emotion", "", kind=r.kind.value, subject=r.subject.name,
-                     object=r.object.name if r.object else None,
-                     event=print_term(r.event), event_time=r.event_time,
-                     hold_time=r.hold_time)
-        else:
-            rep.emit("emotion", emotions.print_record(r))
+        rep.emit("emotion", kind=r.kind.value, subject=r.subject.name,
+                 object=r.object.name if r.object else None, event=events[r.event],
+                 event_time=r.event_time, hold_time=r.hold_time)
 
 
 def cmd_emotions(args, rep):
@@ -132,16 +151,14 @@ def cmd_infer(args, rep):
     doc = _load(args.file, args)
     kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
                           horizon=doc.effective_horizon())
-    closed = saturate(kb)
-    for line in sorted(print_formula(f) for f in closed.formulas):
-        rep.emit("formula", line, formula=line)
+    for line in sorted(print_formula(f) for f in saturate(kb).formulas):
+        rep.emit("formula", formula=line)
 
 
 def _print_subst(s: dict) -> str:
     """Variables by name, then symbol variables by name."""
-    keys = sorted(s, key=lambda v: (isinstance(v, SymbolVariable), v.name))
     parts = [f"?{v.name} {s[v].name if isinstance(v, SymbolVariable) else print_term(s[v])}"
-             for v in keys]
+             for v in sorted(s, key=lambda v: (isinstance(v, SymbolVariable), v.name))]
     return f"(subst {' '.join(parts)})"
 
 
@@ -164,18 +181,17 @@ def cmd_generalize(args, rep):
     except (Incompatible, NoAlignment) as exc:
         raise SourceError(str(exc), *at) from exc
     for p in patterns:
-        rep.emit("pattern", print_formula(p), formula=print_formula(p))
+        rep.emit("pattern", formula=print_formula(p))
     for s in gen.substitutions:
-        rep.emit("subst", _print_subst(s), subst=_print_subst(s))
+        rep.emit("subst", subst=_print_subst(s))
     if doc.groups:
-        rep.emit("total", f"(total {'true' if gen.total else 'false'})", total=gen.total)
+        rep.emit("total", total=gen.total)
 
 
 def _learn_pipeline(doc):
     from . import emotions, learner
     tl = ec.project(doc)
-    world = emotions.world_from_doc(doc, tl)
-    records = emotions.sweep_emotions(world)
+    records = emotions.sweep_emotions(emotions.world_from_doc(doc, tl))
     config = doc.config
     lrn = _learner_agent(doc)
     exemplars = learner.identify_exemplars(records, lrn, config["n"])
@@ -206,18 +222,14 @@ def _learn_pipeline(doc):
 
 
 def _emit_exemplar(ex, rep):
-    admitted = "never" if ex.admitted_at is None else str(ex.admitted_at)
-    rep.emit("exemplar",
-             f"(exemplar {ex.learner.name} {ex.exemplar.name} "
-             f"{ex.admiration_count} {admitted})",
-             learner=ex.learner.name, exemplar=ex.exemplar.name,
+    rep.emit("exemplar", learner=ex.learner.name, exemplar=ex.exemplar.name,
              count=ex.admiration_count, admitted_at=ex.admitted_at)
 
 
 def _emit_trait(trait, rep) -> str:
     """Report the trait; return its (trait ...) record, the line a trait file holds."""
     line = print_trait(trait)
-    rep.emit("trait", line, trait=line)
+    rep.emit("trait", trait=line)
     return line
 
 
@@ -248,8 +260,7 @@ def _apply_to_queries(doc, traits, lrn, rep):
         # an event that several traits propose is one proposal, in first-proposed order
         events = dict.fromkeys(e for trait in traits for e in learner.apply_trait(trait, q, lrn))
         for event in map(print_term, events):
-            rep.emit("proposal", f"(proposal {q.id} (happens {event} {q.time}))",
-                     query=q.id, event=event, time=q.time)
+            rep.emit("proposal", query=q.id, event=event, time=q.time)
 
 
 def cmd_act(args, rep):
@@ -274,17 +285,9 @@ def cmd_run(args, rep):
     _apply_to_queries(doc, traits, lrn, rep)
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "project": cmd_project,
-    "utility": cmd_utility,
-    "emotions": cmd_emotions,
-    "infer": cmd_infer,
-    "generalize": cmd_generalize,
-    "learn": cmd_learn,
-    "act": cmd_act,
-    "run": cmd_run,
-}
+_COMMANDS = {"check": cmd_check, "project": cmd_project, "utility": cmd_utility,
+             "emotions": cmd_emotions, "infer": cmd_infer, "generalize": cmd_generalize,
+             "learn": cmd_learn, "act": cmd_act, "run": cmd_run}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,11 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--mode", default=None)
+        for flag, kind in (("horizon", int), ("n", int), ("m", int), ("gamma", float), ("mode", str)):
+            p.add_argument(f"--{flag}", type=kind, default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--traits", default=None)
     return parser
@@ -315,13 +315,13 @@ def main(argv=None) -> int:
     rep = Report(args.json)
     try:
         _COMMANDS[args.command](args, rep)
+        rep.flush(sys.stdout)  # inside, so that a failed write is an error like any other
     except SourceError as exc:
         print(f"{exc.path or args.file}:{exc}", file=sys.stderr)
         return 1
     except (VzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rep.flush(sys.stdout)
     return 0
 
 

@@ -9,7 +9,7 @@ from .errors import ConflictingEffects, UnknownOccurrence
 from .printer import print_term
 from .scenario import ScenarioDoc
 from .subst import apply_substitution, match
-from .terms import Record, Term, Variable, is_ground, moment
+from .terms import Record, Term, Variable, free_variables, is_ground, moment
 
 
 class Occurrence(Record):
@@ -28,18 +28,35 @@ class Timeline(Record):
         raise UnknownOccurrence(f"no occurrence of {print_term(event)} at {t}")
 
 
-def _rule_effects(matches, time: int):
-    """Fluents that an event's (rule, substitution) matches produce at one
-    moment. A substitution serves every occurrence of its event, so
-    binding the time variable copies it."""
-    out = set()
-    for rule, s in matches:
+def _event_effects(rules, event):
+    """Match an event against one kind of rule, once. A rule whose time
+    is a variable that its fluent does not read gives the same fluent at
+    every occurrence, so it is applied here; the other (rule,
+    substitution) pairs are left for _rule_effects at each occurrence."""
+    fluents, per_occurrence = set(), []
+    for rule in rules:
+        if (s := match(rule.event, event)) is None:
+            continue
+        if isinstance(rule.time, Variable) and rule.time not in free_variables(rule.fluent):
+            fluents.add(apply_substitution(s, rule.fluent))
+        else:
+            per_occurrence.append((rule, s))
+    # a fluent left with a variable is underdetermined: its rule cannot fire
+    return {f for f in fluents if is_ground(f)}, per_occurrence
+
+
+def _rule_effects(effects, time: int):
+    """The fluents an event's _event_effects produce at one moment. A
+    substitution serves every occurrence, so binding the time copies it."""
+    fluents, per_occurrence = effects
+    out = set(fluents)
+    for rule, s in per_occurrence:
         if isinstance(rule.time, Variable):
             s = {**s, rule.time: moment(time)}
         elif rule.time != moment(time):
             continue
         fluent = apply_substitution(s, rule.fluent)
-        if is_ground(fluent):  # else the rule is underdetermined: it cannot fire
+        if is_ground(fluent):
             out.add(fluent)
     return out
 
@@ -54,13 +71,12 @@ def project(doc: ScenarioDoc) -> Timeline:
     event is matched against the effect rules once."""
     horizon = doc.effective_horizon()
     rules = (doc.initiates, doc.terminates)
-    matched: dict = {}  # event -> [(rule, substitution)] of each rule kind
+    matched: dict = {}  # event -> its _event_effects of each rule kind
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
     for event, t in doc.happens:
         if event not in matched:
-            matched[event] = [[(r, s) for r in kind if (s := match(r.event, event)) is not None]
-                              for kind in rules]
+            matched[event] = [_event_effects(kind, event) for kind in rules]
         init, term = (_rule_effects(m, t) for m in matched[event])
         init_t, term_t = by_time.setdefault(t, (set(), set()))
         init_t |= init

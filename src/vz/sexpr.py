@@ -47,24 +47,27 @@ class SList(Record):
     __slots__ = ("items", "line", "col")
 
 
-# [0-9] and the symbol class are ASCII only, unlike \d and \w
-_TOKEN = re.compile(r"(?P<skip>[ \t\r]+|;[^\n]*)|(?P<newline>\n)|(?P<open>\()|(?P<close>\))"
-                    r"|(?P<num>[+-]?[0-9][0-9.]*)|(?P<sym>[A-Za-z0-9_?*-]+)|(?P<bad>.)")
+# One match per token, with the spaces before it (never the spaces alone);
+# a comment is a match of no kind. [0-9] and the symbol class are ASCII
+# only, unlike \d and \w.
+_TOKEN = re.compile(r"[ \t\r]*(?:;.*|(?P<open>\()|(?P<close>\))|(?P<num>[+-]?[0-9][0-9.]*)"
+                    r"|(?P<sym>[A-Za-z0-9_?*-]+)|(?P<bad>[^ \t\r]))")
 
 
 def _tokens(text):
     """Yield (kind, text, line, col) for each paren and atom; kind is
-    "open", "close", "num" or "sym"."""
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        elif kind == "num" and word.count(".") > 1:
-            raise ParseError(f"bad number {word!r}", line, col)
-        elif kind != "skip":
+    "open", "close", "num" or "sym". Lexed line by line, so the spaces
+    at the end of a line match nothing."""
+    for line, source in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(source):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word, col = m.group(kind), m.start(kind) + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, col)
+            if kind == "num" and word.count(".") > 1:
+                raise ParseError(f"bad number {word!r}", line, col)
             yield kind, word, line, col
 
 
