@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 
-from . import ec
 from .errors import Incompatible, NoAlignment, SourceError, UnboundActionVariable, VzError
 from .printer import print_formula, print_real, print_term
 from .scenario import check_setting, parse_scenario, parse_traits, print_trait
@@ -108,10 +107,12 @@ def _emit_timeline(tl, rep):
 
 
 def cmd_project(args, rep):
+    from . import ec
     _emit_timeline(ec.project(_load(args.file, args)), rep)
 
 
 def cmd_utility(args, rep):
+    from . import ec
     from .utility import mu_bar, nu_bar
     doc = _load(args.file, args)
     tl = ec.project(doc)
@@ -134,7 +135,7 @@ def _emit_records(records, rep):
 
 
 def cmd_emotions(args, rep):
-    from . import emotions
+    from . import ec, emotions
     doc = _load(args.file, args)
     world = emotions.world_from_doc(doc, ec.project(doc))
     _emit_records(emotions.sweep_emotions(world), rep)
@@ -151,7 +152,8 @@ def cmd_infer(args, rep):
     doc = _load(args.file, args)
     kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
                           horizon=doc.effective_horizon())
-    for line in sorted(print_formula(f) for f in saturate(kb).formulas):
+    formulas, memo = saturate(kb).formulas, {}  # formulas holds every node the memo keys
+    for line in sorted(print_formula(f, memo=memo) for f in formulas):
         rep.emit("formula", formula=line)
 
 
@@ -189,7 +191,7 @@ def cmd_generalize(args, rep):
 
 
 def _learn_pipeline(doc):
-    from . import emotions, learner
+    from . import ec, emotions, learner
     tl = ec.project(doc)
     records = emotions.sweep_emotions(emotions.world_from_doc(doc, tl))
     config = doc.config
@@ -291,15 +293,16 @@ _COMMANDS = {"check": cmd_check, "project": cmd_project, "utility": cmd_utility,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's arguments
+    common.add_argument("file")
+    for flag, kind in (("horizon", int), ("n", int), ("m", int), ("gamma", float), ("mode", str)):
+        common.add_argument(f"--{flag}", type=kind, default=None)
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--traits", default=None)
     parser = argparse.ArgumentParser(prog="vz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        for flag, kind in (("horizon", int), ("n", int), ("m", int), ("gamma", float), ("mode", str)):
-            p.add_argument(f"--{flag}", type=kind, default=None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--traits", default=None)
+        sub.add_parser(name, parents=[common])
     return parser
 
 

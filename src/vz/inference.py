@@ -70,6 +70,7 @@ def _moments_of(x, out):
 
 
 def _try_moment(t):
+    """The value of a moment constant, None for any other time."""
     try:
         return moment_value(t)
     except SortMismatch:
@@ -99,6 +100,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     if kb.horizon is not None:
         moments |= set(range(kb.horizon + 1))
     ascending = sorted(moments)
+    value = {moment(t): t for t in ascending}  # every moment constant the rules meet
 
     formulas = set(kb.formulas)
     # (op, agents) -> moment -> bodies, for KNOWS and BELIEVES at a moment
@@ -117,7 +119,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
             if isinstance(f, Ought):
                 oughts.append(f)
             elif isinstance(f, Modal) and f.op in (ModalOp.KNOWS, ModalOp.BELIEVES):
-                t = _try_moment(f.time)
+                t = value.get(f.time)
                 if t is not None:
                     streams.setdefault((f.op, f.agents), {}).setdefault(t, set()).add(f.body)
                     touched.add((f.op, f.agents))
@@ -131,7 +133,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                 add(f.body)
             elif f.op is ModalOp.INTENDS:
                 # R_13: intentions become perceptions at later moments.
-                t = _try_moment(f.time)
+                t = value.get(f.time)
                 if t is not None:
                     for t2 in ascending:
                         if t2 > t:

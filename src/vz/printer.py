@@ -21,15 +21,20 @@ def print_real(x: float) -> str:
     return s
 
 
-def print_term(x, bound=frozenset()) -> str:
+def print_term(x, bound=frozenset(), memo=None) -> str:
     """Print a term or formula; ``bound`` holds the variables bound by
-    enclosing quantifiers."""
+    enclosing quantifiers. A node printed under no binder has one text;
+    ``memo``, if given, keeps it by id(node), so the caller must hold every
+    node it prints with one memo for as long as it keeps that memo."""
+    closed = memo is not None and not bound
+    if closed and id(x) in memo:
+        return memo[id(x)]
     if isinstance(x, Variable):
         return x.name if x in bound else f"?{x.name}"
     if isinstance(x, Constant):
         return x.name
     if isinstance(x, Atom):
-        return print_term(x.pred, bound)
+        return print_term(x.pred, bound, memo)
     if isinstance(x, Application):
         head = f"?{x.symbol.name}" if isinstance(x.symbol, SymbolVariable) else x.symbol.name
     elif isinstance(x, (ForAll, Exists)):
@@ -42,8 +47,11 @@ def print_term(x, bound=frozenset()) -> str:
         head = KEYWORDS[type(x)]
     parts = [head]
     for sub in children(x):
-        parts.append(print_term(sub, bound))
-    return f"({' '.join(parts)})"
+        parts.append(print_term(sub, bound, memo))
+    text = f"({' '.join(parts)})"
+    if closed:
+        memo[id(x)] = text
+    return text
 
 
 print_formula = print_term

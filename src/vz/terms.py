@@ -7,6 +7,7 @@ everything else is flat.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Union
 
 from .errors import ArityMismatch, SortMismatch, UnknownSymbol
@@ -132,7 +133,10 @@ Term = Union[Variable, Constant, Application]
 TERMS = (Variable, Constant, Application)
 
 
+@functools.cache
 def moment(n: int) -> Constant:
+    """The one constant of moment n: its hash is computed once, and equal
+    moments compare by identity. A negative n raises on every call."""
     if n < 0:
         raise SortMismatch(f"moments are non-negative, got {n}")
     return Constant(str(n), Sort.MOMENT)

@@ -99,6 +99,10 @@ class TestRoundTrip:
         f = parse_one_formula("(believes jack 3 (holds (broken) 1))")
         assert alpha_equal(parse_one_formula(print_formula(f)), f)
 
+    def test_parsed_moments_are_the_shared_constants(self):
+        f = parse_one_formula("(believes jack 3 (holds (broken) 1))")
+        assert f.time is moment(3) and f.body.pred.args[1] is moment(1)
+
 
 # Random formula generator over the declared header vocabulary; it builds
 # every formula class and every modal operator.
@@ -154,6 +158,23 @@ def test_random_formula_round_trip(f):
     again = parse_one_formula(text)
     assert alpha_equal(again, f)
     assert print_formula(again) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(formulas(), max_size=4))
+def test_memo_printing_matches_print_term(fs):
+    memo = {}
+    # every root twice, so the second printing of each reads the memo
+    assert [print_formula(f, memo=memo) for f in fs + fs] == [print_term(f) for f in fs + fs]
+
+
+def test_memo_prints_a_node_free_and_bound_apart():
+    free = Atom(TALKING(X))  # (talkingWith ?x) alone, (talkingWith x) under its binder
+    bound = ForAll((X,), free)
+    for roots in ((free, bound), (bound, free), (And((free, bound)),), (And((bound, free)),)):
+        memo = {}
+        assert [print_term(f, memo=memo) for f in roots] == [print_term(f) for f in roots]
+        assert memo
 
 
 def _subnodes(x):

@@ -189,6 +189,18 @@ def test_saturate_keeps_horn_consequences_of_a_later_non_horn_group():
     assert K(JILL, 3, Q) in out
 
 
+def test_r14_needs_the_obligation_itself():
+    """R_14 reads the ought as asserted, beside the two beliefs: a merely
+    believed ought yields no known intention, and a known one does, since
+    R_4 first derives the ought itself."""
+    ought = Ought(JACK, moment(1), P, DO_WAVE)
+    duty = K(JACK, 1, I(JACK, 1, DO_WAVE))
+    believed = saturate(KnowledgeBase.of([B(JACK, 1, P), B(JACK, 1, ought)], horizon=3))
+    assert ought not in believed.formulas and duty not in believed.formulas
+    known = saturate(KnowledgeBase.of([B(JACK, 1, P), B(JACK, 1, ought), K(JACK, 1, ought)]))
+    assert ought in known.formulas and duty in known.formulas
+
+
 def _naive_saturate(kb: KnowledgeBase) -> KnowledgeBase:
     """The naive saturation loop: every round re-derives every rule from
     the whole KB and emits each R_K/R_B group to every later moment."""

@@ -69,12 +69,13 @@ def test_start_up_imports_no_heavy_module():
 
 
 # The modules that only some subcommands run.
-ON_DEMAND = {"vz.emotions", "vz.generalize", "vz.inference", "vz.learner", "vz.utility"}
+ON_DEMAND = {"vz.ec", "vz.emotions", "vz.generalize", "vz.inference", "vz.learner",
+             "vz.subst", "vz.utility"}
 
 
 @pytest.mark.parametrize("command, scenario, loads", [
     ("check", "marketplace.vz", set()),
-    ("project", "marketplace.vz", set()),
+    ("project", "marketplace.vz", {"vz.ec", "vz.subst"}),
     ("infer", "obligation.vz", {"vz.inference"}),
 ], ids=["check", "project", "infer"])
 def test_subcommand_loads_only_the_modules_it_runs(command, scenario, loads):

@@ -34,6 +34,12 @@ class TestSorts:
     def test_sort_of_moment(self):
         assert sort_of(moment(3)) is Sort.MOMENT
 
+    def test_one_constant_per_moment(self):
+        assert moment(3) is moment(3) and moment(3) == Constant("3", Sort.MOMENT)
+        for _ in range(2):  # a refused moment is refused on every call
+            with pytest.raises(SortMismatch):
+                moment(-1)
+
     def test_swapped_arguments_rejected(self):
         running = FunctionSymbol("running", (), Sort.ACTION_TYPE)
         with pytest.raises(SortMismatch):
