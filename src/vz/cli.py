@@ -267,8 +267,6 @@ def _apply_to_queries(doc, traits, lrn, rep):
 
 def cmd_act(args, rep):
     doc = _load(args.file, args)
-    if not args.traits:
-        raise VzError("act requires --traits PATH")
     traits = _load_traits(args.traits, doc)
     _apply_to_queries(doc, traits, _learner_agent(doc), rep)
 
@@ -309,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "act" and not args.traits:
+        parser.error("act requires --traits PATH")
     for key in ("horizon",) + _OVERRIDES:
         if getattr(args, key) is not None:
             try:

@@ -67,14 +67,15 @@ def project(doc: ScenarioDoc) -> Timeline:
     over an open interval, so a terminator at 0 clips nothing), plus those
     initiated at t. Occurrences are taken in `happens` order, which the
     reader has checked against the horizon; the first whose moment then
-    both initiates and terminates a fluent is an error. Each distinct
-    event is matched against the effect rules once."""
+    both initiates and terminates a fluent is an error, located at that
+    occurrence's `happens` moment. Each distinct event is matched against
+    the effect rules once."""
     horizon = doc.effective_horizon()
     rules = (doc.initiates, doc.terminates)
     matched: dict = {}  # event -> its _event_effects of each rule kind
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
-    for event, t in doc.happens:
+    for (event, t), loc in doc.happens.items():
         if event not in matched:
             matched[event] = [_event_effects(kind, event) for kind in rules]
         init, term = (_rule_effects(m, t) for m in matched[event])
@@ -84,7 +85,7 @@ def project(doc: ScenarioDoc) -> Timeline:
         both = init_t & term_t
         if both:
             f = min(both, key=print_term)
-            raise ConflictingEffects(print_term(event), print_term(f), t)
+            raise ConflictingEffects(print_term(event), print_term(f), t, *(loc or ()))
         occurrences.append(Occurrence(event, t, tuple(sorted(init, key=print_term)),
                                       tuple(sorted(term, key=print_term))))
 

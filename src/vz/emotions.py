@@ -37,11 +37,6 @@ class EmotionRecord(Record):
     ``event_time``."""
     __slots__ = ("kind", "subject", "object", "event", "event_time", "hold_time")
 
-    def sort_key(self):
-        return (self.kind.value, self.subject.name,
-                self.object.name if self.object else "",
-                print_term(self.event), self.event_time, self.hold_time)
-
 
 class World:
     """Everything emotion evaluation needs: the projected timeline, ν and
@@ -117,20 +112,24 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
 
 
 def sweep_emotions(world: World) -> list[EmotionRecord]:
-    """All true emotion instances over occurrences, hold times, subjects
-    and the (kind, object) pairs of OCC_TABLE, in deterministic
-    lexicographic order."""
-    out = []
-    for occ in world.timeline.occurrences:
-        ev = occ.event
-        actors = ev.args[:1] if isinstance(ev, Application) and ev.symbol is ACTION else ()
-        objects = {SELF: (None,), OTHER: world.agents, ACTOR: actors}
-        pairs = [(kind, b) for kind, (whose, _) in OCC_TABLE.items() for b in objects[whose]]
-        for t2 in range(world.horizon + 1):
-            for a in world.agents:
-                out += [EmotionRecord(kind, a, b, ev, occ.time, t2)
-                        for kind, b in pairs if _holds(kind, a, b, occ, t2, world)]
-    out.sort(key=EmotionRecord.sort_key)
+    """All true emotion instances, walked in report order: kind, subject and
+    object (None, an agent or an action's actor) by name, occurrence by
+    (printed event, time), hold time."""
+    agents = sorted(world.agents, key=lambda c: c.name)
+    text = {ev: print_term(ev) for ev in {occ.event for occ in world.timeline.occurrences}}
+    occs = sorted(world.timeline.occurrences, key=lambda occ: (text[occ.event], occ.time))
+    acted = {}  # actor -> the occurrences of its actions, in report order
+    for occ in occs:
+        if isinstance(occ.event, Application) and occ.event.symbol is ACTION:
+            acted.setdefault(occ.event.args[0], []).append(occ)
+    objects = {SELF: (None,), OTHER: agents, ACTOR: sorted(acted, key=lambda c: c.name)}
+    moments, out = range(world.horizon + 1), []
+    for kind, (whose, _) in sorted(OCC_TABLE.items(), key=lambda item: item[0].value):
+        for a in agents:
+            for b in objects[whose]:
+                for occ in acted[b] if whose is ACTOR else occs:
+                    out += [EmotionRecord(kind, a, b, occ.event, occ.time, t2) for t2 in moments
+                            if _holds(kind, a, b, occ, t2, world)]
     return out
 
 

@@ -47,9 +47,10 @@ class DuplicateDeclaration(SourceError):
     pass
 
 
-class ConflictingEffects(VzError):
-    def __init__(self, event, fluent, time):
-        super().__init__(f"fluent {fluent} both initiated and terminated at {time} (event {event})")
+class ConflictingEffects(SourceError):
+    def __init__(self, event, fluent, time, line=None, col=None):
+        super().__init__(f"fluent {fluent} both initiated and terminated at {time} (event {event})",
+                         line, col)
         self.event = event
         self.fluent = fluent
         self.time = time

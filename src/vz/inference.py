@@ -6,7 +6,7 @@ as opaque facts inside the oracle.
 """
 from __future__ import annotations
 
-from .errors import DepthExceeded, SortMismatch, UnsupportedFragment
+from .errors import DepthExceeded, UnsupportedFragment
 from .scenario import DEFAULT_MAX_DEPTH
 from .terms import (And, Atom, Constant, Implies, Modal, ModalOp, Not, Ought,
                     Record, Sort, children, modal_depth, moment, moment_value)
@@ -67,14 +67,6 @@ def _moments_of(x, out):
     else:
         for sub in children(x):
             _moments_of(sub, out)
-
-
-def _try_moment(t):
-    """The value of a moment constant, None for any other time."""
-    try:
-        return moment_value(t)
-    except SortMismatch:
-        return None
 
 
 def saturate(kb: KnowledgeBase) -> KnowledgeBase:

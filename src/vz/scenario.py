@@ -14,7 +14,7 @@ from .errors import (DepthExceeded, DuplicateDeclaration, HorizonExceeded, Parse
                      SortMismatch, UnboundActionVariable, UndeclaredSymbol)
 from .printer import print_formula, print_term
 from .sexpr import SList, SNum, SSym, read_all
-from .terms import (BUILTIN_SYMBOLS, MODAL_ARITY, And, Application, Atom,
+from .terms import (BUILTIN_SYMBOLS, KEYWORDS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
                     Implies, Modal, ModalOp, Not, Or, Ought, Record, Sort,
                     SymbolVariable, Term, Variable, fits, free_variables,
@@ -34,6 +34,7 @@ HIGHER_ORDER = "ho"
 DEFAULT_MAX_DEPTH = 3  # the modal depth that (set max-depth d) overrides
 
 _MODAL_BY_NAME = {op.value: op for op in ModalOp}
+_CONNECTIVES = {KEYWORDS[cls]: cls for cls in (Not, And, Or, Implies, Iff)}
 
 
 class SymbolTable:
@@ -256,20 +257,14 @@ class _FormulaParser:
         head = sx.items[0]
         name = head.text if isinstance(head, SSym) else None
         body = sx.items[1:]
-        if name == "not":
-            self._arity(sx, 1)
-            return Not(self.formula(body[0], env))
-        if name in ("and", "or"):
-            if not body:
-                raise ParseError(f"({name}) needs at least one part", *_loc(sx))
-            parts = tuple(self.formula(p, env) for p in body)
-            return And(parts) if name == "and" else Or(parts)
-        if name == "implies":
-            self._arity(sx, 2)
-            return Implies(self.formula(body[0], env), self.formula(body[1], env))
-        if name == "iff":
-            self._arity(sx, 2)
-            return Iff(self.formula(body[0], env), self.formula(body[1], env))
+        if name in _CONNECTIVES:
+            cls = _CONNECTIVES[name]
+            if cls._fields == ("parts",):
+                if not body:
+                    raise ParseError(f"({name}) needs at least one part", *_loc(sx))
+                return cls(tuple(self.formula(p, env) for p in body))
+            self._arity(sx, len(cls._fields))
+            return cls(*(self.formula(p, env) for p in body))
         if name in ("forall", "exists"):
             self._arity(sx, 2)
             if not isinstance(body[0], SList):

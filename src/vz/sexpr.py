@@ -34,8 +34,7 @@ class SNum(Record):
 
     @property
     def value(self):
-        if not self.is_int:
-            return float(self.text)
+        """The integer an is_int literal names."""
         try:
             return int(self.text)
         except ValueError:  # more digits than int() converts

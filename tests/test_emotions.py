@@ -3,8 +3,9 @@ import pytest
 from vz.ec import project
 from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
                          eval_distress, eval_happy_for, eval_joy,
-                         eval_occ_table_emotion, sweep_emotions)
+                         eval_occ_table_emotion, sweep_emotions, world_from_doc)
 from vz.errors import UnknownOccurrence
+from vz.printer import print_term
 from vz.scenario import parse_scenario
 from vz.terms import ACTION, Application, Sort
 
@@ -225,6 +226,13 @@ def _raw_theta(world, agent, t):
     return gate == "always"
 
 
+def report_order(r):
+    """The order of emotion records in a report: kind, subject, object
+    (none first), printed event, event time, hold time."""
+    return (r.kind.value, r.subject.name, r.object.name if r.object else "",
+            print_term(r.event), r.event_time, r.hold_time)
+
+
 def reference_eval(kind, a, b, occ, t2, world):
     if not _raw_theta(world, a, t2):
         return False
@@ -310,7 +318,7 @@ def test_eval_matches_reference_interpreter(rng):
 
 def test_sweep_matches_reference_interpreter(rng):
     """On the same random worlds, the sweep yields each instance that the
-    transcription accepts exactly once, in sort order, and no other: so
+    transcription accepts exactly once, in report order, and no other: so
     no record lacks its object or is directed at its own subject."""
     for _ in range(300):
         w = random_emotion_world(rng)
@@ -324,7 +332,7 @@ def test_sweep_matches_reference_interpreter(rng):
                     for b in ((None,) if kind in self_directed else w.agents)
                     if reference_eval(kind, a, b, occ, t2, w)}
         assert len(got) == len(set(got)) and set(got) == expected
-        assert records == sorted(records, key=EmotionRecord.sort_key)
+        assert records == sorted(records, key=report_order)
 
 
 def crowded_emotion_world(rng):
@@ -366,7 +374,7 @@ def crowded_emotion_world(rng):
 def test_sweep_matches_reference_interpreter_on_crowded_worlds(rng):
     """With three agents and several occurrences, by different actors and
     at several moments, the sweep yields each instance that the
-    transcription accepts exactly once, in sort order, and no other."""
+    transcription accepts exactly once, in report order, and no other."""
     self_directed = (EmotionKind.JOY, EmotionKind.DISTRESS)
     shapes = set()
     for _ in range(200):
@@ -382,7 +390,41 @@ def test_sweep_matches_reference_interpreter_on_crowded_worlds(rng):
                     for b in ((None,) if kind in self_directed else w.agents)
                     if reference_eval(kind, a, b, occ, t2, w)}
         assert len(got) == len(set(got)) and set(got) == expected
-        assert records == sorted(records, key=EmotionRecord.sort_key)
+        assert records == sorted(records, key=report_order)
     # every shape of the family was drawn: 2-4 occurrences, with and
     # without an event at two moments
     assert shapes == {(2, 2), (3, 2), (3, 3), (4, 3)}
+
+
+def test_sweep_walks_in_report_order_not_declaration_or_happens_order():
+    """Agents declared out of name order and occurrences that happen out
+    of printed order, one action twice and later first: the sweep is the
+    transcription's set, in report order."""
+    doc = parse_scenario(
+        "(declare-agent zed) (declare-agent amy) (declare-agent kim)\n"
+        "(declare-fluent fed ()) (declare-fluent wet ()) (declare-action-type cook ())\n"
+        "(declare-constant rain event) (horizon 4)\n"
+        "(initiates (action ?a (cook)) (fed) t) (initiates rain (wet) t)\n"
+        "(happens rain 1) (happens (action zed (cook)) 3)\n"
+        "(happens (action amy (cook)) 2) (happens (action zed (cook)) 0)\n"
+        "(nu zed (fed) 4 1.0) (nu amy (fed) 4 2.0) (nu kim (fed) 4 1.0)\n"
+        "(nu amy (wet) 2 -1.0) (nu kim (wet) 3 1.0)\n"
+        "(theta zed always) (theta amy always) (theta kim at 1) (theta kim at 3)\n")
+    w = world_from_doc(doc, project(doc))
+    assert [a.name for a in w.agents] == ["zed", "amy", "kim"]
+    occs = w.timeline.occurrences
+    assert [(print_term(o.event), o.time) for o in occs] == [
+        ("rain", 1), ("(action zed (cook))", 3), ("(action amy (cook))", 2),
+        ("(action zed (cook))", 0)]
+    self_directed = (EmotionKind.JOY, EmotionKind.DISTRESS)
+    expected = sorted((EmotionRecord(kind, a, b, occ.event, occ.time, t2)
+                       for occ in occs for t2 in range(w.horizon + 1)
+                       for a in w.agents for kind in EmotionKind
+                       for b in ((None,) if kind in self_directed else w.agents)
+                       if reference_eval(kind, a, b, occ, t2, w)), key=report_order)
+    assert sweep_emotions(w) == expected
+    # every kind is present, and amy and kim admire zed's cooking at 0 and 3
+    assert {r.kind for r in expected} == set(EmotionKind)
+    assert {(r.subject.name, r.event_time) for r in expected
+            if r.kind is EmotionKind.ADMIRATION_FOR and r.object.name == "zed"} \
+        == {(s, t) for s in ("amy", "kim") for t in (0, 3)}

@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
-from vz.errors import DepthExceeded, UnsupportedFragment
-from vz.inference import (KnowledgeBase, _moments_of, _try_moment, horn_closure,
-                          modal_depth, saturate)
+from vz.errors import DepthExceeded, SortMismatch, UnsupportedFragment
+from vz.inference import KnowledgeBase, _moments_of, horn_closure, modal_depth, saturate
 from vz.terms import (ACTION, HAPPENS, MODAL_ARITY, And, Application, Atom,
                       Constant, FunctionSymbol, Iff, Implies, Modal, ModalOp,
-                      Not, Or, Ought, Sort, Variable, moment)
+                      Not, Or, Ought, Sort, Variable, moment, moment_value)
 
 from conftest import HONESTY, HUNGRY, JACK, JILL, TALKING_WITH
 
@@ -199,6 +198,14 @@ def test_r14_needs_the_obligation_itself():
     assert ought not in believed.formulas and duty not in believed.formulas
     known = saturate(KnowledgeBase.of([B(JACK, 1, P), B(JACK, 1, ought), K(JACK, 1, ought)]))
     assert ought in known.formulas and duty in known.formulas
+
+
+def _try_moment(t):
+    """The value of a moment constant, None for any other time."""
+    try:
+        return moment_value(t)
+    except SortMismatch:
+        return None
 
 
 def _naive_saturate(kb: KnowledgeBase) -> KnowledgeBase:
