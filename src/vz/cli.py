@@ -46,9 +46,12 @@ class Report:
     def __init__(self, as_json: bool):
         self.lines: list[str] = []
         if as_json:
-            import json  # only JSON reports pay for its import
-            encode = json.JSONEncoder(sort_keys=True).encode
-            self.render = lambda rtype, fields: encode({"type": rtype, **fields})
+            from json import JSONEncoder, encoder  # only JSON reports pay for its import
+            e = JSONEncoder(sort_keys=True)  # its encode makes a C encoder per call: make one
+            encode = encoder.c_make_encoder({}, e.default, encoder.encode_basestring_ascii, None,
+                                            e.key_separator, e.item_separator, e.sort_keys,
+                                            e.skipkeys, e.allow_nan)
+            self.render = lambda rtype, fields: "".join(encode({"type": rtype, **fields}, 0))
             self.real = lambda x: x if math.isfinite(x) else None  # JSON has no nan or inf
         else:
             self.render = lambda rtype, fields: _TEXT[rtype](**fields)
@@ -97,13 +100,17 @@ def cmd_check(args, rep):
 
 def _emit_timeline(tl, rep):
     rep.emit("horizon", horizon=tl.horizon)
+    memo = {}  # tl holds every node the memo keys
     for occ in tl.occurrences:
-        rep.emit("occurrence", event=print_term(occ.event), time=occ.time,
-                 initiated=[print_term(f) for f in occ.initiated],
-                 terminated=[print_term(f) for f in occ.terminated])
-    text = {f: print_term(f) for f in {f for f, _ in tl.holds_set}}
-    for fluent, t in sorted((text[f], t) for f, t in tl.holds_set):
-        rep.emit("holds", fluent=fluent, time=t)
+        rep.emit("occurrence", event=print_term(occ.event, memo=memo), time=occ.time,
+                 initiated=[print_term(f, memo=memo) for f in occ.initiated],
+                 terminated=[print_term(f, memo=memo) for f in occ.terminated])
+    times: dict = {}  # fluent -> the moments it holds at
+    for f, t in tl.holds_set:
+        times.setdefault(f, []).append(t)
+    for fluent, moments in sorted((print_term(f, memo=memo), ts) for f, ts in times.items()):
+        for t in sorted(moments):
+            rep.emit("holds", fluent=fluent, time=t)
 
 
 def cmd_project(args, rep):

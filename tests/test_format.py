@@ -271,7 +271,7 @@ _TREES = st.recursive(st.one_of(_SYMBOLS.map(lambda t: ("sym", t)),
                       lambda kids: st.lists(kids, max_size=4).map(lambda l: ("list", l)),
                       max_leaves=25)
 # a comment runs to the newline, and may hold any other character
-_GAPS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", ";\n", "; (x 1.2.3 @é\r;\n"]),
+_GAPS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "\r\n", ";\n", "; (x 1.2.3 @é\r;\n"]),
                  max_size=3).map("".join)
 
 
@@ -315,6 +315,7 @@ def _documents(draw):
 
     tree = [write(n) for n in draw(st.lists(_TREES, max_size=5))]
     gap(False)
+    put(draw(st.sampled_from(["", ";", "; (x 1.2.3 @é\r"])))  # a last comment, unended
     return "".join(out), tree, gaps
 
 
