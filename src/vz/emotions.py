@@ -30,6 +30,8 @@ class EmotionKind(enum.Enum):
     RESENTMENT = "resentment"
     ADMIRATION_FOR = "admiration-for"
 
+    __hash__ = object.__hash__  # members are singletons
+
 
 class EmotionRecord(Record):
     """An emotion of ``subject`` (towards ``object``, a Constant or None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import types
 from typing import Union
 
 from .errors import ArityMismatch, SortMismatch, UnknownSymbol
@@ -21,39 +22,32 @@ class Record:
     takes the fields in order and then calls ``__post_init__`` if there is
     one, an ``__eq__`` that holds between records of the same class with
     equal fields, and a ``__hash__`` of the tuple of the fields. These are
-    compiled once per class. A record refuses assignment, so its hash is
-    computed on first use and kept in the private ``_hash`` slot, which is
-    not a field; a record with an unhashable field raises on every hash."""
+    compiled once per shape (field count, and whether there is a
+    ``__post_init__``) and copied to each class with its own field names.
+    A record refuses assignment, so its hash is computed on first use and
+    kept in the private ``_hash`` slot, which is not a field and holds
+    None until then; a record with an unhashable field raises on every
+    hash."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **defaults):
         cls._fields = fields = cls.__slots__
-        mine = "".join(f"self.{f}, " for f in fields)
-        theirs = "".join(f"other.{f}, " for f in fields)
-        body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
-        if hasattr(cls, "__post_init__"):
-            body += "\n    self.__post_init__()"
-        source = (f"def __init__(self, {', '.join(fields)}):{body}\n"
-                  f"def __eq__(self, other):\n"
-                  f"    if other.__class__ is self.__class__:\n"
-                  f"        return ({mine}) == ({theirs})\n"
-                  f"    return NotImplemented\n"
-                  f"def __hash__(self):\n"
-                  f"    try:\n"
-                  f"        return self._hash\n"
-                  f"    except AttributeError:\n"
-                  f"        _set__hash(self, hash(({mine})))\n"
-                  f"        return self._hash\n")
         # the slot descriptors' setters write a field past the refusing __setattr__
-        methods = {f"_set_{f}": getattr(cls, f).__set__ for f in fields + ("_hash",)}
-        exec(source, methods)
+        setters = {f"_set_f{i}_": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+        setters["_set__hash"] = Record._hash.__set__
+        rename = {f"_f{i}_": f for i, f in enumerate(fields)}.get
         trailing = fields[len(fields) - len(defaults):]
-        methods["__init__"].__defaults__ = tuple(defaults[f] for f in trailing)
-        for name in ("__init__", "__eq__", "__hash__"):
+        for name, template in _shape(len(fields), hasattr(cls, "__post_init__")).items():
             if name not in cls.__dict__:
-                setattr(cls, name, methods[name])
+                code = template.__code__
+                code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
+                                    co_varnames=tuple(rename(n, n) for n in code.co_varnames))
+                method = types.FunctionType(code, setters, name)
+                if name == "__init__":
+                    method.__defaults__ = tuple(defaults[f] for f in trailing)
+                setattr(cls, name, method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,6 +60,33 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+@functools.cache
+def _shape(n: int, post_init: bool) -> dict:
+    """Record's methods for n fields, named ``_f0_`` to ``_f{n-1}_`` and
+    set by the globals ``_set_f0_`` to ``_set_f{n-1}_``; compiled once."""
+    fields = [f"_f{i}_" for i in range(n)]
+    mine = "".join(f"self.{f}, " for f in fields)
+    theirs = "".join(f"other.{f}, " for f in fields)
+    body = "".join(f"\n    _set{f}(self, {f})" for f in fields)
+    body += "\n    _set__hash(self, None)"
+    if post_init:
+        body += "\n    self.__post_init__()"
+    source = (f"def __init__(self, {', '.join(fields)}):{body}\n"
+              f"def __eq__(self, other):\n"
+              f"    if other.__class__ is self.__class__:\n"
+              f"        return ({mine}) == ({theirs})\n"
+              f"    return NotImplemented\n"
+              f"def __hash__(self):\n"
+              f"    h = self._hash\n"
+              f"    if h is None:\n"
+              f"        h = hash(({mine}))\n"
+              f"        _set__hash(self, h)\n"
+              f"    return h\n")
+    methods: dict = {}
+    exec(source, methods)
+    return {name: methods[name] for name in ("__init__", "__eq__", "__hash__")}
+
+
 class Sort(enum.Enum):
     AGENT = "agent"
     ACTION_TYPE = "action-type"
@@ -75,6 +96,8 @@ class Sort(enum.Enum):
     FLUENT = "fluent"
     BOOLEAN = "boolean"
     REAL = "real"
+
+    __hash__ = object.__hash__  # members are singletons
 
     def __repr__(self):
         return f"Sort.{self.name}"
@@ -194,6 +217,8 @@ class ModalOp(enum.Enum):
     COMMON = "common"        # no agent
     SAYS = "says"            # one agent: public announcement
     SAYS_TO = "says-to"      # two agents
+
+    __hash__ = object.__hash__  # members are singletons
 
 
 # How many agent arguments each modal operator carries.

@@ -1,6 +1,7 @@
 """Import discipline of the vz package, read from its source with ``ast``:
-modules share only public names, and every imported name is used; and
-what starting the command line, and running a subcommand, imports."""
+modules share only public names, and every imported name is used; what
+starting the command line, and running a subcommand, imports; and how
+often defining the record classes compiles source."""
 import ast
 import os
 import pathlib
@@ -66,6 +67,31 @@ def test_start_up_imports_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_record_methods_compile_once_per_shape():
+    # a fresh interpreter: the record classes of every module are defined,
+    # and the compiles of generated source (filename <string>) are counted
+    code = ("import sys\n"
+            "compiles = 0\n"
+            "def count(event, args):\n"
+            "    global compiles\n"
+            "    compiles += event == 'compile' and args[1] == '<string>'\n"
+            "sys.addaudithook(count)\n"
+            "import vz.cli, vz.learner, vz.inference, vz.ec\n"
+            "from vz.terms import Record\n"
+            "def subclasses(cls):\n"
+            "    for sub in cls.__subclasses__():\n"
+            "        yield sub\n"
+            "        yield from subclasses(sub)\n"
+            "classes = list(subclasses(Record))\n"
+            "shapes = {(len(c._fields), hasattr(c, '__post_init__')) for c in classes}\n"
+            "print(compiles, len(shapes), len(classes))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    compiles, shapes, classes = map(int, out.split())
+    assert compiles <= shapes < classes
 
 
 # The modules that only some subcommands run.

@@ -6,7 +6,8 @@ from vz.errors import SortMismatch
 from vz.generalize import Generalization, SetGeneralization
 from vz.inference import KnowledgeBase
 from vz.learner import ExemplarRecord
-from vz.scenario import EffectRule, LearntTrait, ScenarioDoc, Situation, SymbolTable
+from vz.scenario import (DEFAULT_MAX_DEPTH, EffectRule, LearntTrait, ScenarioDoc, Situation,
+                         SymbolTable)
 from vz.sexpr import SList, SNum, SSym
 from vz.subst import apply_substitution, match
 from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
@@ -319,3 +320,70 @@ def test_record_keywords_and_defaults():
     # __post_init__ still checks each new record
     with pytest.raises(SortMismatch):
         Ought(JACK, moment(1), AT, AT)
+
+
+def test_records_built_by_field_keywords_equal_positional():
+    for cls, cases in record_samples().items():
+        for args in cases:
+            assert cls(**dict(zip(cls._fields, args))) == cls(*args)
+
+
+# The class-keyword default of each omitted trailing field.
+DEFAULTS = {
+    Application: {"args": ()},
+    Situation: {"alternatives": (), "performed": None, "agent": None},
+    LearntTrait: {"exemplar": None, "source_situations": ()},
+    ExemplarRecord: {"admitted_at": None},
+    KnowledgeBase: {"max_depth": DEFAULT_MAX_DEPTH, "horizon": None},
+}
+
+
+def test_omitted_trailing_fields_take_the_class_defaults():
+    for cls, cases in record_samples().items():
+        defaults = DEFAULTS.get(cls, {})
+        assert cls.__init__.__defaults__ == tuple(defaults.values())
+        args = cases[0][:len(cls._fields) - len(defaults)]
+        x = cls(*args)
+        assert fields(x) == args + tuple(defaults.values())
+        assert x == cls(*args, *defaults.values()) and hash(x) == hash(fields(x))
+
+
+def test_methods_defined_in_a_class_body_are_kept():
+    class Loose(Record):
+        __slots__ = ("name", "line")
+
+        def __eq__(self, other):
+            return isinstance(other, Loose) and self.name == other.name
+
+        def __hash__(self):
+            return hash(self.name)
+
+    assert Loose("a", 1) == Loose("a", 2) and hash(Loose("a", 1)) == hash("a")
+    assert Loose("a", 1) != Loose("b", 1) and Loose(line=1, name="a") == Loose("a", 1)
+
+
+def test_post_init_runs_after_the_fields_are_set():
+    seen = []
+
+    class Checked(Record, low=0):
+        __slots__ = ("high", "low")
+
+        def __post_init__(self):
+            seen.append((self.high, self.low))
+            if self.low > self.high:
+                raise ValueError("low above high")
+
+    assert Checked(3) == Checked(high=3, low=0) and seen == [(3, 0), (3, 0)]
+    with pytest.raises(ValueError):
+        Checked(1, 2)
+    assert hash(Checked(2, 1)) == hash((2, 1))
+
+
+def test_enum_members_are_singletons_usable_as_keys():
+    assert Sort("agent") is Sort.AGENT and ModalOp("says-to") is ModalOp.SAYS_TO
+    assert EmotionKind("pity-for") is EmotionKind.PITY_FOR
+    for enum_cls in (Sort, ModalOp, EmotionKind):
+        table = {member: member.value for member in enum_cls}
+        assert len(table) == len(enum_cls)
+        for member in enum_cls:
+            assert table[enum_cls(member.value)] == member.value
