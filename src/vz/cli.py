@@ -100,15 +100,14 @@ def cmd_check(args, rep):
 
 def _emit_timeline(tl, rep):
     rep.emit("horizon", horizon=tl.horizon)
-    memo = {}  # tl holds every node the memo keys
     for occ in tl.occurrences:
-        rep.emit("occurrence", event=print_term(occ.event, memo=memo), time=occ.time,
-                 initiated=[print_term(f, memo=memo) for f in occ.initiated],
-                 terminated=[print_term(f, memo=memo) for f in occ.terminated])
+        rep.emit("occurrence", event=print_term(occ.event), time=occ.time,
+                 initiated=[print_term(f) for f in occ.initiated],
+                 terminated=[print_term(f) for f in occ.terminated])
     times: dict = {}  # fluent -> the moments it holds at
     for f, t in tl.holds_set:
         times.setdefault(f, []).append(t)
-    for fluent, moments in sorted((print_term(f, memo=memo), ts) for f, ts in times.items()):
+    for fluent, moments in sorted((print_term(f), ts) for f, ts in times.items()):
         for t in sorted(moments):
             rep.emit("holds", fluent=fluent, time=t)
 
@@ -125,19 +124,17 @@ def cmd_utility(args, rep):
     tl = ec.project(doc)
     agents = doc.symbols.agents
     for occ in tl.occurrences:
-        ev = print_term(occ.event)
-        rep.emit("mu-bar", event=ev, time=occ.time,
+        rep.emit("mu-bar", event=print_term(occ.event), time=occ.time,
                  value=rep.real(mu_bar(occ, doc.nu, agents, tl.horizon)))
         for a in agents:
-            rep.emit("nu-bar", agent=a.name, event=ev, time=occ.time,
+            rep.emit("nu-bar", agent=a.name, event=print_term(occ.event), time=occ.time,
                      value=rep.real(nu_bar(a, occ, doc.nu, tl.horizon)))
 
 
 def _emit_records(records, rep):
-    events = {e: print_term(e) for e in {r.event for r in records}}
     for r in records:
         rep.emit("emotion", kind=r.kind.value, subject=r.subject.name,
-                 object=r.object.name if r.object else None, event=events[r.event],
+                 object=r.object.name if r.object else None, event=print_term(r.event),
                  event_time=r.event_time, hold_time=r.hold_time)
 
 
@@ -159,8 +156,7 @@ def cmd_infer(args, rep):
     doc = _load(args.file, args)
     kb = KnowledgeBase.of(doc.asserts, max_depth=doc.config["max-depth"],
                           horizon=doc.effective_horizon())
-    formulas, memo = saturate(kb).formulas, {}  # formulas holds every node the memo keys
-    for line in sorted(print_formula(f, memo=memo) for f in formulas):
+    for line in sorted(map(print_formula, saturate(kb).formulas)):
         rep.emit("formula", formula=line)
 
 

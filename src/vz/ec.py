@@ -69,30 +69,24 @@ def project(doc: ScenarioDoc) -> Timeline:
     reader has checked against the horizon; the first whose moment then
     both initiates and terminates a fluent is an error, located at that
     occurrence's `happens` moment. Each distinct event is matched against
-    the effect rules once, and each distinct effect fluent printed once."""
+    the effect rules once."""
     horizon = doc.effective_horizon()
     rules = (doc.initiates, doc.terminates)
     matched: dict = {}  # event -> its _event_effects of each rule kind
-    printed: dict = {}  # effect fluent -> its text, printed once
-    text = printed.__getitem__
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
     for (event, t), loc in doc.happens.items():
         if event not in matched:
             matched[event] = [_event_effects(kind, event) for kind in rules]
         init, term = (_rule_effects(m, t) for m in matched[event])
-        for f in init | term:
-            if f not in printed:
-                printed[f] = print_term(f)
         init_t, term_t = by_time.setdefault(t, (set(), set()))
         init_t |= init
         term_t |= term
         both = init_t & term_t
         if both:
-            f = min(both, key=text)
-            raise ConflictingEffects(print_term(event), text(f), t, *(loc or ()))
-        occurrences.append(Occurrence(event, t, tuple(sorted(init, key=text)),
-                                      tuple(sorted(term, key=text))))
+            raise ConflictingEffects(print_term(event), min(map(print_term, both)), t, *(loc or ()))
+        occurrences.append(Occurrence(event, t, tuple(sorted(init, key=print_term)),
+                                      tuple(sorted(term, key=print_term))))
 
     holds = []
     state = set(doc.initially)

@@ -118,8 +118,7 @@ def sweep_emotions(world: World) -> list[EmotionRecord]:
     object (None, an agent or an action's actor) by name, occurrence by
     (printed event, time), hold time."""
     agents = sorted(world.agents, key=lambda c: c.name)
-    text = {ev: print_term(ev) for ev in {occ.event for occ in world.timeline.occurrences}}
-    occs = sorted(world.timeline.occurrences, key=lambda occ: (text[occ.event], occ.time))
+    occs = sorted(world.timeline.occurrences, key=lambda occ: (print_term(occ.event), occ.time))
     acted = {}  # actor -> the occurrences of its actions, in report order
     for occ in occs:
         if isinstance(occ.event, Application) and occ.event.symbol is ACTION:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
 
 from .errors import Incompatible, NoAlignment
 from .printer import print_formula
@@ -299,13 +298,13 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
     namer = namer or VarNamer(itertools.chain(*gammas))
     fold = _Fold(mode)
 
-    keyed = []  # per set: structure key -> [(printed formula, formula)] in printed order
+    keyed = []  # per set: structure key -> its formulas in printed order
     for g in gammas:
         d: dict[str, list] = {}
         for f in g:
-            d.setdefault(_structure_key(f, mode), []).append((print_formula(f), f))
+            d.setdefault(_structure_key(f, mode), []).append(f)
         for entries in d.values():
-            entries.sort(key=itemgetter(0))
+            entries.sort(key=print_formula)
         keyed.append(d)
 
     common = sorted(set(keyed[0]).intersection(*keyed[1:]))
@@ -315,11 +314,11 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
         lists = [k[key] for k in keyed]
         width = min(len(l) for l in lists)
         chosen = [lists[0][:width]]
-        pats = [f for _, f in chosen[0]]
+        pats = list(chosen[0])
         for lst in lists[1:]:
             if len(lst) <= 5 and width > 1:
                 # ext[i][k]: row i's pattern extended by lst[k], with its holes
-                ext = [[fold.extend(p, g) for _, g in lst] for p in pats]
+                ext = [[fold.extend(p, g) for g in lst] for p in pats]
                 best, best_cost = None, None
                 for perm in itertools.permutations(range(len(lst)), width):
                     picked = [ext[i][k] for i, k in enumerate(perm)]
@@ -330,11 +329,11 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
                 picked = [ext[i][k] for i, k in enumerate(best)]
             else:
                 best = range(width)
-                picked = [fold.extend(p, g) for p, (_, g) in zip(pats, lst)]
+                picked = [fold.extend(p, g) for p, g in zip(pats, lst)]
             chosen.append([lst[k] for k in best])
             pats = [e if isinstance(e, Incompatible) else e[0] for e in picked]
         for j, c in enumerate(chosen):
-            used[j].update(text for text, _ in c)
+            used[j].update(map(print_formula, c))
         rows += pats
 
     if not rows:
@@ -344,7 +343,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             raise row  # the first failed row's own disagreement
     patterns = [namer.name(row, len(gammas)) for row in rows]
 
-    total = all(len(u) == len({text for entries in k.values() for text, _ in entries})
+    total = all(len(u) == len({print_formula(f) for entries in k.values() for f in entries})
                 for u, k in zip(used, keyed))
     if total:
         # mechanical verification: every input formula is an instance of

@@ -79,9 +79,10 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
 
     Semi-naive: each round fires R_4 and R_13 on the formulas the previous
     round added (the input counts as round 0's) and walks only the R_K/R_B
-    streams they touched. A round reads the index as it stood when the
-    round began, so the rounds are those of the naive loop, and a Horn
-    consequence derived before a non-Horn body reached its group stays."""
+    streams they touched, closing each distinct group once. A round reads
+    the index as it stood when the round began, so the rounds are those of
+    the naive loop, and a Horn consequence derived before a non-Horn body
+    reached its group stays."""
     for f in kb.formulas:
         if modal_depth(f) > kb.max_depth:
             raise DepthExceeded(f"input formula exceeds depth {kb.max_depth}: {f!r}")
@@ -97,6 +98,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
     formulas = set(kb.formulas)
     # (op, agents) -> moment -> bodies, for KNOWS and BELIEVES at a moment
     streams: dict = {}
+    closures: dict = {}  # group -> its bodies; persistence repeats a group at later moments
     oughts: list = []
     added = set(kb.formulas)
 
@@ -138,12 +140,15 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
             groups = streams[op, agents]
             carried: set = set()
             for t in ascending:
-                gamma = groups.get(t, ())
+                gamma = frozenset(groups.get(t, ()))
                 if gamma:
-                    try:
-                        bodies = horn_closure(gamma) | gamma
-                    except UnsupportedFragment:
-                        bodies = gamma
+                    bodies = closures.get(gamma)
+                    if bodies is None:
+                        try:
+                            bodies = horn_closure(gamma) | gamma
+                        except UnsupportedFragment:
+                            bodies = gamma
+                        closures[gamma] = bodies
                     carried |= bodies
                 for phi in carried:
                     if phi not in gamma:

@@ -21,36 +21,36 @@ def print_real(x: float) -> str:
     return s
 
 
-def print_term(x, bound=frozenset(), memo=None) -> str:
+_closed: dict = {}  # node -> its text under no binder; nodes are interned, so live on
+
+
+def print_term(x, bound=frozenset()) -> str:
     """Print a term or formula; ``bound`` holds the variables bound by
-    enclosing quantifiers. A node printed under no binder has one text;
-    ``memo``, if given, keeps it by id(node), so the caller must hold every
-    node it prints with one memo for as long as it keeps that memo."""
-    closed = memo is not None and not bound
-    if closed and id(x) in memo:
-        return memo[id(x)]
+    enclosing quantifiers. A node printed under no binder has one text,
+    which is kept and served again."""
+    if not bound and (text := _closed.get(x)) is not None:
+        return text
     if isinstance(x, Variable):
         return x.name if x in bound else f"?{x.name}"
     if isinstance(x, Constant):
         return x.name
     if isinstance(x, Atom):
-        return print_term(x.pred, bound, memo)
+        return print_term(x.pred, bound)
+    inner = bound
     if isinstance(x, Application):
         head = f"?{x.symbol.name}" if isinstance(x.symbol, SymbolVariable) else x.symbol.name
     elif isinstance(x, (ForAll, Exists)):
         binders = " ".join(f"({v.name} {v.sort.value})" for v in x.vars)
         head = f"{KEYWORDS[type(x)]} ({binders})"
-        bound = bound | set(x.vars)
+        inner = bound | set(x.vars)
     elif isinstance(x, Modal):
         head = x.op.value
     else:
         head = KEYWORDS[type(x)]
-    parts = [head]
-    for sub in children(x):
-        parts.append(print_term(sub, bound, memo))
+    parts = [head] + [print_term(sub, inner) for sub in children(x)]
     text = f"({' '.join(parts)})"
-    if closed:
-        memo[id(x)] = text
+    if not bound:
+        _closed[x] = text
     return text
 
 

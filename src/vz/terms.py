@@ -1,8 +1,8 @@
 """Sorted terms and modal formulas, and the record base of vz's values.
 
-Terms and formulas are immutable records and hashable, so they can be
-used freely as dict keys and set members. Action is a subsort of Event;
-everything else is flat.
+Terms and formulas are interned: one object per value, compared and
+hashed by identity, and kept for the life of the process (which suits a
+batch command). Action is a subsort of Event; everything else is flat.
 """
 from __future__ import annotations
 
@@ -16,38 +16,41 @@ from .errors import ArityMismatch, SortMismatch, UnknownSymbol
 
 class Record:
     """Base of vz's value classes. A subclass names its fields in
-    ``__slots__``. Class keywords give the trailing fields defaults.
+    ``__slots__``; class keywords other than ``interned`` give the
+    trailing fields defaults.
 
-    Unless its body defines them, each subclass gets an ``__init__`` that
+    Unless its body defines them, a subclass gets an ``__init__`` that
     takes the fields in order and then calls ``__post_init__`` if there is
-    one, an ``__eq__`` that holds between records of the same class with
-    equal fields, and a ``__hash__`` of the tuple of the fields. These are
-    compiled once per shape (field count, and whether there is a
-    ``__post_init__``) and copied to each class with its own field names.
-    A record refuses assignment, so its hash is computed on first use and
-    kept in the private ``_hash`` slot, which is not a field and holds
-    None until then; a record with an unhashable field raises on every
-    hash."""
+    one, an ``__eq__`` on same class and equal fields, and a ``__hash__``
+    of the tuple of the fields, computed on first use (records refuse
+    assignment) and kept in the ``_hash`` slot, which is not a field. A
+    class defined with ``interned=True``, as terms and formulas are, gets
+    instead a ``__new__`` that returns the one object of the class with
+    those fields, checked by ``__post_init__`` when first made and kept in
+    the class's table; ``__eq__`` and ``__hash__`` stay ``object``'s. The
+    methods are compiled once per shape (field count, and whether there is
+    a ``__post_init__``) and copied to each class with its own names."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **defaults):
+    def __init_subclass__(cls, interned=False, **defaults):
         cls._fields = fields = cls.__slots__
         # the slot descriptors' setters write a field past the refusing __setattr__
-        setters = {f"_set_f{i}_": getattr(cls, f).__set__ for i, f in enumerate(fields)}
-        setters["_set__hash"] = Record._hash.__set__
+        env = {f"_set_f{i}_": getattr(cls, f).__set__ for i, f in enumerate(fields)}
+        env.update(_set__hash=Record._hash.__set__, _new=object.__new__, _table={})
         rename = {f"_f{i}_": f for i, f in enumerate(fields)}.get
         trailing = fields[len(fields) - len(defaults):]
-        for name, template in _shape(len(fields), hasattr(cls, "__post_init__")).items():
+        methods = _shape(len(fields), hasattr(cls, "__post_init__"))
+        for name in ("__new__",) if interned else ("__init__", "__eq__", "__hash__"):
             if name not in cls.__dict__:
-                code = template.__code__
+                code = methods[name].__code__
                 code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
                                     co_varnames=tuple(rename(n, n) for n in code.co_varnames))
-                method = types.FunctionType(code, setters, name)
-                if name == "__init__":
+                method = types.FunctionType(code, env, name)
+                if name in ("__init__", "__new__"):
                     method.__defaults__ = tuple(defaults[f] for f in trailing)
-                setattr(cls, name, method)
+                setattr(cls, name, staticmethod(method) if name == "__new__" else method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,16 +65,16 @@ class Record:
 
 @functools.cache
 def _shape(n: int, post_init: bool) -> dict:
-    """Record's methods for n fields, named ``_f0_`` to ``_f{n-1}_`` and
-    set by the globals ``_set_f0_`` to ``_set_f{n-1}_``; compiled once."""
+    """Record's methods for n fields ``_f0_``…``_f{n-1}_``, set by the globals
+    ``_set_f0_``…; ``__new__`` keeps its objects in the global ``_table``."""
     fields = [f"_f{i}_" for i in range(n)]
+    params, key = ", ".join(fields), "".join(f"{f}, " for f in fields)
     mine = "".join(f"self.{f}, " for f in fields)
     theirs = "".join(f"other.{f}, " for f in fields)
-    body = "".join(f"\n    _set{f}(self, {f})" for f in fields)
-    body += "\n    _set__hash(self, None)"
-    if post_init:
-        body += "\n    self.__post_init__()"
-    source = (f"def __init__(self, {', '.join(fields)}):{body}\n"
+    sets = "".join(f"\n    _set{f}(self, {f})" for f in fields)
+    post = "\n    self.__post_init__()" if post_init else ""
+    source = (f"def __init__(self, {params}):{sets}\n"
+              f"    _set__hash(self, None){post}\n"
               f"def __eq__(self, other):\n"
               f"    if other.__class__ is self.__class__:\n"
               f"        return ({mine}) == ({theirs})\n"
@@ -81,10 +84,16 @@ def _shape(n: int, post_init: bool) -> dict:
               f"    if h is None:\n"
               f"        h = hash(({mine}))\n"
               f"        _set__hash(self, h)\n"
-              f"    return h\n")
-    methods: dict = {}
-    exec(source, methods)
-    return {name: methods[name] for name in ("__init__", "__eq__", "__hash__")}
+              f"    return h\n"
+              f"def __new__(cls, {params}):\n"
+              f"    self = _table.get(({key}))\n"
+              f"    if self is not None:\n"
+              f"        return self\n"
+              f"    self = _new(cls){sets}{post}\n"
+              f"    _table[({key})] = self\n"
+              f"    return self\n")
+    exec(source, methods := {})
+    return methods
 
 
 class Sort(enum.Enum):
@@ -108,21 +117,21 @@ def fits(actual: Sort, required: Sort) -> bool:
     return actual is required or (actual is Sort.ACTION and required is Sort.EVENT)
 
 
-class Variable(Record):
+class Variable(Record, interned=True):
     __slots__ = ("name", "sort")
 
     def __repr__(self):
         return f"?{self.name}:{self.sort.value}"
 
 
-class Constant(Record):
+class Constant(Record, interned=True):
     __slots__ = ("name", "sort")
 
     def __repr__(self):
         return f"{self.name}:{self.sort.value}"
 
 
-class FunctionSymbol(Record):
+class FunctionSymbol(Record, interned=True):
     __slots__ = ("name", "arg_sorts", "result_sort")  # str, tuple of Sorts, Sort
 
     def __repr__(self):
@@ -132,7 +141,7 @@ class FunctionSymbol(Record):
         return Application(self, tuple(args))
 
 
-class SymbolVariable(Record):
+class SymbolVariable(Record, interned=True):
     """Second-order variable standing for a function symbol of a fixed
     signature; produced only by higher-order anti-unification."""
     __slots__ = ("name", "arg_sorts", "result_sort")
@@ -141,7 +150,7 @@ class SymbolVariable(Record):
         return f"?{self.name}"
 
 
-class Application(Record, args=()):
+class Application(Record, interned=True, args=()):
     __slots__ = ("symbol", "args")  # a FunctionSymbol or SymbolVariable, a tuple of Terms
 
     def __repr__(self):
@@ -156,10 +165,8 @@ Term = Union[Variable, Constant, Application]
 TERMS = (Variable, Constant, Application)
 
 
-@functools.cache
 def moment(n: int) -> Constant:
-    """The one constant of moment n: its hash is computed once, and equal
-    moments compare by identity. A negative n raises on every call."""
+    """The constant of moment n; a negative n raises."""
     if n < 0:
         raise SortMismatch(f"moments are non-negative, got {n}")
     return Constant(str(n), Sort.MOMENT)
@@ -234,46 +241,46 @@ MODAL_ARITY = {
 }
 
 
-class Atom(Record):
+class Atom(Record, interned=True):
     __slots__ = ("pred",)  # an Application
 
     def __repr__(self):
         return repr(self.pred)
 
 
-class Not(Record):
+class Not(Record, interned=True):
     __slots__ = ("body",)
 
 
-class And(Record):
+class And(Record, interned=True):
     __slots__ = ("parts",)  # a tuple of Formulas
 
 
-class Or(Record):
+class Or(Record, interned=True):
     __slots__ = ("parts",)
 
 
-class Implies(Record):
+class Implies(Record, interned=True):
     __slots__ = ("lhs", "rhs")
 
 
-class Iff(Record):
+class Iff(Record, interned=True):
     __slots__ = ("lhs", "rhs")
 
 
-class ForAll(Record):
+class ForAll(Record, interned=True):
     __slots__ = ("vars", "body")  # a tuple of Variables, a Formula
 
 
-class Exists(Record):
+class Exists(Record, interned=True):
     __slots__ = ("vars", "body")
 
 
-class Modal(Record):
+class Modal(Record, interned=True):
     __slots__ = ("op", "agents", "time", "body")  # a ModalOp, a tuple of Terms, a Term, a Formula
 
 
-class Ought(Record):
+class Ought(Record, interned=True):
     """Dyadic deontic operator; the deontic body is restricted to a
     (possibly negated) happens(action(a*, alpha), t') atom."""
     __slots__ = ("agent", "time", "condition", "body")

@@ -611,6 +611,64 @@ class TestSubcommands:
             assert "(exemplar observer seller 14 0)" in out.splitlines()
             assert "(trait" not in out
 
+    @pytest.mark.parametrize("kinds, learnt", [
+        (("initiates", "terminates"), False), (("initiates",), True), (("terminates",), True)])
+    def test_effect_conflict_makes_an_alternative_inconsistent(self, capsys, tmp_path,
+                                                               kinds, learnt):
+        # in sigma2 each alternative would both initiate and terminate
+        # (trusted) at 3, so sigma2 is not eligible and one eligible
+        # situation is fewer than m = 2; either effect alone is consistent
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        formula = "(formulas (holds (unbroken) ?t))"
+        assert text.count(formula) == 1
+        effects = [f"(implies (happens {ev} 3) ({kind} {ev} (trusted) 3))"
+                   for ev in ("(action seller (utter (broken)))",
+                              "(action seller (utter (unbroken)))") for kind in kinds]
+        p = tmp_path / "conflict.vz"
+        p.write_text(text.replace(formula, f"(formulas (holds (unbroken) ?t) {' '.join(effects)})"))
+        trait = ('{"trait": "(trait (pattern (holds ?X0 ?t)) (action (utter ?X0)) '
+                 '(exemplar seller) (sources sigma1 sigma2))", "type": "trait"}')
+        for command in ("learn", "run"):
+            code, out, err = run_cli(capsys, command, str(p), "--json")
+            lines = out.splitlines()
+            assert code == 0 and err == ""
+            assert any('"type": "exemplar"' in line for line in lines)
+            assert (trait in lines) is learnt
+            if command == "run":
+                assert any('"type": "proposal"' in line for line in lines) is learnt
+
+    WINDOW = ("(declare-agent a) (declare-agent b) (declare-fluent f ()) "
+              "(declare-action-type go ()) (horizon 2) (theta a always) (theta b always) "
+              "(initiates (action b (go)) (f) t) (happens (action b (go)) 0)\n")
+
+    def test_event_totals_sum_up_to_the_horizon(self, capsys, tmp_path):
+        # ν̄ and μ̄ of an occurrence at t sum over (t, H]: a ν at H + 1 adds nothing
+        p = tmp_path / "window.vz"
+        p.write_text(self.WINDOW + "(nu a (f) 3 5.0)\n")
+        code, out, err = run_cli(capsys, "utility", str(p))
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["(mu-bar (action b (go)) 0 0.0)",
+                                    "(nu-bar a (action b (go)) 0 0.0)",
+                                    "(nu-bar b (action b (go)) 0 0.0)"]
+        assert run_cli(capsys, "emotions", str(p)) == (0, "", "")
+
+    def test_appraisal_scans_opposite_utilities_over_the_horizon(self, capsys, tmp_path):
+        # an opposite-signed ν (and so μ) blocks the appraisal at any moment
+        # of [0, H], even at or before the occurrence, and not at H + 1
+        p = tmp_path / "window.vz"
+        p.write_text(self.WINDOW + "(nu a (f) 1 2.0)\n")
+        code, clean, err = run_cli(capsys, "emotions", str(p))
+        assert code == 0 and err == ""
+        for kind in ("admiration-for a b", "happy-for b a", "joy a"):
+            assert f"({kind} (action b (go)) 0 2)" in clean.splitlines()
+        p.write_text(self.WINDOW + "(nu a (f) 1 2.0) (nu a (f) 3 -5.0)\n")
+        assert run_cli(capsys, "emotions", str(p)) == (0, clean, "")
+        p.write_text(self.WINDOW + "(nu a (f) 1 2.0) (nu a (f) 0 -1.0)\n")
+        assert run_cli(capsys, "emotions", str(p)) == (0, "", "")
+        code, out, _ = run_cli(capsys, "utility", str(p))
+        assert code == 0 and "(nu-bar a (action b (go)) 0 2.0)" in out.splitlines()
+
     def test_unanchored_action_type_learns_no_trait(self, capsys, tmp_path):
         # both situations hold (broken), so the situations do not say which
         # fluent seller utters: the action variable has no anchor and the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vz.errors import (DuplicateDeclaration, ParseError, SortMismatch,
                        UndeclaredSymbol)
+from vz import printer
 from vz.printer import print_formula, print_term
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.learner import learn_trait
@@ -160,21 +161,29 @@ def test_random_formula_round_trip(f):
     assert print_formula(again) == text
 
 
+def fresh_print(f) -> str:
+    """print_term with its cache of closed texts emptied first."""
+    printer._closed.clear()
+    return print_term(f)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(formulas(), max_size=4))
 def test_memo_printing_matches_print_term(fs):
-    memo = {}
-    # every root twice, so the second printing of each reads the memo
-    assert [print_formula(f, memo=memo) for f in fs + fs] == [print_term(f) for f in fs + fs]
+    fresh = [fresh_print(f) for f in fs]
+    printer._closed.clear()
+    # every root twice, so the second printing of each reads the cache
+    assert [print_formula(f) for f in fs + fs] == fresh + fresh
 
 
 def test_memo_prints_a_node_free_and_bound_apart():
     free = Atom(TALKING(X))  # (talkingWith ?x) alone, (talkingWith x) under its binder
     bound = ForAll((X,), free)
     for roots in ((free, bound), (bound, free), (And((free, bound)),), (And((bound, free)),)):
-        memo = {}
-        assert [print_term(f, memo=memo) for f in roots] == [print_term(f) for f in roots]
-        assert memo
+        fresh = [fresh_print(f) for f in roots]
+        printer._closed.clear()
+        assert [print_term(f) for f in roots] == fresh
+        assert printer._closed
 
 
 def _subnodes(x):

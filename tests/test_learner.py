@@ -8,8 +8,8 @@ from vz.learner import (ExemplarRecord, LearntTrait, Situation, apply_trait,
                         learn_trait)
 from vz.printer import print_formula, print_term
 from vz.subst import apply_substitution, match
-from vz.terms import (ACTION, HAPPENS, HOLDS, And, Application, Atom, Constant,
-                      FunctionSymbol, Implies, Not, Sort, SymbolVariable,
+from vz.terms import (ACTION, HAPPENS, HOLDS, INITIATES, TERMINATES, And, Application, Atom,
+                      Constant, FunctionSymbol, Implies, Not, Sort, SymbolVariable,
                       Variable, free_variables, is_ground, moment)
 
 from conftest import JACK, JILL, TALKING_WITH, renaming_equal
@@ -56,6 +56,23 @@ class TestCheckConsistency:
         sigma = sit("s", 1, [rule, Not(Atom(LIED()))])
         assert not check_consistency(sigma, UTTER(BROKEN()), JACK)
         assert check_consistency(sigma, UTTER(UNBROKEN()), JACK)
+
+    def test_effect_conflict_alone(self):
+        # no literal meets its negation: the only fault is that acting
+        # would both initiate and terminate (broken) at moment 1
+        event = Application(ACTION, (JACK, UTTER(BROKEN())))
+
+        def effect(kind, t):
+            return Implies(happens_action(JACK, UTTER(BROKEN()), 1),
+                           Atom(Application(kind, (event, BROKEN(), moment(t)))))
+
+        conflict = sit("s", 1, [effect(INITIATES, 1), effect(TERMINATES, 1)])
+        assert not check_consistency(conflict, UTTER(BROKEN()), JACK)
+        assert check_consistency(conflict, UTTER(UNBROKEN()), JACK)
+        # either effect alone, or the two at different moments, is consistent
+        for formulas in ([effect(INITIATES, 1)], [effect(TERMINATES, 1)],
+                         [effect(INITIATES, 1), effect(TERMINATES, 2)]):
+            assert check_consistency(sit("s", 1, formulas), UTTER(BROKEN()), JACK)
 
 
 class TestDetectTrait:

@@ -164,3 +164,36 @@ def test_full_device_is_an_error_line(tmp_path, unbuffered, command, code, err):
                    env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
         _, got = proc.communicate()
     assert (proc.returncode, got) == (code, err)
+
+
+# Terms and formulas hash by identity, so a set of them iterates in the
+# order of their addresses, which no report may show. Each interpreter
+# first keeps a different number of objects of every small size, which
+# moves the address of each object vz makes after it.
+PADDED_VZ = ("import sys\n"
+             "pad = [bytes(i % 512) for i in range(int(sys.argv[1]))]\n"
+             "from vz.cli import main\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+# the commands each input runs: on the corpus all of them, on the seed-0
+# benchmark inputs those that do each one's work
+ADDRESS_COMMANDS = ("run", "emotions", "infer", "project", "learn", "act")
+ADDRESS_INPUTS = {**{name: ADDRESS_COMMANDS for name in sorted(os.listdir(CORPUS))},
+                  "run-sweep.vz": ("run", "emotions"), "infer-saturate.vz": ("infer",),
+                  "learn-traits.vz": ("run", "learn", "act")}
+
+
+@pytest.mark.parametrize("name", sorted(ADDRESS_INPUTS))
+def test_reports_do_not_depend_on_object_addresses(tmp_path, name):
+    path, runs = _input(name, tmp_path), []
+    for pad in (0, 3001):
+        out, traits = [], tmp_path / f"traits.{pad}"
+        for command in ADDRESS_INPUTS[name]:
+            flags = ["--traits", str(traits)] if command in ("learn", "act") else []
+            proc = subprocess.run([sys.executable, "-c", PADDED_VZ, str(pad), command, path,
+                                   "--json", *flags], capture_output=True)
+            assert proc.returncode == 0, (command, proc.stderr)
+            out.append((command, proc.stdout, proc.stderr))
+        if traits.exists():
+            out.append(("traits", traits.read_bytes()))
+        runs.append(out)
+    assert runs[0] == runs[1]

@@ -205,6 +205,11 @@ def record_samples():
     }
 
 
+# The interned classes: the terms and formulas.
+TERM_CLASSES = (Variable, Constant, FunctionSymbol, SymbolVariable, Application, Atom, Not, And,
+                Or, Implies, Iff, ForAll, Exists, Modal, Ought)
+
+
 def fields(x):
     return tuple(getattr(x, f) for f in type(x)._fields)
 
@@ -220,7 +225,7 @@ def test_every_record_class_is_sampled():
 
 
 def test_records_equal_iff_same_class_and_fields():
-    # each sample built twice: equal records that are distinct objects
+    # each sample built twice: equal records, distinct objects unless interned
     pool = [cls(*args) for cls, cases in record_samples().items()
             for args in cases for _ in range(2)]
     for x in pool:
@@ -235,8 +240,12 @@ def test_record_hash_is_the_hash_of_its_fields():
     for cls, cases in record_samples().items():
         for args in cases:
             x = cls(*args)
-            # the second hash reads the cached value
-            assert hash(x) == hash(x) == hash(fields(x))
+            if cls in TERM_CLASSES:
+                # one object per value, hashed by identity
+                assert cls(*args) is x and hash(x) == hash(x) == object.__hash__(x)
+            else:
+                # the second hash reads the cached value
+                assert cls(*args) is not x and hash(x) == hash(x) == hash(fields(x))
 
 
 class CountingLeaf:
@@ -250,14 +259,24 @@ class CountingLeaf:
 
 def test_record_hashes_its_fields_once():
     leaf = CountingLeaf()
-    x = Not(leaf)
+    x = Occurrence(leaf, 1, (), ())
     assert leaf.hashes == 0  # nothing is hashed until asked
-    assert hash(x) == hash(x) == hash((leaf,))
+    assert hash(x) == hash(x) == hash((leaf, 1, (), ()))
     assert leaf.hashes == 2  # once for x, once for the tuple above
+    # a term hashes its fields to find its one object, and never again
+    x = Not(leaf)
+    built = leaf.hashes
+    assert Not(leaf) is x and leaf.hashes == built + 1
+    assert hash(x) == hash(x) == object.__hash__(x) and leaf.hashes == built + 1
 
 
 def test_equal_records_built_apart_hash_equal():
+    # equal terms built apart are one object
     x, y = (Modal(ModalOp.KNOWS, (JACK,), moment(1), AT) for _ in range(2))
+    assert x is y and x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+    # equal records of other classes stay distinct objects
+    x, y = (Occurrence(EVENT, 1, (A,), ()) for _ in range(2))
     assert x is not y
     hash(x)  # only x has its hash cached
     assert x == y and hash(x) == hash(y)
@@ -277,7 +296,14 @@ def test_hash_cache_is_not_a_field():
     with pytest.raises(AttributeError):
         setattr(x, "_hash", 0)
     assert Not._fields == ("body",) and repr(x) == "Not(body=(hungry jack:agent))"
-    assert x == Not(AT) and hash(x) == hash((AT,))
+    assert x is Not(AT) and hash(x) == object.__hash__(x)
+    # a record hashed by its fields keeps that hash in the slot, not a field
+    occ = Occurrence(EVENT, 1, (A,), ())
+    hash(occ)
+    with pytest.raises(AttributeError):
+        setattr(occ, "_hash", 0)
+    assert Occurrence._fields == ("event", "time", "initiated", "terminated")
+    assert occ == Occurrence(EVENT, 1, (A,), ()) and hash(occ) == hash(fields(occ))
 
 
 def test_frozen_records_refuse_assignment():
@@ -341,11 +367,15 @@ DEFAULTS = {
 def test_omitted_trailing_fields_take_the_class_defaults():
     for cls, cases in record_samples().items():
         defaults = DEFAULTS.get(cls, {})
-        assert cls.__init__.__defaults__ == tuple(defaults.values())
+        constructor = cls.__new__ if cls in TERM_CLASSES else cls.__init__
+        assert constructor.__defaults__ == tuple(defaults.values())
         args = cases[0][:len(cls._fields) - len(defaults)]
         x = cls(*args)
         assert fields(x) == args + tuple(defaults.values())
-        assert x == cls(*args, *defaults.values()) and hash(x) == hash(fields(x))
+        if cls in TERM_CLASSES:
+            assert x is cls(*args, *defaults.values())
+        else:
+            assert x == cls(*args, *defaults.values()) and hash(x) == hash(fields(x))
 
 
 def test_methods_defined_in_a_class_body_are_kept():
