@@ -9,6 +9,7 @@ evaluated directly against the world model.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 
 from .ec import Timeline
 from .printer import print_term
@@ -61,30 +62,28 @@ OCC_TABLE = {EmotionKind.JOY: (SELF, 1), EmotionKind.DISTRESS: (SELF, -1),
              EmotionKind.ADMIRATION_FOR: (ACTOR, 1)}
 
 
-def _appraised(world: World, occ, who, sign: int) -> bool:
-    """The appraisal all seven emotions share: the occurrence's total
-    utility (ν̄ for agent ``who``; μ̄ when who is None) has the given sign,
-    and no initiated fluent has a utility (ν, or μ) of the opposite sign
-    at any moment in [0, H]."""
-    nu, moments = world.nu, range(world.horizon + 1)
+def _appraised(world: World, occ, who) -> int:
+    """The appraisal all seven emotions share: the sign (1 or -1; a nan or 0
+    has none) of the occurrence's total utility (ν̄ for agent ``who``; μ̄
+    when who is None), or 0 when an initiated fluent has a utility (ν, or
+    μ) of the opposite sign at some moment in [0, H]. ν is μ over one
+    agent."""
     if who is None:
-        return (sign * mu_bar(occ, nu, world.agents, world.horizon) > 0
-                and not any(sign * mu(f, y, nu, world.agents) < 0
-                            for f in occ.initiated for y in moments))
-    return (sign * nu_bar(who, occ, nu, world.horizon) > 0
-            and not any(sign * nu.get((who, f, y), 0.0) < 0
-                        for f in occ.initiated for y in moments))
+        total, owners = mu_bar(occ, world.nu, world.agents, world.horizon), world.agents
+    else:
+        total, owners = nu_bar(who, occ, world.nu, world.horizon), (who,)
+    sign = (total > 0) - (total < 0)
+    return 0 if sign and any(sign * mu(f, y, world.nu, owners) < 0 for f in occ.initiated
+                             for y in range(world.horizon + 1)) else sign
 
 
 def _holds(kind: EmotionKind, a: Constant, b, occ, t2: int, world: World) -> bool:
     """Does ``a`` hold ``kind`` (towards ``b``) at t2 about ``occ``? Θ must
     be open for a; an emotion towards an agent needs b ≠ a."""
     whose, sign = OCC_TABLE[kind]
-    if not _open(world.theta, a, t2):
+    if not _open(world.theta, a, t2) or (whose is not SELF and a == b):
         return False
-    if whose is SELF:
-        return _appraised(world, occ, a, sign)
-    return a != b and _appraised(world, occ, b if whose is OTHER else None, sign)
+    return _appraised(world, occ, a if whose is SELF else b if whose is OTHER else None) == sign
 
 
 def eval_joy(a: Constant, event: Term, t: int, t2: int, world: World) -> bool:
@@ -114,24 +113,25 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
 
 
 def sweep_emotions(world: World) -> list[EmotionRecord]:
-    """All true emotion instances, walked in report order: kind, subject and
-    object (None, an agent or an action's actor) by name, occurrence by
-    (printed event, time), hold time."""
+    """All true emotion instances in report order (kind, subject and object
+    by name, occurrence by printed event and time, hold time): the product
+    of each appraisal, made once, with the Θ-open moments of its subject."""
     agents = sorted(world.agents, key=lambda c: c.name)
     occs = sorted(world.timeline.occurrences, key=lambda occ: (print_term(occ.event), occ.time))
-    acted = {}  # actor -> the occurrences of its actions, in report order
+    appraised = defaultdict(list)  # (agent, by μ̄, sign) -> the occurrences so appraised
     for occ in occs:
+        for b in agents:
+            appraised[b, False, _appraised(world, occ, b)].append(occ)
         if isinstance(occ.event, Application) and occ.event.symbol is ACTION:
-            acted.setdefault(occ.event.args[0], []).append(occ)
-    objects = {SELF: (None,), OTHER: agents, ACTOR: sorted(acted, key=lambda c: c.name)}
-    moments, out = range(world.horizon + 1), []
-    for kind, (whose, _) in sorted(OCC_TABLE.items(), key=lambda item: item[0].value):
-        for a in agents:
-            for b in objects[whose]:
-                for occ in acted[b] if whose is ACTOR else occs:
-                    out += [EmotionRecord(kind, a, b, occ.event, occ.time, t2) for t2 in moments
-                            if _holds(kind, a, b, occ, t2, world)]
-    return out
+            appraised[occ.event.args[0], True, _appraised(world, occ, None)].append(occ)
+    moments = range(world.horizon + 1)
+    open_at = {a: [t2 for t2 in moments if _open(world.theta, a, t2)] for a in agents}
+    return [EmotionRecord(kind, a, b, occ.event, occ.time, t2)
+            for kind, (whose, sign) in sorted(OCC_TABLE.items(), key=lambda item: item[0].value)
+            for a in agents if open_at[a]
+            for b in ((None,) if whose is SELF else (b for b in agents if b != a))
+            for occ in appraised[a if whose is SELF else b, whose is ACTOR, sign]
+            for t2 in open_at[a]]
 
 
 def world_from_doc(doc, timeline: Timeline) -> World:

@@ -27,9 +27,9 @@ class Record:
     class defined with ``interned=True``, as terms and formulas are, gets
     instead a ``__new__`` that returns the one object of the class with
     those fields, checked by ``__post_init__`` when first made and kept in
-    the class's table; ``__eq__`` and ``__hash__`` stay ``object``'s. The
-    methods are compiled once per shape (field count, and whether there is
-    a ``__post_init__``) and copied to each class with its own names."""
+    the class's table; ``__eq__`` and ``__hash__`` stay ``object``'s. Each
+    shape's methods (field count, ``__post_init__`` or not, interned or
+    not) are compiled once and copied to each class with its own names."""
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
@@ -41,10 +41,9 @@ class Record:
         env.update(_set__hash=Record._hash.__set__, _new=object.__new__, _table={})
         rename = {f"_f{i}_": f for i, f in enumerate(fields)}.get
         trailing = fields[len(fields) - len(defaults):]
-        methods = _shape(len(fields), hasattr(cls, "__post_init__"))
-        for name in ("__new__",) if interned else ("__init__", "__eq__", "__hash__"):
+        for name, method in _shape(len(fields), hasattr(cls, "__post_init__"), interned).items():
             if name not in cls.__dict__:
-                code = methods[name].__code__
+                code = method.__code__
                 code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
                                     co_varnames=tuple(rename(n, n) for n in code.co_varnames))
                 method = types.FunctionType(code, env, name)
@@ -64,16 +63,24 @@ class Record:
 
 
 @functools.cache
-def _shape(n: int, post_init: bool) -> dict:
+def _shape(n: int, post_init: bool, interned: bool) -> dict:
     """Record's methods for n fields ``_f0_``…``_f{n-1}_``, set by the globals
-    ``_set_f0_``…; ``__new__`` keeps its objects in the global ``_table``."""
+    ``_set_f0_``…: ``__new__``, which keeps its objects in the global
+    ``_table``, when interned, else ``__init__``, ``__eq__`` and ``__hash__``."""
     fields = [f"_f{i}_" for i in range(n)]
     params, key = ", ".join(fields), "".join(f"{f}, " for f in fields)
     mine = "".join(f"self.{f}, " for f in fields)
     theirs = "".join(f"other.{f}, " for f in fields)
     sets = "".join(f"\n    _set{f}(self, {f})" for f in fields)
     post = "\n    self.__post_init__()" if post_init else ""
-    source = (f"def __init__(self, {params}):{sets}\n"
+    source = (f"def __new__(cls, {params}):\n"
+              f"    self = _table.get(({key}))\n"
+              f"    if self is not None:\n"
+              f"        return self\n"
+              f"    self = _new(cls){sets}{post}\n"
+              f"    _table[({key})] = self\n"
+              f"    return self\n") if interned else (
+              f"def __init__(self, {params}):{sets}\n"
               f"    _set__hash(self, None){post}\n"
               f"def __eq__(self, other):\n"
               f"    if other.__class__ is self.__class__:\n"
@@ -84,15 +91,8 @@ def _shape(n: int, post_init: bool) -> dict:
               f"    if h is None:\n"
               f"        h = hash(({mine}))\n"
               f"        _set__hash(self, h)\n"
-              f"    return h\n"
-              f"def __new__(cls, {params}):\n"
-              f"    self = _table.get(({key}))\n"
-              f"    if self is not None:\n"
-              f"        return self\n"
-              f"    self = _new(cls){sets}{post}\n"
-              f"    _table[({key})] = self\n"
-              f"    return self\n")
-    exec(source, methods := {})
+              f"    return h\n")
+    exec(source, {}, methods := {})
     return methods
 
 

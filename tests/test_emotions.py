@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import vz.emotions
 from vz.ec import project
 from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
                          eval_distress, eval_happy_for, eval_joy,
@@ -428,3 +431,72 @@ def test_sweep_walks_in_report_order_not_declaration_or_happens_order():
     assert {(r.subject.name, r.event_time) for r in expected
             if r.kind is EmotionKind.ADMIRATION_FOR and r.object.name == "zed"} \
         == {(s, t) for s in ("amy", "kim") for t in (0, 3)}
+
+
+def reference_records(w):
+    """The records the transcription accepts over every occurrence, kind,
+    subject, object and hold time of w, in report order."""
+    self_directed = (EmotionKind.JOY, EmotionKind.DISTRESS)
+    return sorted((EmotionRecord(kind, a, b, occ.event, occ.time, t2)
+                   for occ in w.timeline.occurrences for t2 in range(w.horizon + 1)
+                   for a in w.agents for kind in EmotionKind
+                   for b in ((None,) if kind in self_directed else w.agents)
+                   if reference_eval(kind, a, b, occ, t2, w)), key=report_order)
+
+
+def test_sweep_appraises_each_occurrence_once(rng, monkeypatch):
+    """The sweep takes ν̄ at most once per (occurrence, agent) and μ̄ at
+    most once per action occurrence, through the bindings in vz.emotions,
+    and its records stay the transcription's."""
+    calls = Counter()
+
+    def counted(total, key):
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return total(*args)
+        return wrapper
+
+    monkeypatch.setattr(vz.emotions, "nu_bar", counted(
+        vz.emotions.nu_bar, lambda agent, occ, *_: ("nu", agent, occ.event, occ.time)))
+    monkeypatch.setattr(vz.emotions, "mu_bar", counted(
+        vz.emotions.mu_bar, lambda occ, *_: ("mu", None, occ.event, occ.time)))
+    for _ in range(100):
+        w = crowded_emotion_world(rng)
+        calls.clear()
+        assert sweep_emotions(w) == reference_records(w)
+        occs = w.timeline.occurrences
+        allowed = {("nu", a, occ.event, occ.time) for occ in occs for a in w.agents}
+        allowed |= {("mu", None, occ.event, occ.time) for occ in occs
+                    if isinstance(occ.event, Application) and occ.event.symbol is ACTION}
+        assert set(calls) <= allowed and max(calls.values()) == 1
+
+
+def test_sweep_hoists_subject_checks_only():
+    """cal's Θ is never open: cal is never a subject, yet still the object
+    of the others' emotions and the admired actor of its cooking. bob is
+    open only at 0, before every occurrence, and holds his emotions then.
+    Nobody admires their own action, nor is any emotion directed at its
+    own subject."""
+    doc = parse_scenario(
+        "(declare-agent amy) (declare-agent bob) (declare-agent cal)\n"
+        "(declare-fluent fed ()) (declare-fluent wet ()) (declare-action-type cook ())\n"
+        "(declare-constant rain event) (horizon 4)\n"
+        "(initiates (action ?a (cook)) (fed) t) (initiates rain (wet) t)\n"
+        "(happens (action amy (cook)) 1) (happens (action cal (cook)) 2) (happens rain 3)\n"
+        "(nu amy (fed) 4 1.0) (nu bob (fed) 3 1.0) (nu cal (fed) 4 2.0)\n"
+        "(nu amy (wet) 4 1.0) (nu cal (wet) 4 -1.0)\n"
+        "(theta amy always) (theta bob at 0) (theta cal never)\n")
+    w = world_from_doc(doc, project(doc))
+    records = sweep_emotions(w)
+    assert records == reference_records(w)
+    assert {r.subject.name for r in records} == {"amy", "bob"}
+    assert all(r.hold_time == 0 for r in records if r.subject.name == "bob")
+    assert all(r.object != r.subject for r in records)
+    towards_cal = {(r.kind, r.subject.name) for r in records
+                   if r.object is not None and r.object.name == "cal"}
+    assert towards_cal == {(kind, s) for s in ("amy", "bob") for kind in (
+        EmotionKind.HAPPY_FOR, EmotionKind.RESENTMENT, EmotionKind.PITY_FOR,
+        EmotionKind.GLOATING, EmotionKind.ADMIRATION_FOR)}
+    assert {(r.subject.name, r.object.name) for r in records
+            if r.kind is EmotionKind.ADMIRATION_FOR} == {("amy", "cal"), ("bob", "amy"),
+                                                          ("bob", "cal")}

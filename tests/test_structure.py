@@ -71,12 +71,17 @@ def test_start_up_imports_no_heavy_module():
 
 def test_record_methods_compile_once_per_shape():
     # a fresh interpreter: the record classes of every module are defined,
-    # and the compiles of generated source (filename <string>) are counted
+    # and the compiles of generated source (filename <string>) and the
+    # methods they define are counted; a shape is the field count, whether
+    # there is a __post_init__, and whether the class is interned (has a
+    # generated __new__, its one method; the others use three)
     code = ("import sys\n"
-            "compiles = 0\n"
+            "compiles = methods = 0\n"
             "def count(event, args):\n"
-            "    global compiles\n"
-            "    compiles += event == 'compile' and args[1] == '<string>'\n"
+            "    global compiles, methods\n"
+            "    if event == 'compile' and args[1] == '<string>':\n"
+            "        compiles += 1\n"
+            "        methods += args[0].count(b'def __')\n"
             "sys.addaudithook(count)\n"
             "import vz.cli, vz.learner, vz.inference, vz.ec\n"
             "from vz.terms import Record\n"
@@ -85,13 +90,15 @@ def test_record_methods_compile_once_per_shape():
             "        yield sub\n"
             "        yield from subclasses(sub)\n"
             "classes = list(subclasses(Record))\n"
-            "shapes = {(len(c._fields), hasattr(c, '__post_init__')) for c in classes}\n"
-            "print(compiles, len(shapes), len(classes))")
+            "shapes = {(len(c._fields), hasattr(c, '__post_init__'), c.__new__ is not object.__new__)\n"
+            "          for c in classes}\n"
+            "used = sum(1 if interned else 3 for _, _, interned in shapes)\n"
+            "print(compiles, len(shapes), len(classes), methods, used)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    compiles, shapes, classes = map(int, out.split())
-    assert compiles <= shapes < classes
+    compiles, shapes, classes, methods, used = map(int, out.split())
+    assert compiles <= shapes < classes and methods <= used
 
 
 # The modules that only some subcommands run.
