@@ -43,6 +43,8 @@ class Report:
     """A command's records, each rendered once, when emitted: as its _TEXT line,
     or with --json as {"type": rtype, **fields}. `real` renders a utility total."""
 
+    _CHUNK = 4096  # the lines encoded and written at a time
+
     def __init__(self, as_json: bool):
         self.lines: list[str] = []
         if as_json:
@@ -61,18 +63,19 @@ class Report:
         self.lines.append(self.render(rtype, fields))
 
     def flush(self, out):
-        """Write the whole report at once, past any buffer, so that a failed
+        """Write the report past any buffer, _CHUNK lines at a time, so that a failed
         write leaves nothing to retry at exit. An empty report writes nothing."""
-        if not self.lines:
-            return
-        text = "\n".join(self.lines) + "\n"
+        write = out.write  # a text stream, such as io.StringIO
         if hasattr(out, "buffer"):
             out.flush()
-            raw, data = getattr(out.buffer, "raw", out.buffer), memoryview(text.encode(out.encoding))
-            while data:  # a pipe or a file may take only a part
-                data = data[raw.write(data):]
-        else:  # a text stream, such as io.StringIO
-            out.write(text)
+            raw = getattr(out.buffer, "raw", out.buffer)
+
+            def write(text):
+                data = memoryview(text.encode(out.encoding))
+                while data:  # a pipe or a file may take only a part
+                    data = data[raw.write(data):]
+        for i in range(0, len(self.lines), self._CHUNK):
+            write("\n".join(self.lines[i:i + self._CHUNK]) + "\n")
 
 
 # settings that a command-line flag of the same name overrides

@@ -333,7 +333,7 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             chosen.append([lst[k] for k in best])
             pats = [e if isinstance(e, Incompatible) else e[0] for e in picked]
         for j, c in enumerate(chosen):
-            used[j].update(map(print_formula, c))
+            used[j].update(c)
         rows += pats
 
     if not rows:
@@ -343,15 +343,10 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             raise row  # the first failed row's own disagreement
     patterns = [namer.name(row, len(gammas)) for row in rows]
 
-    total = all(len(u) == len({print_formula(f) for entries in k.values() for f in entries})
-                for u, k in zip(used, keyed))
-    if total:
-        # mechanical verification: every input formula is an instance of
-        # some pattern
-        for g in gammas:
-            for f in g:
-                if not any(match(p, f) is not None for p in patterns):
-                    total = False
+    # every input formula was aligned, and (verified mechanically) is an
+    # instance of some pattern
+    total = all(len(u) == len(set(g)) for u, g in zip(used, gammas)) and all(
+        any(match(p, f) is not None for p in patterns) for g in gammas for f in g)
 
     introduced = tuple(namer.vars.values())
     return SetGeneralization(tuple(patterns), tuple(namer.substitutions(len(gammas))),

@@ -148,11 +148,10 @@ def apply_trait(trait: LearntTrait, sigma: Situation,
     seen = set()
     for s in _match_all(trait.pattern, sigma.formulas, keep, {}):
         action_type = apply_substitution(s, trait.action_pattern)
-        key = print_term(action_type)
-        if key in seen or not is_ground(action_type):
+        if action_type in seen or not is_ground(action_type):
             continue
         # consistency depends on the action type alone: check each once
-        seen.add(key)
+        seen.add(action_type)
         if check_consistency(sigma, action_type, learner):
             proposals.append(Application(ACTION, (learner, action_type)))
     proposals.sort(key=print_term)

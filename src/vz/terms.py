@@ -17,39 +17,46 @@ from .errors import ArityMismatch, SortMismatch, UnknownSymbol
 class Record:
     """Base of vz's value classes. A subclass names its fields in
     ``__slots__``; class keywords other than ``interned`` give the
-    trailing fields defaults.
+    trailing fields defaults. Records refuse assignment.
 
-    Unless its body defines them, a subclass gets an ``__init__`` that
+    Unless its body defines one, a subclass gets an ``__init__`` that
     takes the fields in order and then calls ``__post_init__`` if there is
-    one, an ``__eq__`` on same class and equal fields, and a ``__hash__``
-    of the tuple of the fields, computed on first use (records refuse
-    assignment) and kept in the ``_hash`` slot, which is not a field. A
-    class defined with ``interned=True``, as terms and formulas are, gets
-    instead a ``__new__`` that returns the one object of the class with
-    those fields, checked by ``__post_init__`` when first made and kept in
-    the class's table; ``__eq__`` and ``__hash__`` stay ``object``'s. Each
-    shape's methods (field count, ``__post_init__`` or not, interned or
-    not) are compiled once and copied to each class with its own names."""
+    one. A class defined with ``interned=True``, as terms and formulas
+    are, gets instead a ``__new__`` that returns the one object of the
+    class with those fields, checked by ``__post_init__`` when first made
+    and kept in the class's table; it compares and hashes by identity.
+    Other records compare equal when of one class with equal fields, and
+    hash the tuple of their fields on each call. Each shape's constructor
+    (field count, ``__post_init__`` or not, interned or not) is compiled
+    once and copied to each class with its own names."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, interned=False, **defaults):
         cls._fields = fields = cls.__slots__
         # the slot descriptors' setters write a field past the refusing __setattr__
         env = {f"_set_f{i}_": getattr(cls, f).__set__ for i, f in enumerate(fields)}
-        env.update(_set__hash=Record._hash.__set__, _new=object.__new__, _table={})
+        env.update(_new=object.__new__, _table={})
         rename = {f"_f{i}_": f for i, f in enumerate(fields)}.get
-        trailing = fields[len(fields) - len(defaults):]
-        for name, method in _shape(len(fields), hasattr(cls, "__post_init__"), interned).items():
-            if name not in cls.__dict__:
-                code = method.__code__
-                code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
-                                    co_varnames=tuple(rename(n, n) for n in code.co_varnames))
-                method = types.FunctionType(code, env, name)
-                if name in ("__init__", "__new__"):
-                    method.__defaults__ = tuple(defaults[f] for f in trailing)
-                setattr(cls, name, staticmethod(method) if name == "__new__" else method)
+        name, method = _shape(len(fields), hasattr(cls, "__post_init__"), interned)
+        if name not in cls.__dict__:
+            code = method.__code__
+            code = code.replace(co_names=tuple(rename(n, n) for n in code.co_names),
+                                co_varnames=tuple(rename(n, n) for n in code.co_varnames))
+            method = types.FunctionType(code, env, name)
+            method.__defaults__ = tuple(defaults[f] for f in fields[len(fields) - len(defaults):])
+            setattr(cls, name, staticmethod(method) if interned else method)
+        if interned:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _values(self) == _values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -62,15 +69,17 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _values(x: Record) -> tuple:
+    return tuple(getattr(x, f) for f in x._fields)
+
+
 @functools.cache
-def _shape(n: int, post_init: bool, interned: bool) -> dict:
-    """Record's methods for n fields ``_f0_``…``_f{n-1}_``, set by the globals
-    ``_set_f0_``…: ``__new__``, which keeps its objects in the global
-    ``_table``, when interned, else ``__init__``, ``__eq__`` and ``__hash__``."""
+def _shape(n: int, post_init: bool, interned: bool) -> tuple:
+    """Record's constructor for n fields ``_f0_``…``_f{n-1}_``, set by the
+    globals ``_set_f0_``…, as (name, function): ``__new__``, which keeps
+    its objects in the global ``_table``, when interned, else ``__init__``."""
     fields = [f"_f{i}_" for i in range(n)]
     params, key = ", ".join(fields), "".join(f"{f}, " for f in fields)
-    mine = "".join(f"self.{f}, " for f in fields)
-    theirs = "".join(f"other.{f}, " for f in fields)
     sets = "".join(f"\n    _set{f}(self, {f})" for f in fields)
     post = "\n    self.__post_init__()" if post_init else ""
     source = (f"def __new__(cls, {params}):\n"
@@ -80,20 +89,9 @@ def _shape(n: int, post_init: bool, interned: bool) -> dict:
               f"    self = _new(cls){sets}{post}\n"
               f"    _table[({key})] = self\n"
               f"    return self\n") if interned else (
-              f"def __init__(self, {params}):{sets}\n"
-              f"    _set__hash(self, None){post}\n"
-              f"def __eq__(self, other):\n"
-              f"    if other.__class__ is self.__class__:\n"
-              f"        return ({mine}) == ({theirs})\n"
-              f"    return NotImplemented\n"
-              f"def __hash__(self):\n"
-              f"    h = self._hash\n"
-              f"    if h is None:\n"
-              f"        h = hash(({mine}))\n"
-              f"        _set__hash(self, h)\n"
-              f"    return h\n")
+              f"def __init__(self, {params}):{sets}{post}\n")
     exec(source, {}, methods := {})
-    return methods
+    return methods.popitem()
 
 
 class Sort(enum.Enum):

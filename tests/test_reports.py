@@ -65,7 +65,8 @@ def test_reports_match_recorded_digests(capsys, tmp_path, name):
             assert (code, hashlib.sha256(out).hexdigest()) == \
                 (GOLDENS[key]["exit"], GOLDENS[key]["stdout_sha256"]), key
             runs += 1
-    assert runs == {"project-long.vz": 10, "emotions-crowded.vz": 5}.get(name, 18)
+    assert runs == {"project-long.vz": 10, "emotions-crowded.vz": 5,
+                    "effects-timed.vz": 3}.get(name, 18)
 
 
 # strings with quotes, backslashes, control characters and non-ASCII text
@@ -123,13 +124,17 @@ class _Trickle(io.RawIOBase):
 
 
 def test_flush_writes_every_part_to_a_raw_stream():
-    raw = _Trickle()
-    with io.TextIOWrapper(raw, encoding="utf-8", write_through=True) as out:  # as python -u
-        rep = Report(as_json=False)
-        rep.emit("horizon", horizon=3)
-        rep.emit("holds", fluent="(p)", time=2)
-        rep.flush(out)
-        assert raw.data == b"(horizon 3)\n(holds (p) 2)\n"
+    # a short report, and one of more lines than a chunk holds
+    for moments in (1, 2 * Report._CHUNK):
+        raw = _Trickle()
+        with io.TextIOWrapper(raw, encoding="utf-8", write_through=True) as out:  # as python -u
+            rep = Report(as_json=False)
+            rep.emit("horizon", horizon=3)
+            for t in range(moments):
+                rep.emit("holds", fluent="(p)", time=t)
+            rep.flush(out)
+            assert raw.data == b"(horizon 3)\n" + b"".join(
+                b"(holds (p) %d)\n" % t for t in range(moments))
 
 
 def _vz(*argv, **kwargs):
@@ -171,33 +176,54 @@ def test_full_device_is_an_error_line(tmp_path, unbuffered, command, code, err):
 
 
 # Terms and formulas hash by identity, so a set of them iterates in the
-# order of their addresses, which no report may show. Each interpreter
-# first keeps a different number of objects of every small size, which
-# moves the address of each object vz makes after it.
+# order of their addresses, and strings hash by PYTHONHASHSEED; no report
+# may show either. So each (input, command) pair runs in two fresh
+# interpreters: one with hash seed 0, and one with hash seed 1 that first
+# keeps 3001 objects of every small size, which moves the address of each
+# object vz makes after them.
 PADDED_VZ = ("import sys\n"
              "pad = [bytes(i % 512) for i in range(int(sys.argv[1]))]\n"
              "from vz.cli import main\n"
              "sys.exit(main(sys.argv[2:]))\n")
-# the commands each input runs: on the corpus all of them, on the seed-0
-# benchmark inputs those that do each one's work
-ADDRESS_COMMANDS = ("run", "emotions", "infer", "project", "learn", "act")
-ADDRESS_INPUTS = {**{name: ADDRESS_COMMANDS for name in sorted(os.listdir(CORPUS))},
-                  "run-sweep.vz": ("run", "emotions"), "infer-saturate.vz": ("infer",),
-                  "learn-traits.vz": ("run", "learn", "act")}
+# The commands each input runs, each with --json, which renders the same
+# records as text: on the corpus every command, and on the benchmark
+# inputs and tests/data those that do each one's work. "learn" is learn
+# then act through a trait file, and "learn-ho" the same with --mode ho.
+CORPUS_COMMANDS = ("check", "project", "utility", "emotions", "infer", "generalize", "run",
+                   "learn", "learn-ho")
+DETERMINISM = {**{name: CORPUS_COMMANDS for name in sorted(os.listdir(CORPUS))},
+               "project-long.vz": ("project",), "run-sweep.vz": ("run", "utility", "emotions"),
+               "infer-saturate.vz": ("infer",), "learn-traits.vz": ("run", "emotions", "learn"),
+               "emotions-crowded.vz": ("emotions", "run"), "effects-timed.vz": ("project", "run")}
 
 
-@pytest.mark.parametrize("name", sorted(ADDRESS_INPUTS))
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _vz_in(env, pad, path, command, traits):
+    """Each call's exit code, stdout and stderr, then the trait file's
+    bytes, of one command run in interpreters with this environment and
+    padding."""
+    if traits.exists():
+        traits.unlink()
+    learn = ["--traits", str(traits)] + (["--mode", "ho"] if command == "learn-ho" else [])
+    calls = [["learn", *learn], ["act", *learn]] if command.startswith("learn") else [[command]]
+    out = []
+    for sub, *flags in calls:
+        proc = subprocess.run([sys.executable, "-c", PADDED_VZ, str(pad), sub, path, "--json",
+                               *flags], env=env, capture_output=True)
+        out.append((sub, proc.returncode, proc.stdout, proc.stderr))
+        # a report is canonical JSON: no NaN or Infinity (RFC 8259), sorted keys
+        for line in proc.stdout.decode("utf-8").splitlines() if proc.returncode == 0 else ():
+            assert line == json.dumps(json.loads(line, parse_constant=_reject), sort_keys=True)
+    return out + [traits.read_bytes() if traits.exists() else None]
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINISM))
 def test_reports_do_not_depend_on_object_addresses(tmp_path, name):
-    path, runs = _input(name, tmp_path), []
-    for pad in (0, 3001):
-        out, traits = [], tmp_path / f"traits.{pad}"
-        for command in ADDRESS_INPUTS[name]:
-            flags = ["--traits", str(traits)] if command in ("learn", "act") else []
-            proc = subprocess.run([sys.executable, "-c", PADDED_VZ, str(pad), command, path,
-                                   "--json", *flags], capture_output=True)
-            assert proc.returncode == 0, (command, proc.stderr)
-            out.append((command, proc.stdout, proc.stderr))
-        if traits.exists():
-            out.append(("traits", traits.read_bytes()))
-        runs.append(out)
-    assert runs[0] == runs[1]
+    path, traits = _input(name, tmp_path), tmp_path / "traits.vz"
+    for command in DETERMINISM[name]:
+        runs = [_vz_in(dict(os.environ, PYTHONHASHSEED=seed), pad, path, command, traits)
+                for seed, pad in (("0", 0), ("1", 3001))]
+        assert runs[0] == runs[1], command

@@ -73,8 +73,8 @@ def test_record_methods_compile_once_per_shape():
     # a fresh interpreter: the record classes of every module are defined,
     # and the compiles of generated source (filename <string>) and the
     # methods they define are counted; a shape is the field count, whether
-    # there is a __post_init__, and whether the class is interned (has a
-    # generated __new__, its one method; the others use three)
+    # there is a __post_init__, and whether the class is interned; each
+    # compile defines one method, the shape's __new__ or __init__
     code = ("import sys\n"
             "compiles = methods = 0\n"
             "def count(event, args):\n"
@@ -92,13 +92,12 @@ def test_record_methods_compile_once_per_shape():
             "classes = list(subclasses(Record))\n"
             "shapes = {(len(c._fields), hasattr(c, '__post_init__'), c.__new__ is not object.__new__)\n"
             "          for c in classes}\n"
-            "used = sum(1 if interned else 3 for _, _, interned in shapes)\n"
-            "print(compiles, len(shapes), len(classes), methods, used)")
+            "print(compiles, len(shapes), len(classes), methods)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    compiles, shapes, classes, methods, used = map(int, out.split())
-    assert compiles <= shapes < classes and methods <= used
+    compiles, shapes, classes, methods = map(int, out.split())
+    assert compiles <= shapes < classes and methods == compiles
 
 
 # The modules that only some subcommands run.

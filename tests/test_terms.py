@@ -241,10 +241,11 @@ def test_record_hash_is_the_hash_of_its_fields():
         for args in cases:
             x = cls(*args)
             if cls in TERM_CLASSES:
-                # one object per value, hashed by identity
+                # one object per value, compared and hashed by identity
+                assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
                 assert cls(*args) is x and hash(x) == hash(x) == object.__hash__(x)
             else:
-                # the second hash reads the cached value
+                # each hash is the hash of the fields
                 assert cls(*args) is not x and hash(x) == hash(x) == hash(fields(x))
 
 
@@ -257,12 +258,12 @@ class CountingLeaf:
         return 7
 
 
-def test_record_hashes_its_fields_once():
+def test_record_hashes_its_fields_on_each_call():
     leaf = CountingLeaf()
     x = Occurrence(leaf, 1, (), ())
-    assert leaf.hashes == 0  # nothing is hashed until asked
+    assert leaf.hashes == 0  # nothing is hashed at construction
     assert hash(x) == hash(x) == hash((leaf, 1, (), ()))
-    assert leaf.hashes == 2  # once for x, once for the tuple above
+    assert leaf.hashes == 3  # once for each hash of x, once for the tuple above
     # a term hashes its fields to find its one object, and never again
     x = Not(leaf)
     built = leaf.hashes
@@ -278,7 +279,6 @@ def test_equal_records_built_apart_hash_equal():
     # equal records of other classes stay distinct objects
     x, y = (Occurrence(EVENT, 1, (A,), ()) for _ in range(2))
     assert x is not y
-    hash(x)  # only x has its hash cached
     assert x == y and hash(x) == hash(y)
     assert {x: 1}[y] == 1
 
@@ -290,20 +290,14 @@ def test_unhashable_record_raises_on_every_hash():
             hash(x)
 
 
-def test_hash_cache_is_not_a_field():
-    x = Not(AT)
-    hash(x)
-    with pytest.raises(AttributeError):
-        setattr(x, "_hash", 0)
-    assert Not._fields == ("body",) and repr(x) == "Not(body=(hungry jack:agent))"
-    assert x is Not(AT) and hash(x) == object.__hash__(x)
-    # a record hashed by its fields keeps that hash in the slot, not a field
-    occ = Occurrence(EVENT, 1, (A,), ())
-    hash(occ)
-    with pytest.raises(AttributeError):
-        setattr(occ, "_hash", 0)
+def test_records_keep_no_hash_cache():
+    # the base class has no slot, so a record's only slots are its fields
+    assert Record.__slots__ == ()
+    for cls, cases in record_samples().items():
+        x = cls(*cases[0])
+        assert not hasattr(x, "_hash")
+    assert Not._fields == ("body",) and repr(Not(AT)) == "Not(body=(hungry jack:agent))"
     assert Occurrence._fields == ("event", "time", "initiated", "terminated")
-    assert occ == Occurrence(EVENT, 1, (A,), ()) and hash(occ) == hash(fields(occ))
 
 
 def test_frozen_records_refuse_assignment():
