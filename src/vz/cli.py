@@ -41,9 +41,11 @@ _TEXT = {
 
 class Report:
     """A command's records, each rendered once, when emitted: as its _TEXT line,
-    or with --json as {"type": rtype, **fields}. `real` renders a utility total."""
+    or with --json as {"type": rtype, **fields}; a run of records that differ in
+    one int field is rendered once. `real` renders a utility total."""
 
     _CHUNK = 4096  # the lines encoded and written at a time
+    _MARK = "<#>"  # printed verbatim in both renderings; the reader's symbols never hold it
 
     def __init__(self, as_json: bool):
         self.lines: list[str] = []
@@ -55,12 +57,24 @@ class Report:
                                             e.skipkeys, e.allow_nan)
             self.render = lambda rtype, fields: "".join(encode({"type": rtype, **fields}, 0))
             self.real = lambda x: x if math.isfinite(x) else None  # JSON has no nan or inf
+            self._mark = f'"{self._MARK}"'
         else:
             self.render = lambda rtype, fields: _TEXT[rtype](**fields)
             self.real = print_real
+            self._mark = self._MARK
 
     def emit(self, rtype: str, **fields):
         self.lines.append(self.render(rtype, fields))
+
+    def emit_each(self, rtype: str, key: str, ints, **shared):
+        """emit(rtype, **shared, key=i) for each int i, from one rendering with
+        _MARK in field key, then each i spliced in as str prints it, as both
+        renderings do. No shared field may contain _MARK: ValueError."""
+        line = self.render(rtype, {**shared, key: self._MARK})
+        if line.count(self._MARK) != 1:
+            raise ValueError(f"a {rtype} field contains {self._MARK}")
+        head, tail = line.split(self._mark)
+        self.lines += [f"{head}{i}{tail}" for i in ints]
 
     def flush(self, out):
         """Write the report past any buffer, _CHUNK lines at a time, so that a failed
@@ -111,8 +125,7 @@ def _emit_timeline(tl, rep):
     for f, t in tl.holds_set:
         times.setdefault(f, []).append(t)
     for fluent, moments in sorted((print_term(f), ts) for f, ts in times.items()):
-        for t in sorted(moments):
-            rep.emit("holds", fluent=fluent, time=t)
+        rep.emit_each("holds", "time", sorted(moments), fluent=fluent)
 
 
 def cmd_project(args, rep):
@@ -134,11 +147,12 @@ def cmd_utility(args, rep):
                      value=rep.real(nu_bar(a, occ, doc.nu, tl.horizon)))
 
 
-def _emit_records(records, rep):
-    for r in records:
-        rep.emit("emotion", kind=r.kind.value, subject=r.subject.name,
-                 object=r.object.name if r.object else None, event=print_term(r.event),
-                 event_time=r.event_time, hold_time=r.hold_time)
+def _emit_records(sweep, rep):
+    for kind, a, b, occs, moments in sweep.groups:
+        for occ in occs:
+            rep.emit_each("emotion", "hold_time", moments, kind=kind.value, subject=a.name,
+                          object=b.name if b else None, event=print_term(occ.event),
+                          event_time=occ.time)
 
 
 def cmd_emotions(args, rep):
@@ -199,10 +213,10 @@ def cmd_generalize(args, rep):
 def _learn_pipeline(doc):
     from . import ec, emotions, learner
     tl = ec.project(doc)
-    records = emotions.sweep_emotions(emotions.world_from_doc(doc, tl))
+    sweep = emotions.sweep_emotions(emotions.world_from_doc(doc, tl))
     config = doc.config
     lrn = _learner_agent(doc)
-    exemplars = learner.identify_exemplars(records, lrn, config["n"])
+    exemplars = learner.identify_exemplars(sweep.admirations(lrn), lrn, config["n"])
     traits = []
     for ex in exemplars:
         if ex.admitted_at is None:
@@ -226,7 +240,7 @@ def _learn_pipeline(doc):
                 # gamma < 1 detection can accept alpha on fewer): no trait
                 continue
             traits.append(trait)
-    return tl, records, exemplars, traits, lrn
+    return tl, sweep, exemplars, traits, lrn
 
 
 def _emit_exemplar(ex, rep):
@@ -279,9 +293,9 @@ def cmd_act(args, rep):
 
 def cmd_run(args, rep):
     doc = _load(args.file, args)
-    tl, records, exemplars, traits, lrn = _learn_pipeline(doc)
+    tl, sweep, exemplars, traits, lrn = _learn_pipeline(doc)
     _emit_timeline(tl, rep)
-    _emit_records(records, rep)
+    _emit_records(sweep, rep)
     for ex in exemplars:
         _emit_exemplar(ex, rep)
     for t in traits:

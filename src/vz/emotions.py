@@ -112,7 +112,44 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     return _holds(EmotionKind.ADMIRATION_FOR, a, b, occ, t2, world)
 
 
-def sweep_emotions(world: World) -> list[EmotionRecord]:
+class Admiration(Record):
+    """An admiration as identify_exemplars reads it, lighter than its EmotionRecord."""
+    __slots__ = ("kind", "subject", "object", "hold_time")
+
+
+class Emotions:
+    """The sweep's value, kept as its product: groups (kind, subject, object,
+    occurrences, open moments) in report order, each of which holds a record
+    for every occurrence at every moment. It sizes, iterates and compares
+    (with a list or tuple too) as the list of those EmotionRecords would."""
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: list):
+        self.groups = groups
+
+    def __len__(self) -> int:
+        return sum(len(occs) * len(moments) for *_, occs, moments in self.groups)
+
+    def __iter__(self):
+        return (EmotionRecord(kind, a, b, occ.event, occ.time, t2)
+                for kind, a, b, occs, moments in self.groups for occ in occs for t2 in moments)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Emotions, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def admirations(self, subject: Constant) -> list:
+        """subject's admirations with the fields identify_exemplars reads
+        (kind, subject, object, hold_time), without building their records."""
+        return [Admiration(kind, a, b, t2) for kind, a, b, occs, moments in self.groups
+                if kind is EmotionKind.ADMIRATION_FOR and a is subject
+                for _ in occs for t2 in moments]
+
+
+def sweep_emotions(world: World) -> Emotions:
     """All true emotion instances in report order (kind, subject and object
     by name, occurrence by printed event and time, hold time): the product
     of each appraisal, made once, with the Θ-open moments of its subject."""
@@ -126,12 +163,11 @@ def sweep_emotions(world: World) -> list[EmotionRecord]:
             appraised[occ.event.args[0], True, _appraised(world, occ, None)].append(occ)
     moments = range(world.horizon + 1)
     open_at = {a: [t2 for t2 in moments if _open(world.theta, a, t2)] for a in agents}
-    return [EmotionRecord(kind, a, b, occ.event, occ.time, t2)
-            for kind, (whose, sign) in sorted(OCC_TABLE.items(), key=lambda item: item[0].value)
-            for a in agents if open_at[a]
-            for b in ((None,) if whose is SELF else (b for b in agents if b != a))
-            for occ in appraised[a if whose is SELF else b, whose is ACTOR, sign]
-            for t2 in open_at[a]]
+    return Emotions([(kind, a, b, appraised[a if whose is SELF else b, whose is ACTOR, sign],
+                      open_at[a])
+                     for kind, (whose, sign) in sorted(OCC_TABLE.items(), key=lambda i: i[0].value)
+                     for a in agents if open_at[a]
+                     for b in ((None,) if whose is SELF else (b for b in agents if b != a))])
 
 
 def world_from_doc(doc, timeline: Timeline) -> World:

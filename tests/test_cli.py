@@ -669,6 +669,22 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "utility", str(p))
         assert code == 0 and "(nu-bar a (action b (go)) 0 2.0)" in out.splitlines()
 
+    @pytest.mark.parametrize("horizon, flags", [("(horizon 2)", []), ("", ["--horizon", "2"])],
+                             ids=["declared", "flag"])
+    def test_theta_past_the_horizon_opens_nothing(self, capsys, tmp_path, horizon, flags):
+        # hold times range over [0, H]: a Θ moment past the horizon is read,
+        # and b, open only there, holds no emotion while a still does
+        p = tmp_path / "window.vz"
+        always = self.WINDOW.replace("(horizon 2)", horizon) + "(nu a (f) 2 1.0) (nu b (f) 2 1.0)\n"
+        p.write_text(always)
+        code, out, err = run_cli(capsys, "emotions", str(p), *flags)
+        assert code == 0 and err == ""
+        assert "(joy b (action b (go)) 0 2)" in out.splitlines()
+        p.write_text(always.replace("(theta b always)", "(theta b at 5)"))
+        code, out, err = run_cli(capsys, "emotions", str(p), *flags)
+        assert code == 0 and err == "" and "(joy a (action b (go)) 0 2)" in out.splitlines()
+        assert not [line for line in out.splitlines() if line.split()[1] == "b"]
+
     def test_unanchored_action_type_learns_no_trait(self, capsys, tmp_path):
         # both situations hold (broken), so the situations do not say which
         # fluent seller utters: the action variable has no anchor and the

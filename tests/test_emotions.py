@@ -1,18 +1,25 @@
+import os
+import sys
 from collections import Counter
 
 import pytest
 
 import vz.emotions
+from vz.cli import main
 from vz.ec import project
 from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
                          eval_distress, eval_happy_for, eval_joy,
                          eval_occ_table_emotion, sweep_emotions, world_from_doc)
 from vz.errors import UnknownOccurrence
+from vz.learner import identify_exemplars
 from vz.printer import print_term
 from vz.scenario import parse_scenario
 from vz.terms import ACTION, Application, Sort
 
 from conftest import add_effects, make_doc
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import run as perfbench  # noqa: E402  (the benchmark's workload generators)
 
 ALWAYS = lambda *agents: {a: "always" for a in agents}
 
@@ -500,3 +507,41 @@ def test_sweep_hoists_subject_checks_only():
     assert {(r.subject.name, r.object.name) for r in records
             if r.kind is EmotionKind.ADMIRATION_FOR} == {("amy", "cal"), ("bob", "amy"),
                                                           ("bob", "cal")}
+
+
+def test_reports_build_no_emotion_record(monkeypatch, tmp_path, capsys):
+    """vz run and vz emotions --json report the sweep from its groups and
+    admit exemplars from the learner's admirations: on the run-sweep input
+    they build no EmotionRecord, though its sweep holds one per emotion
+    line, as iterating it shows."""
+    path = tmp_path / "run-sweep.vz"
+    path.write_text(perfbench.generate("run-sweep", 0)[0], encoding="utf-8")
+    built = Counter()
+    init = EmotionRecord.__init__
+
+    def counted(self, *args):
+        built["records"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(EmotionRecord, "__init__", counted)
+    assert main(["run", str(path)]) == 0
+    assert main(["emotions", "--json", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert built["records"] == 0
+    doc = parse_scenario(path.read_text(encoding="utf-8"))
+    emotions = sweep_emotions(world_from_doc(doc, project(doc)))
+    count = sum('"type": "emotion"' in line for line in lines)
+    assert len(emotions) == count == len(list(emotions)) == built["records"] > 0
+
+
+def test_admirations_admit_as_the_records_do(rng):
+    """identify_exemplars on one learner's admirations is what it makes of
+    every record of the sweep, for each learner and threshold."""
+    for _ in range(100):
+        w = crowded_emotion_world(rng)
+        emotions = sweep_emotions(w)
+        records = list(emotions)
+        for learner in w.agents:
+            for n in (1, 2, 3):
+                assert identify_exemplars(emotions.admirations(learner), learner, n) == \
+                    identify_exemplars(records, learner, n)

@@ -92,6 +92,36 @@ def test_json_lines_are_the_standard_encoding(records):
                          for rtype, fields in records]
 
 
+_INTS = st.lists(st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64))
+# (record type, int field, shared fields) of the runs that emit_each renders;
+# the text line of an emotion joins its object, None or a string, to the subject
+_RUNS = st.sampled_from([("holds", "time"), ("emotion", "hold_time")]).flatmap(
+    lambda run: st.tuples(st.just(run[0]), st.just(run[1]), st.fixed_dictionaries(
+        {name: st.none() | _STRINGS if name == "object" else _VALUES
+         for name in inspect.signature(_TEXT[run[0]]).parameters if name != run[1]})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUNS, _INTS, st.booleans())
+def test_emit_each_is_an_emit_loop(run, ints, as_json):
+    """A run rendered once from a template is the lines of one emit per
+    int, in both renderings, also for huge ints and an empty run; a shared
+    field that holds the template's marker raises instead."""
+    rtype, key, shared = run
+    rep, one = Report(as_json), Report(as_json)
+    for i in ints:
+        one.emit(rtype, **shared, **{key: i})
+    if any(Report._MARK in str(value) for value in shared.values()):
+        with pytest.raises(ValueError):
+            rep.emit_each(rtype, key, ints, **shared)
+    else:
+        rep.emit_each(rtype, key, ints, **shared)
+        assert rep.lines == one.lines
+    marked = dict(shared, **{"fluent" if rtype == "holds" else "event": f"(p{Report._MARK})"})
+    with pytest.raises(ValueError):
+        rep.emit_each(rtype, key, ints, **marked)
+
+
 def test_json_real_is_null_for_nan_and_infinities():
     rep = Report(as_json=True)
     assert [rep.real(x) for x in (math.nan, math.inf, -math.inf, 2.5, -0.0)] == \
