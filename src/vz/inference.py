@@ -92,8 +92,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
         _moments_of(f, moments)
     if kb.horizon is not None:
         moments |= set(range(kb.horizon + 1))
-    ascending = sorted(moments)
-    value = {moment(t): t for t in ascending}  # every moment constant the rules meet
+    value = {moment(t): t for t in sorted(moments)}  # the rules' moment constants, ascending
 
     formulas = set(kb.formulas)
     # (op, agents) -> moment -> bodies, for KNOWS and BELIEVES at a moment
@@ -129,9 +128,9 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                 # R_13: intentions become perceptions at later moments.
                 t = value.get(f.time)
                 if t is not None:
-                    for t2 in ascending:
+                    for later, t2 in value.items():
                         if t2 > t:
-                            add(Modal(ModalOp.PERCEIVES, f.agents, moment(t2), f.body))
+                            add(Modal(ModalOp.PERCEIVES, f.agents, later, f.body))
 
         # R_K / R_B: epistemic closure with temporal persistence. A group
         # at t1 persists to every moment t2 >= t1, so one walk up the
@@ -139,7 +138,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
         for op, agents in touched:
             groups = streams[op, agents]
             carried: set = set()
-            for t in ascending:
+            for at, t in value.items():
                 gamma = frozenset(groups.get(t, ()))
                 if gamma:
                     bodies = closures.get(gamma)
@@ -152,7 +151,7 @@ def saturate(kb: KnowledgeBase) -> KnowledgeBase:
                     carried |= bodies
                 for phi in carried:
                     if phi not in gamma:
-                        add(Modal(op, agents, moment(t), phi))
+                        add(Modal(op, agents, at, phi))
 
         # R_14: believed obligations become known intentions.
         for f in oughts:

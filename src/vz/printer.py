@@ -7,8 +7,10 @@ prefix.
 """
 from __future__ import annotations
 
-from .terms import (KEYWORDS, Application, Atom, Constant, Exists, ForAll,
-                    Modal, SymbolVariable, Variable, children)
+from .errors import UnknownSymbol
+from .terms import (KEYWORDS, And, Application, Atom, Constant, Exists, ForAll, Iff,
+                    Implies, Modal, ModalOp, Not, Or, Ought, SymbolVariable, Variable,
+                    children)
 
 
 def print_real(x: float) -> str:
@@ -30,28 +32,41 @@ def print_term(x, bound=frozenset()) -> str:
     which is kept and served again."""
     if not bound and (text := _closed.get(x)) is not None:
         return text
-    if isinstance(x, Variable):
-        return x.name if x in bound else f"?{x.name}"
-    if isinstance(x, Constant):
-        return x.name
-    if isinstance(x, Atom):
-        return print_term(x.pred, bound)
-    inner = bound
-    if isinstance(x, Application):
-        head = f"?{x.symbol.name}" if isinstance(x.symbol, SymbolVariable) else x.symbol.name
-    elif isinstance(x, (ForAll, Exists)):
-        binders = " ".join(f"({v.name} {v.sort.value})" for v in x.vars)
-        head = f"{KEYWORDS[type(x)]} ({binders})"
-        inner = bound | set(x.vars)
-    elif isinstance(x, Modal):
-        head = x.op.value
-    else:
-        head = KEYWORDS[type(x)]
-    parts = [head] + [print_term(sub, inner) for sub in children(x)]
-    text = f"({' '.join(parts)})"
+    entry = _PRINT.get(type(x))
+    if entry is None:
+        raise UnknownSymbol(f"not a term or formula: {x!r}")
+    text = entry(x, bound)
     if not bound:
         _closed[x] = text
     return text
 
 
 print_formula = print_term
+
+
+def _form(head: str, subs, bound) -> str:
+    return f"({' '.join([head, *[print_term(sub, bound) for sub in subs]])})"
+
+
+def _connective(x, bound) -> str:
+    return _form(KEYWORDS[type(x)], children(x), bound)
+
+
+def _quantified(x, bound) -> str:
+    binders = " ".join(f"({v.name} {v.sort.value})" for v in x.vars)
+    return _form(f"{KEYWORDS[type(x)]} ({binders})", (x.body,), bound | set(x.vars))
+
+
+_OPS = {op: op.value for op in ModalOp}
+
+# The printer of each term and formula class: (node, bound) -> text.
+_PRINT = {
+    Variable: lambda x, bound: x.name if x in bound else f"?{x.name}",
+    Constant: lambda x, bound: x.name,
+    Application: lambda x, bound: _form(f"?{x.symbol.name}" if type(x.symbol) is SymbolVariable
+                                        else x.symbol.name, x.args, bound),
+    Atom: lambda x, bound: print_term(x.pred, bound),
+    Modal: lambda x, bound: _form(_OPS[x.op], (*x.agents, x.time, x.body), bound),
+    **dict.fromkeys((ForAll, Exists), _quantified),
+    **dict.fromkeys((Not, And, Or, Implies, Iff, Ought), _connective),
+}

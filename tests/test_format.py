@@ -1,12 +1,16 @@
+import os
 import random
 import string
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vz.cli import main
 from vz.errors import (DuplicateDeclaration, ParseError, SortMismatch,
-                       UndeclaredSymbol)
+                       UndeclaredSymbol, UnknownSymbol)
 from vz import printer
 from vz.printer import print_formula, print_term
 from vz.errors import NoAlignment, UnboundActionVariable
@@ -14,12 +18,16 @@ from vz.learner import learn_trait
 from vz.scenario import (SymbolTable, _FormulaParser, parse_scenario, parse_traits,
                          print_trait)
 from vz.sexpr import SList, SNum, read_all
-from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, And, Atom, Constant,
-                      Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
-                      ModalOp, Not, Or, Ought, Sort, Variable, children,
-                      moment, rebuild)
+from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, TERMS, And, Application, Atom,
+                      Constant, Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
+                      ModalOp, Not, Or, Ought, Sort, SymbolVariable, Variable, children,
+                      moment, rebuild, sort_of)
 
 from conftest import alpha_equal
+from test_terms import TERM_CLASSES, record_samples
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import run as perfbench  # noqa: E402  (the benchmark's workload generators)
 
 HEADER = """
 (declare-agent jack)
@@ -184,6 +192,66 @@ def test_memo_prints_a_node_free_and_bound_apart():
         printer._closed.clear()
         assert [print_term(f) for f in roots] == fresh
         assert printer._closed
+
+
+def test_print_term_refuses_a_non_term():
+    for x in (object(), 3):
+        with pytest.raises(UnknownSymbol, match="not a term or formula"):
+            print_term(x)
+
+
+def _declare(x, reader):
+    """Declare to ``reader`` each constant, function symbol and symbol
+    variable that ``x`` names; moments and bound variables need none."""
+    if isinstance(x, Constant) and x.sort is not Sort.MOMENT:
+        reader.table.constants.setdefault(x.name, x)
+    elif isinstance(x, Application):
+        if isinstance(x.symbol, SymbolVariable):
+            reader.symvars[x.symbol.name] = x.symbol
+        else:
+            reader.table.functions.setdefault(x.symbol.name, x.symbol)
+    for sub in children(x):
+        _declare(sub, reader)
+
+
+def test_every_term_and_formula_class_prints_and_reads_back():
+    """The printer's table has one entry per term and formula class (a
+    function symbol or symbol variable prints as an application's head),
+    and each sample of each class reads back as itself."""
+    nodes = set(TERM_CLASSES) - {FunctionSymbol, SymbolVariable}
+    assert set(printer._PRINT) == nodes
+    p0 = SymbolVariable("P0", (Sort.FLUENT,), Sort.FLUENT)
+    samples = [cls(*args) for cls in nodes for args in record_samples()[cls]]
+    for x in samples + [Application(p0, (Constant("a", Sort.FLUENT),))]:
+        reader = _FormulaParser(SymbolTable())
+        _declare(x, reader)
+        [sx] = read_all(print_term(x))
+        again = reader.term(sx, sort_of(x)) if isinstance(x, TERMS) else reader.formula(sx)
+        assert again is x
+
+
+def test_infer_prints_each_closed_node_once(monkeypatch, tmp_path, capsys):
+    """On the infer-saturate input, vz infer calls each printer table entry
+    once per distinct node it prints under no binder: the text is kept,
+    leaves included, and served again."""
+    path = tmp_path / "infer-saturate.vz"
+    path.write_text(perfbench.generate("infer-saturate", 0)[0], encoding="utf-8")
+    calls = Counter()
+
+    def counted(cls, entry):
+        def entry_counted(x, bound):
+            if not bound:
+                calls[cls, x] += 1
+            return entry(x, bound)
+        return entry_counted
+
+    for cls, entry in list(printer._PRINT.items()):
+        monkeypatch.setitem(printer._PRINT, cls, counted(cls, entry))
+    monkeypatch.setattr(printer, "_closed", {})
+    assert main(["infer", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1000
+    assert {cls for cls, _ in calls} >= {Constant, Application, Atom, Modal}
+    assert max(calls.values()) == 1 and len(calls) == len(printer._closed)
 
 
 def _subnodes(x):

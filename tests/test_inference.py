@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from vz import inference
 from vz.errors import DepthExceeded, SortMismatch, UnsupportedFragment
 from vz.inference import KnowledgeBase, _moments_of, horn_closure, modal_depth, saturate
 from vz.terms import (ACTION, HAPPENS, MODAL_ARITY, And, Application, Atom,
@@ -198,6 +199,25 @@ def test_r14_needs_the_obligation_itself():
     assert ought not in believed.formulas and duty not in believed.formulas
     known = saturate(KnowledgeBase.of([B(JACK, 1, P), B(JACK, 1, ought), K(JACK, 1, ought)]))
     assert ought in known.formulas and duty in known.formulas
+
+
+def test_saturate_builds_each_moment_constant_once(monkeypatch):
+    """saturate makes the constant of each moment it meets (the input's and
+    0..horizon) once, though R_K and R_13 derive formulas at most of them."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return moment(n)
+
+    monkeypatch.setattr(inference, "moment", counted)
+    later = Atom(Application(HAPPENS, (Application(ACTION, (JACK, WAVE())), moment(6))))
+    kb = KnowledgeBase.of([K(JACK, 1, P), K(JACK, 1, Implies(P, Q)), K(JACK, 2, R),
+                           I(JILL, 1, later)], horizon=4)
+    out = saturate(kb).formulas
+    assert {K(JACK, t, Q) for t in (1, 2, 3, 4, 6)} <= out and K(JACK, 6, R) in out
+    assert {Pm(JILL, t, later) for t in (2, 3, 4, 6)} <= out
+    assert sorted(calls) == [0, 1, 2, 3, 4, 6]
 
 
 def _try_moment(t):

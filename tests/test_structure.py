@@ -109,7 +109,10 @@ ON_DEMAND = {"vz.ec", "vz.emotions", "vz.generalize", "vz.inference", "vz.learne
     ("check", "marketplace.vz", set()),
     ("project", "marketplace.vz", {"vz.ec", "vz.subst"}),
     ("infer", "obligation.vz", {"vz.inference"}),
-], ids=["check", "project", "infer"])
+    ("utility", "marketplace.vz", {"vz.ec", "vz.subst", "vz.utility"}),
+    ("emotions", "marketplace.vz", {"vz.ec", "vz.emotions", "vz.subst", "vz.utility"}),
+    ("generalize", "likes.vz", {"vz.generalize", "vz.subst"}),
+], ids=["check", "project", "infer", "utility", "emotions", "generalize"])
 def test_subcommand_loads_only_the_modules_it_runs(command, scenario, loads):
     code = ("import contextlib, io, sys, vz.cli\n"
             "vz.cli.build_parser()\n"
