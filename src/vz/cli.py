@@ -13,6 +13,7 @@ import sys
 from .errors import Incompatible, NoAlignment, SourceError, UnboundActionVariable, VzError
 from .printer import print_formula, print_real, print_term
 from .scenario import check_setting, parse_scenario, parse_traits, print_trait
+from .sexpr import locate
 from .terms import Constant, SymbolVariable
 # A command imports the later stages it runs itself, so it starts without the others.
 
@@ -39,6 +40,10 @@ _TEXT = {
 }
 
 
+def _not_json(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 class Report:
     """A command's records, each rendered once, when emitted: as its _TEXT line,
     or with --json as {"type": rtype, **fields}; a run of records that differ in
@@ -50,11 +55,10 @@ class Report:
     def __init__(self, as_json: bool):
         self.lines: list[str] = []
         if as_json:
-            from json import JSONEncoder, encoder  # only JSON reports pay for its import
-            e = JSONEncoder(sort_keys=True)  # its encode makes a C encoder per call: make one
-            encode = encoder.c_make_encoder({}, e.default, encoder.encode_basestring_ascii, None,
-                                            e.key_separator, e.item_separator, e.sort_keys,
-                                            e.skipkeys, e.allow_nan)
+            # json.dumps(..., sort_keys=True)'s C encoder, made once, without the json package
+            from _json import encode_basestring_ascii, make_encoder
+            encode = make_encoder({}, _not_json, encode_basestring_ascii, None, ": ", ", ",
+                                  True, False, True)  # sort_keys, not skipkeys, allow_nan
             self.render = lambda rtype, fields: "".join(encode({"type": rtype, **fields}, 0))
             self.real = lambda x: x if math.isfinite(x) else None  # JSON has no nan or inf
             self._mark = f'"{self._MARK}"'
@@ -190,7 +194,7 @@ def cmd_generalize(args, rep):
     mode = doc.config["mode"]
     # a failure is reported at the first item of the kind generalized
     keyword = "group" if doc.groups else "assert"
-    at = next((loc for head, loc in doc.facts if head == keyword), None)
+    at = next((pos for head, pos in doc.facts if head == keyword), None)
     if at is None:
         raise VzError("nothing to generalize: no (group ...) or (assert ...) items")
     try:
@@ -201,7 +205,7 @@ def cmd_generalize(args, rep):
             gen = anti_unify(doc.asserts, mode)
             patterns = [gen.pattern]
     except (Incompatible, NoAlignment) as exc:
-        raise SourceError(str(exc), *at) from exc
+        raise locate(SourceError(str(exc), at), doc.source) from exc
     for p in patterns:
         rep.emit("pattern", formula=print_formula(p))
     for s in gen.substitutions:

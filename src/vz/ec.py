@@ -8,6 +8,7 @@ from __future__ import annotations
 from .errors import ConflictingEffects, UnknownOccurrence
 from .printer import print_term
 from .scenario import ScenarioDoc
+from .sexpr import locate
 from .subst import apply_substitution, match
 from .terms import Record, Term, Variable, free_variables, is_ground, moment
 
@@ -75,7 +76,7 @@ def project(doc: ScenarioDoc) -> Timeline:
     matched: dict = {}  # event -> its _event_effects of each rule kind
     occurrences = []
     by_time: dict[int, tuple[set, set]] = {}
-    for (event, t), loc in doc.happens.items():
+    for (event, t), pos in doc.happens.items():
         if event not in matched:
             matched[event] = [_event_effects(kind, event) for kind in rules]
         init, term = (_rule_effects(m, t) for m in matched[event])
@@ -84,7 +85,8 @@ def project(doc: ScenarioDoc) -> Timeline:
         term_t |= term
         both = init_t & term_t
         if both:
-            raise ConflictingEffects(print_term(event), min(map(print_term, both)), t, *(loc or ()))
+            raise locate(ConflictingEffects(print_term(event), min(map(print_term, both)), t, pos),
+                         doc.source)
         occurrences.append(Occurrence(event, t, tuple(sorted(init, key=print_term)),
                                       tuple(sorted(term, key=print_term))))
 

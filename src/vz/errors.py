@@ -1,7 +1,8 @@
 """Exception hierarchy for the engine.
 
-Errors that originate in source text carry a (line, col) location,
-1-based, so the CLI can print file:line:col diagnostics.
+Errors that originate in source text carry the position of the token
+at fault, which ``vz.sexpr.locate`` turns into a 1-based line and
+column, so the CLI can print file:line:col diagnostics.
 """
 
 
@@ -10,11 +11,11 @@ class VzError(Exception):
 
 
 class SourceError(VzError):
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, pos=None):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.col = col
+        self.pos = pos  # a node's pos in the text read, None when unknown
+        self.line = self.col = None  # set by locate
         self.path = None  # the file the location is in, when not the scenario
 
     def __str__(self):
@@ -48,9 +49,9 @@ class DuplicateDeclaration(SourceError):
 
 
 class ConflictingEffects(SourceError):
-    def __init__(self, event, fluent, time, line=None, col=None):
+    def __init__(self, event, fluent, time, pos=None):
         super().__init__(f"fluent {fluent} both initiated and terminated at {time} (event {event})",
-                         line, col)
+                         pos)
         self.event = event
         self.fluent = fluent
         self.time = time

@@ -30,8 +30,12 @@ def print_term(x, bound=frozenset()) -> str:
     """Print a term or formula; ``bound`` holds the variables bound by
     enclosing quantifiers. A node printed under no binder has one text,
     which is kept and served again."""
-    if not bound and (text := _closed.get(x)) is not None:
-        return text
+    if not bound:
+        try:
+            if (text := _closed.get(x)) is not None:
+                return text
+        except TypeError:  # unhashable, so not a term: _PRINT has no entry for it
+            pass
     entry = _PRINT.get(type(x))
     if entry is None:
         raise UnknownSymbol(f"not a term or formula: {x!r}")

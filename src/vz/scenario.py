@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import (DepthExceeded, DuplicateDeclaration, HorizonExceeded, ParseError,
-                     SortMismatch, UnboundActionVariable, UndeclaredSymbol)
+                     SortMismatch, SourceError, UnboundActionVariable, UndeclaredSymbol)
 from .printer import print_formula, print_term
-from .sexpr import SList, SNum, SSym, read_all
+from .sexpr import SList, SNum, SSym, locate, read_all
 from .terms import (BUILTIN_SYMBOLS, KEYWORDS, MODAL_ARITY, And, Application, Atom,
                     Constant, Exists, ForAll, Formula, FunctionSymbol, Iff,
                     Implies, Modal, ModalOp, Not, Or, Ought, Record, Sort,
@@ -45,28 +45,26 @@ class SymbolTable:
         self.constants: dict[str, Constant] = {}
         self.agents: list[Constant] = []
 
-    def _check_fresh(self, name, loc):
+    def _check_fresh(self, name, pos):
         if name in self.functions or name in self.constants:
-            raise DuplicateDeclaration(f"symbol {name!r} already declared", *loc)
+            raise DuplicateDeclaration(f"symbol {name!r} already declared", pos)
 
-    def declare_constant(self, name, sort, loc=(None, None)) -> Constant:
-        self._check_fresh(name, loc)
-        c = Constant(name, sort)
-        self.constants[name] = c
+    def declare_constant(self, name, sort, pos=None) -> Constant:
+        self._check_fresh(name, pos)
+        self.constants[name] = c = Constant(name, sort)
         if sort is Sort.AGENT:
             self.agents.append(c)
         return c
 
-    def declare_function(self, name, arg_sorts, result_sort, loc=(None, None)) -> FunctionSymbol:
-        self._check_fresh(name, loc)
-        f = FunctionSymbol(name, tuple(arg_sorts), result_sort)
-        self.functions[name] = f
+    def declare_function(self, name, arg_sorts, result_sort, pos=None) -> FunctionSymbol:
+        self._check_fresh(name, pos)
+        self.functions[name] = f = FunctionSymbol(name, tuple(arg_sorts), result_sort)
         return f
 
-    def agent(self, name, loc=(None, None)) -> Constant:
+    def agent(self, name, pos=None) -> Constant:
         c = self.constants.get(name)
         if c is None or c.sort is not Sort.AGENT:
-            raise UndeclaredSymbol(f"undeclared agent {name!r}", *loc)
+            raise UndeclaredSymbol(f"undeclared agent {name!r}", pos)
         return c
 
 
@@ -91,15 +89,16 @@ class Situation(Record, alternatives=(), performed=None, agent=None):
 
 class ScenarioDoc:
     """A parsed scenario, filled in place by the reader and the
-    command-line overrides. The reader files each fact where its stage
-    reads it:
+    command-line overrides. source is the text it was read from (None in
+    a document built in code); each pos below is a node's place in it, as
+    vz.sexpr counts. The reader files each fact where its stage reads it:
 
-    - facts: the keyword and (line, col) of each fact item;
+    - facts: the keyword and pos of each fact item;
     - initially: fluents;
     - happens: a dict whose keys are the distinct (event, moment)
       occurrences in first-seen order (happens is a predicate, so a
-      repeated fact states nothing new), each mapped to the (line, col)
-      of its first moment, or None in a document built in code;
+      repeated fact states nothing new), each mapped to the pos of its
+      first moment, or None in a document built in code;
     - nu: ν, from (agent, fluent, moment) to the sum of its nu facts,
       added in fact order; an absent key reads 0;
     - theta: Θ, from an agent to "always", "never" or the frozenset of
@@ -113,9 +112,9 @@ class ScenarioDoc:
     that a happens, nu, theta, observe or query item names."""
     __slots__ = ("symbols", "horizon", "config", "facts", "initially", "happens", "nu",
                  "theta", "initiates", "terminates", "asserts", "groups", "observations",
-                 "queries", "last_moment")
+                 "queries", "last_moment", "source")
 
-    def __init__(self, symbols: SymbolTable, horizon: int | None = None):
+    def __init__(self, symbols: SymbolTable, horizon: int | None = None, source=None):
         self.symbols = symbols
         self.horizon = horizon
         # every setting's default; learner, when unset, is the first agent
@@ -124,7 +123,7 @@ class ScenarioDoc:
         self.facts, self.initially, self.happens, self.nu, self.theta = [], [], {}, {}, {}
         self.initiates, self.terminates, self.asserts, self.groups = [], [], [], []
         self.observations, self.queries = [], []
-        self.last_moment = 0
+        self.last_moment, self.source = 0, source
 
     def effective_horizon(self) -> int:
         return self.last_moment if self.horizon is None else self.horizon
@@ -134,34 +133,33 @@ class ScenarioDoc:
 # Parsing
 
 
-def _loc(sx):
-    return (sx.line, sx.col)
-
-
 def _expect_sym(sx, what="identifier") -> str:
     if not isinstance(sx, SSym):
-        raise ParseError(f"expected {what}", *_loc(sx))
+        raise ParseError(f"expected {what}", sx.pos)
     return sx.text
 
 
 def _expect_nat(sx) -> int:
     if not (isinstance(sx, SNum) and sx.is_int and not sx.text.startswith("-")):
-        raise ParseError("expected a non-negative integer", *_loc(sx))
+        raise ParseError("expected a non-negative integer", sx.pos)
     return sx.value
 
 
 def _expect_moment(sx) -> int:
     n = _expect_nat(sx)
     if n > MAX_MOMENT:
-        raise ParseError(f"moments are at most {MAX_MOMENT}, got {n}", *_loc(sx))
+        raise ParseError(f"moments are at most {MAX_MOMENT}, got {n}", sx.pos)
     return n
 
 
 def _parse_sort(sx) -> Sort:
     name = _expect_sym(sx, "sort name")
     if name not in SORT_NAMES:
-        raise ParseError(f"unknown sort {name!r}", *_loc(sx))
+        raise ParseError(f"unknown sort {name!r}", sx.pos)
     return SORT_NAMES[name]
+
+
+_NO_ENV: dict = {}  # the quantifier-bound variables outside any quantifier; never written
 
 
 class _FormulaParser:
@@ -176,161 +174,128 @@ class _FormulaParser:
         self.freevars: dict[str, Variable] = {}
         self.symvars: dict[str, SymbolVariable] = {}
 
-    def fresh_scope(self):
-        self.freevars = {}
-
-    def term(self, sx, expected: Sort, env=None, ground=False) -> Term:
+    def term(self, sx, expected: Sort, env=_NO_ENV, ground=False) -> Term:
         """The term sx of the expected sort; with ground set, a term that
         names a thing of the scenario, so it may hold no ?variable."""
-        env = env or {}
-        if isinstance(sx, SNum):
+        kind = type(sx)
+        if kind is SSym:
+            name = sx.text
+            if name[0] == "?":
+                if ground:
+                    raise ParseError(f"variable {name} where a ground term is expected", sx.pos)
+                return self._variable(name[1:], expected, sx.pos)
+            c = env[name] if name in env else self.table.constants.get(name)
+            if c is None:
+                raise UndeclaredSymbol(f"undeclared symbol {name!r}", sx.pos)
+            if not fits(c.sort, expected):
+                raise SortMismatch(f"{'variable ' if name in env else ''}{name} has sort "
+                                   f"{c.sort.value}, expected {expected.value}", sx.pos)
+            return c
+        if kind is SNum:
             if expected is Sort.MOMENT and sx.is_int and not sx.text.startswith("-"):
                 return moment(_expect_moment(sx))
-            raise SortMismatch(f"number not allowed where {expected.value} expected", *_loc(sx))
-        if isinstance(sx, SSym):
-            name = sx.text
-            if name.startswith("?"):
-                if ground:
-                    raise ParseError(f"variable {name} where a ground term is expected",
-                                     *_loc(sx))
-                return self._variable(name[1:], expected, _loc(sx))
-            if name in env:
-                v = env[name]
-                if not fits(v.sort, expected):
-                    raise SortMismatch(f"variable {name} has sort {v.sort.value}, "
-                                       f"expected {expected.value}", *_loc(sx))
-                return v
-            if name in self.table.constants:
-                c = self.table.constants[name]
-                if not fits(c.sort, expected):
-                    raise SortMismatch(f"{name} has sort {c.sort.value}, "
-                                       f"expected {expected.value}", *_loc(sx))
-                return c
-            raise UndeclaredSymbol(f"undeclared symbol {name!r}", *_loc(sx))
-        if isinstance(sx, SList):
-            if not sx.items:
-                raise ParseError("empty application", *_loc(sx))
-            head = _expect_sym(sx.items[0], "symbol name")
-            if head.startswith("?"):
-                sym = self.symvars.get(head[1:])
-                if sym is None:
-                    raise ParseError("symbol variables are not part of the input grammar",
-                                     *_loc(sx))
-            else:
-                sym = self.table.functions.get(head)
-            if sym is None:
-                raise UndeclaredSymbol(f"undeclared symbol {head!r}", *_loc(sx))
-            args = sx.items[1:]
-            if len(args) != len(sym.arg_sorts):
-                raise ParseError(f"{head} expects {len(sym.arg_sorts)} arguments, "
-                                 f"got {len(args)}", *_loc(sx))
-            terms = tuple(self.term(a, s, env, ground) for a, s in zip(args, sym.arg_sorts))
-            if not fits(sym.result_sort, expected):
-                raise SortMismatch(f"{head} yields {sym.result_sort.value}, "
-                                   f"expected {expected.value}", *_loc(sx))
-            return Application(sym, terms)
-        raise ParseError("expected a term", *_loc(sx))
+            raise SortMismatch(f"number not allowed where {expected.value} expected", sx.pos)
+        if not sx.items:
+            raise ParseError("empty application", sx.pos)
+        head = _expect_sym(sx.items[0], "symbol name")
+        sym = self.symvars.get(head[1:]) if head[0] == "?" else self.table.functions.get(head)
+        if sym is None:
+            raise (ParseError("symbol variables are not part of the input grammar", sx.pos)
+                   if head[0] == "?" else UndeclaredSymbol(f"undeclared symbol {head!r}", sx.pos))
+        args = sx.items[1:]
+        if len(args) != len(sym.arg_sorts):
+            raise ParseError(f"{head} expects {len(sym.arg_sorts)} arguments, "
+                             f"got {len(args)}", sx.pos)
+        terms = tuple([self.term(a, s, env, ground) for a, s in zip(args, sym.arg_sorts)]
+                      if args else ())
+        if not fits(sym.result_sort, expected):
+            raise SortMismatch(f"{head} yields {sym.result_sort.value}, "
+                               f"expected {expected.value}", sx.pos)
+        return Application(sym, terms)
 
-    def _variable(self, name, expected, loc) -> Variable:
+    def _variable(self, name, expected, pos) -> Variable:
         v = self.freevars.get(name)
         if v is None:
-            v = Variable(name, expected)
-            self.freevars[name] = v
+            self.freevars[name] = v = Variable(name, expected)
         elif not fits(v.sort, expected):
             raise SortMismatch(f"variable ?{name} used at sorts {v.sort.value} "
-                               f"and {expected.value}", *loc)
+                               f"and {expected.value}", pos)
         return v
 
-    def effect_time(self, sx) -> Term:
-        """The moment of an initiates/terminates rule, the one position where
-        a bare name is an (implicitly declared) moment variable; everywhere
-        else a bare name must be declared."""
-        if isinstance(sx, SSym) and not sx.text.startswith("?") \
-                and sx.text not in self.table.constants:
-            return self._variable(sx.text, Sort.MOMENT, _loc(sx))
-        return self.term(sx, Sort.MOMENT)
-
-    def formula(self, sx, env=None) -> Formula:
-        env = env or {}
+    def formula(self, sx, env=_NO_ENV) -> Formula:
         if not isinstance(sx, SList) or not sx.items:
-            raise ParseError("expected a formula", *_loc(sx))
-        head = sx.items[0]
+            raise ParseError("expected a formula", sx.pos)
+        head, body = sx.items[0], sx.items[1:]
         name = head.text if isinstance(head, SSym) else None
-        body = sx.items[1:]
         if name in _CONNECTIVES:
             cls = _CONNECTIVES[name]
             if cls._fields == ("parts",):
                 if not body:
-                    raise ParseError(f"({name}) needs at least one part", *_loc(sx))
+                    raise ParseError(f"({name}) needs at least one part", sx.pos)
                 return cls(tuple(self.formula(p, env) for p in body))
             self._arity(sx, len(cls._fields))
             return cls(*(self.formula(p, env) for p in body))
         if name in ("forall", "exists"):
             self._arity(sx, 2)
             if not isinstance(body[0], SList):
-                raise ParseError("expected binder list", *_loc(body[0]))
-            env2 = dict(env)
-            bvars = []
+                raise ParseError("expected binder list", body[0].pos)
+            env2, bvars = dict(env), []
             for b in body[0].items:
                 if not (isinstance(b, SList) and len(b.items) == 2):
-                    raise ParseError("binder must be (name sort)", *_loc(b))
+                    raise ParseError("binder must be (name sort)", b.pos)
                 vname = _expect_sym(b.items[0], "variable name")
                 v = Variable(vname, _parse_sort(b.items[1]))
                 env2[vname] = v
                 bvars.append(v)
-            cls = ForAll if name == "forall" else Exists
-            return cls(tuple(bvars), self.formula(body[1], env2))
+            return (ForAll if name == "forall" else Exists)(tuple(bvars),
+                                                            self.formula(body[1], env2))
         if name == "ought":
             self._arity(sx, 4)
-            agent = self.term(body[0], Sort.AGENT, env)
-            time = self.term(body[1], Sort.MOMENT, env)
-            cond = self.formula(body[2], env)
-            deontic = self.formula(body[3], env)
+            agent, time = self.term(body[0], Sort.AGENT, env), self.term(body[1], Sort.MOMENT, env)
+            cond, deontic = self.formula(body[2], env), self.formula(body[3], env)
             try:
                 return Ought(agent, time, cond, deontic)
             except SortMismatch as exc:
-                raise SortMismatch(str(exc), *_loc(sx))
+                raise SortMismatch(str(exc), sx.pos)
         if name in _MODAL_BY_NAME:
-            op = _MODAL_BY_NAME[name]
+            op = ModalOp.SAYS_TO if name == "says" and len(body) == 4 else _MODAL_BY_NAME[name]
             nagents = MODAL_ARITY[op]
-            if name == "says" and len(body) == 4:
-                op, nagents = ModalOp.SAYS_TO, 2
             if len(body) != nagents + 2:
-                raise ParseError(f"({name} ...) has wrong arity", *_loc(sx))
+                raise ParseError(f"({name} ...) has wrong arity", sx.pos)
             agents = tuple(self.term(b, Sort.AGENT, env) for b in body[:nagents])
             time = self.term(body[nagents], Sort.MOMENT, env)
             return Modal(op, agents, time, self.formula(body[nagents + 1], env))
         # plain atom
         t = self.term(sx, Sort.BOOLEAN, env)
         if not isinstance(t, Application):
-            raise ParseError("an atom must be an application", *_loc(sx))
+            raise ParseError("an atom must be an application", sx.pos)
         return Atom(t)
 
     def _arity(self, sx, n):
         if len(sx.items) != n + 1:
-            raise ParseError(f"({sx.items[0].text} ...) expects {n} parts", *_loc(sx))
+            raise ParseError(f"({sx.items[0].text} ...) expects {n} parts", sx.pos)
 
 
 _CONFIG_KEYS = {"n", "m", "gamma", "learner", "max-depth", "mode"}
 
 
-def check_setting(key, value, loc=(None, None), table=None):
+def check_setting(key, value, pos=None, table=None):
     """The one check of every setting, shared by (set key value) and the
     command-line overrides (which also set the horizon). Returns the value
     to store, for learner the declared agent itself; raises ParseError at
-    loc when the value is out of range."""
+    pos when the value is out of range."""
     if key in ("n", "m") and value < 1:
-        raise ParseError(f"{key} must be at least 1", *loc)
+        raise ParseError(f"{key} must be at least 1", pos)
     if key == "horizon" and value < 0:
-        raise ParseError("horizon must be non-negative", *loc)
+        raise ParseError("horizon must be non-negative", pos)
     if key == "horizon" and value > MAX_MOMENT:
-        raise ParseError(f"horizon must be at most {MAX_MOMENT}", *loc)
+        raise ParseError(f"horizon must be at most {MAX_MOMENT}", pos)
     if key == "gamma" and not 0 < value <= 1:  # also rejects nan
-        raise ParseError("gamma must lie in (0, 1]", *loc)
+        raise ParseError("gamma must lie in (0, 1]", pos)
     if key == "mode" and value not in (FIRST_ORDER, HIGHER_ORDER):
-        raise ParseError("mode must be fo or ho", *loc)
+        raise ParseError("mode must be fo or ho", pos)
     if key == "learner":
-        return table.agent(value, loc)
+        return table.agent(value, pos)
     return value
 
 
@@ -338,148 +303,189 @@ def parse_scenario(text: str, horizon: int | None = None) -> ScenarioDoc:
     """Parse and sort-check a scenario document; a horizon given here (by
     --horizon) replaces the declared one. The first error wins; no partial
     documents are returned."""
-    doc = ScenarioDoc(SymbolTable())
-    fp = _FormulaParser(doc.symbols)
-    situation_ids: set[str] = set()  # observe and query items share one namespace
-    for sx in read_all(text):
-        if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
-            raise ParseError("expected a (keyword ...) item", *_loc(sx))
-        _parse_item(sx, doc, fp, situation_ids)
-    # (set max-depth d) may follow the asserts it bounds, (horizon h) the
-    # occurrences it bounds
-    max_depth = doc.config["max-depth"]
-    assert_locs = [loc for head, loc in doc.facts if head == "assert"]
-    for f, loc in zip(doc.asserts, assert_locs):
-        if modal_depth(f) > max_depth:
-            raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth {max_depth}: "
-                                f"{print_formula(f)}", *loc)
-    if horizon is not None:
-        doc.horizon = horizon
-    for (event, t), loc in doc.happens.items():
-        if doc.horizon is not None and t > doc.horizon:
-            raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon "
-                                  f"{doc.horizon}", *loc)
+    doc = ScenarioDoc(SymbolTable(), source=text)
+    try:
+        reader = _ScenarioReader(doc)
+        for sx in read_all(text):
+            reader.item(sx)
+        # (set max-depth d) may follow the asserts it bounds, (horizon h) the
+        # occurrences it bounds
+        max_depth = doc.config["max-depth"]
+        for f, pos in zip(doc.asserts, [p for head, p in doc.facts if head == "assert"]):
+            if modal_depth(f) > max_depth:
+                raise DepthExceeded(f"modal depth {modal_depth(f)} exceeds max-depth "
+                                    f"{max_depth}: {print_formula(f)}", pos)
+        if horizon is not None:
+            doc.horizon = horizon
+        for (event, t), pos in doc.happens.items():
+            if doc.horizon is not None and t > doc.horizon:
+                raise HorizonExceeded(f"happens({print_term(event)}, {t}) is past horizon "
+                                      f"{doc.horizon}", pos)
+    except SourceError as exc:
+        raise locate(exc, text)
     return doc
 
 
-def _parse_item(sx, doc, fp, situation_ids):
-    head = sx.items[0].text
-    body = sx.items[1:]
-    loc = _loc(sx)
-    table = doc.symbols
-    fp.fresh_scope()
+_SITUATION_SECTIONS = {"observe": {"agent", "time", "formulas", "alternatives", "performed"},
+                       "query": {"time", "formulas"}}
 
-    def need(n):
-        if len(body) != n:
-            raise ParseError(f"({head} ...) expects {n} parts", *loc)
 
-    def fact_moment(part) -> int:
-        t = _expect_moment(part)
-        doc.last_moment = max(doc.last_moment, t)
+class _ScenarioReader(_FormulaParser):
+    """Files each item of a scenario into doc, by the reader of its
+    keyword in ITEMS; each item is a fresh scope of variables. Observe
+    and query items share one namespace of ids."""
+
+    def __init__(self, doc):
+        super().__init__(doc.symbols)
+        self.doc, self.situation_ids = doc, set()
+
+    def item(self, sx):
+        if not (isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SSym)):
+            raise ParseError("expected a (keyword ...) item", sx.pos)
+        head, body = sx.items[0].text, sx.items[1:]
+        if head not in self.ITEMS:
+            raise ParseError(f"unknown item {head!r}", sx.pos)
+        read, nparts, is_fact = self.ITEMS[head]
+        if nparts is not None and len(body) != nparts:
+            raise ParseError(f"({head} ...) expects {nparts} parts", sx.pos)
+        self.freevars = {}
+        read(self, head, body, sx.pos)
+        if is_fact:
+            self.doc.facts.append((head, sx.pos))
+
+    def fact_moment(self, sx) -> int:
+        t = _expect_moment(sx)
+        self.doc.last_moment = max(self.doc.last_moment, t)
         return t
 
-    if head == "declare-agent":
-        need(1)
-        name = _expect_sym(body[0])
-        table.declare_constant(name, Sort.AGENT, loc)
-    elif head == "declare-constant":
-        need(2)
-        name = _expect_sym(body[0])
-        sort = _parse_sort(body[1])
+    def declare_agent(self, head, body, pos):
+        self.table.declare_constant(_expect_sym(body[0]), Sort.AGENT, pos)
+
+    def declare_constant(self, head, body, pos):
+        name, sort = _expect_sym(body[0]), _parse_sort(body[1])
         if sort is Sort.MOMENT:
             # moments are the numerals 0, 1, 2, ...; a name cannot be one
             raise SortMismatch(f"moment constant {name!r}: moments are written as numerals",
-                               *_loc(body[1]))
-        table.declare_constant(name, sort, loc)
-    elif head in ("declare-action-type", "declare-fluent", "declare-predicate"):
-        need(2)
+                               body[1].pos)
+        self.table.declare_constant(name, sort, pos)
+
+    def declare_function(self, head, body, pos):
         name = _expect_sym(body[0])
         if not isinstance(body[1], SList):
-            raise ParseError("expected argument sort list", *_loc(body[1]))
-        arg_sorts = tuple(_parse_sort(s) for s in body[1].items)
-        result = {"declare-action-type": Sort.ACTION_TYPE,
-                  "declare-fluent": Sort.FLUENT,
+            raise ParseError("expected argument sort list", body[1].pos)
+        result = {"declare-action-type": Sort.ACTION_TYPE, "declare-fluent": Sort.FLUENT,
                   "declare-predicate": Sort.BOOLEAN}[head]
-        table.declare_function(name, arg_sorts, result, loc)
-    elif head == "horizon":
-        need(1)
-        if doc.horizon is not None:
-            raise DuplicateDeclaration("duplicate horizon declaration", *loc)
-        doc.horizon = _expect_moment(body[0])
-    elif head == "set":
-        need(2)
+        self.table.declare_function(name, tuple(map(_parse_sort, body[1].items)), result, pos)
+
+    def horizon(self, head, body, pos):
+        if self.doc.horizon is not None:
+            raise DuplicateDeclaration("duplicate horizon declaration", pos)
+        self.doc.horizon = _expect_moment(body[0])
+
+    def setting(self, head, body, pos):
         key = _expect_sym(body[0])
         if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown config key {key!r}", *loc)
+            raise ParseError(f"unknown config key {key!r}", pos)
         if key in ("n", "m", "max-depth"):
             value = _expect_nat(body[1])
         elif key == "gamma":
             if not isinstance(body[1], SNum):
-                raise ParseError("gamma must be a number", *loc)
+                raise ParseError("gamma must be a number", pos)
             value = float(body[1].text)
         else:
             value = _expect_sym(body[1])
-        doc.config[key] = check_setting(key, value, _loc(body[1]), table)
-    elif head == "initially":
-        need(1)
-        doc.initially.append(fp.term(body[0], Sort.FLUENT, ground=True))
-    elif head == "happens":
-        need(2)
-        occurrence = (fp.term(body[0], Sort.EVENT, ground=True), fact_moment(body[1]))
-        doc.happens.setdefault(occurrence, _loc(body[1]))
-    elif head == "nu":
-        need(4)
-        key = (fp.term(body[0], Sort.AGENT, ground=True),
-               fp.term(body[1], Sort.FLUENT, ground=True), fact_moment(body[2]))
+        self.doc.config[key] = check_setting(key, value, body[1].pos, self.table)
+
+    def initially(self, head, body, pos):
+        self.doc.initially.append(self.term(body[0], Sort.FLUENT, ground=True))
+
+    def happens(self, head, body, pos):
+        occurrence = (self.term(body[0], Sort.EVENT, ground=True), self.fact_moment(body[1]))
+        self.doc.happens.setdefault(occurrence, body[1].pos)
+
+    def nu(self, head, body, pos):
+        key = (self.term(body[0], Sort.AGENT, ground=True),
+               self.term(body[1], Sort.FLUENT, ground=True), self.fact_moment(body[2]))
         if not isinstance(body[3], SNum):
-            raise ParseError("nu value must be a number", *_loc(body[3]))
+            raise ParseError("nu value must be a number", body[3].pos)
         # float of the literal text: a literal too large for a float reads
         # as inf (float of its int would raise); the fact whose value takes
         # its key's sum out of range is at fault
-        doc.nu[key] = total = doc.nu.get(key, 0.0) + float(body[3].text)
+        self.doc.nu[key] = total = self.doc.nu.get(key, 0.0) + float(body[3].text)
         if not math.isfinite(total):
-            raise ParseError(f"nu value must be finite, got {total}", *_loc(body[3]))
-    elif head == "theta":
+            raise ParseError(f"nu value must be finite, got {total}", body[3].pos)
+
+    def theta(self, head, body, pos):
         if len(body) not in (2, 3):
-            raise ParseError("(theta ...) expects 2 or 3 parts", *loc)
-        agent = fp.term(body[0], Sort.AGENT, ground=True)
+            raise ParseError("(theta ...) expects 2 or 3 parts", pos)
+        agent = self.term(body[0], Sort.AGENT, ground=True)
         mode = _expect_sym(body[1])
-        if mode in ("always", "never"):
-            need(2)
-            doc.theta[agent] = mode
-        elif mode == "at":
-            need(3)
-            gate = doc.theta.get(agent)
-            doc.theta[agent] = ((gate if isinstance(gate, frozenset) else frozenset())
-                                | {fact_moment(body[2])})
+        if mode not in ("always", "never", "at"):
+            raise ParseError("theta mode must be always, never, or at", pos)
+        if len(body) != 2 + (mode == "at"):
+            raise ParseError(f"(theta ...) expects {2 + (mode == 'at')} parts", pos)
+        gate = self.doc.theta.get(agent)
+        self.doc.theta[agent] = mode if mode != "at" else (
+            (gate if isinstance(gate, frozenset) else frozenset()) | {self.fact_moment(body[2])})
+
+    def effect(self, head, body, pos):
+        # its moment is the one place where a bare name is an (implicit) moment variable
+        event, fluent, t = self.term(body[0], Sort.EVENT), self.term(body[1], Sort.FLUENT), body[2]
+        if isinstance(t, SSym) and t.text[0] != "?" and t.text not in self.table.constants:
+            t = self._variable(t.text, Sort.MOMENT, t.pos)
         else:
-            raise ParseError("theta mode must be always, never, or at", *loc)
-    elif head in ("initiates", "terminates"):
-        need(3)
-        rule = EffectRule(fp.term(body[0], Sort.EVENT), fp.term(body[1], Sort.FLUENT),
-                          fp.effect_time(body[2]))
-        (doc.initiates if head == "initiates" else doc.terminates).append(rule)
-    elif head == "assert":
-        need(1)
-        doc.asserts.append(fp.formula(body[0]))
-    elif head == "group":
-        doc.groups.append(tuple(fp.formula(f) for f in body))
-    elif head in _SITUATION_SECTIONS:
-        fact = _parse_situation(head, body, loc, fp, situation_ids)
-        doc.last_moment = max(doc.last_moment, fact.time)
-        (doc.queries if head == "query" else doc.observations).append(fact)
-    else:
-        raise ParseError(f"unknown item {head!r}", *loc)
-    if head not in ("horizon", "set") and not head.startswith("declare-"):
-        doc.facts.append((head, loc))
+            t = self.term(t, Sort.MOMENT)
+        (self.doc.initiates if head == "initiates" else self.doc.terminates).append(
+            EffectRule(event, fluent, t))
+
+    def assertion(self, head, body, pos):
+        self.doc.asserts.append(self.formula(body[0]))
+
+    def group(self, head, body, pos):
+        self.doc.groups.append(tuple(map(self.formula, body)))
+
+    def situation(self, head, body, pos):
+        """An (observe id ...) or (query id ...) item, whose id no earlier
+        one has; a query has only the time and formulas sections. The
+        agent, alternatives and performed action types are ground."""
+        if not body:
+            raise ParseError(f"({head} ...) needs an id", pos)
+        sid = _expect_sym(body[0], "situation id")
+        if sid in self.situation_ids:
+            raise DuplicateDeclaration(f"duplicate situation id {sid!r}", body[0].pos)
+        self.situation_ids.add(sid)
+        secs = _sections(body[1:], _SITUATION_SECTIONS[head])
+        agent = (self.term(_section_arg(secs["agent"], "agent"), Sort.AGENT, ground=True)
+                 if "agent" in secs else None)
+        time = self.fact_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
+        formulas = tuple(map(self.formula, _section_items(secs, "formulas")))
+        if head == "query":
+            self.doc.queries.append(Situation(sid, time, formulas))
+            return
+        alts = tuple(self.term(t, Sort.ACTION_TYPE, ground=True)
+                     for t in _section_items(secs, "alternatives"))
+        performed = (self.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE,
+                               ground=True) if "performed" in secs else None)
+        self.doc.observations.append(Situation(sid, time, formulas, alts, performed, agent))
+
+    # Each item's keyword: its reader, its number of parts (None when the
+    # reader checks them) and whether it is a fact, not a declaration or a setting.
+    ITEMS = {"declare-agent": (declare_agent, 1, False), "set": (setting, 2, False),
+             "declare-constant": (declare_constant, 2, False), "horizon": (horizon, 1, False),
+             **dict.fromkeys(("declare-action-type", "declare-fluent", "declare-predicate"),
+                             (declare_function, 2, False)),
+             "initially": (initially, 1, True), "happens": (happens, 2, True),
+             "nu": (nu, 4, True), "theta": (theta, None, True), "assert": (assertion, 1, True),
+             **dict.fromkeys(("initiates", "terminates"), (effect, 3, True)),
+             **dict.fromkeys(_SITUATION_SECTIONS, (situation, None, True)),
+             "group": (group, None, True)}
 
 
 def _section_arg(sec, what):
     """The single argument of a (key arg) section."""
-    items = sec.items[1:]
-    if len(items) != 1:
-        raise ParseError(f"({sec.items[0].text} ...) takes one {what}", *_loc(sec))
-    return items[0]
+    if len(sec.items) != 2:
+        raise ParseError(f"({sec.items[0].text} ...) takes one {what}", sec.pos)
+    return sec.items[1]
 
 
 def _section_items(secs, key):
@@ -492,45 +498,14 @@ def _sections(body, allowed):
     out = {}
     for part in body:
         if not (isinstance(part, SList) and part.items and isinstance(part.items[0], SSym)):
-            raise ParseError("expected a (section ...) entry", *_loc(part))
+            raise ParseError("expected a (section ...) entry", part.pos)
         key = part.items[0].text
         if key not in allowed:
-            raise ParseError(f"unknown section {key!r}", *_loc(part))
+            raise ParseError(f"unknown section {key!r}", part.pos)
         if key in out:
-            raise DuplicateDeclaration(f"duplicate section {key!r}", *_loc(part))
+            raise DuplicateDeclaration(f"duplicate section {key!r}", part.pos)
         out[key] = part
     return out
-
-
-_SITUATION_SECTIONS = {"observe": {"agent", "time", "formulas", "alternatives", "performed"},
-                       "query": {"time", "formulas"}}
-
-
-def _parse_situation(head, body, loc, fp, taken):
-    """An (observe id ...) or (query id ...) item, whose id is not in the
-    set taken; a query has only the time and formulas sections. The
-    agent, alternatives and performed action types are ground."""
-    if not body:
-        raise ParseError(f"({head} ...) needs an id", *loc)
-    sid = _expect_sym(body[0], "situation id")
-    if sid in taken:
-        raise DuplicateDeclaration(f"duplicate situation id {sid!r}", *_loc(body[0]))
-    taken.add(sid)
-    secs = _sections(body[1:], _SITUATION_SECTIONS[head])
-    agent = None
-    if "agent" in secs:
-        agent = fp.term(_section_arg(secs["agent"], "agent"), Sort.AGENT, ground=True)
-    time = _expect_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
-    formulas = tuple(fp.formula(f) for f in _section_items(secs, "formulas"))
-    if head == "query":
-        return Situation(sid, time, formulas)
-    alts = tuple(fp.term(t, Sort.ACTION_TYPE, ground=True)
-                 for t in _section_items(secs, "alternatives"))
-    performed = None
-    if "performed" in secs:
-        performed = fp.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE,
-                            ground=True)
-    return Situation(sid, time, formulas, alts, performed, agent)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +520,7 @@ class LearntTrait(Record, exemplar=None, source_situations=()):
     __slots__ = ("pattern", "action_pattern", "exemplar", "source_situations")
 
     def __post_init__(self):
-        pattern_vars = set()
-        for f in self.pattern:
-            pattern_vars |= free_variables(f)
+        pattern_vars = set().union(*map(free_variables, self.pattern))
         loose = {v for v in free_variables(self.action_pattern)
                  if isinstance(v, Variable)} - pattern_vars
         if loose:
@@ -558,28 +531,31 @@ class LearntTrait(Record, exemplar=None, source_situations=()):
 def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
     """Read a trait file against the scenario's symbol table."""
     fp = _FormulaParser(doc.symbols)
-    traits = []
-    for sx in read_all(text):
-        if not (isinstance(sx, SList) and sx.items
-                and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
-            raise ParseError("trait file entries must be (trait ...) records", *_loc(sx))
-        secs = _sections(sx.items[1:], {"signatures", "pattern", "action", "exemplar",
-                                        "sources"})
-        fp.freevars, fp.symvars = _parse_signatures(_section_items(secs, "signatures"))
-        pattern = tuple(fp.formula(f) for f in _section_items(secs, "pattern"))
-        if "action" not in secs:
-            raise ParseError("trait record lacks an (action ...) section", *_loc(sx))
-        action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
-        exemplar = None
-        if "exemplar" in secs:
-            arg = _section_arg(secs["exemplar"], "agent")
-            exemplar = doc.symbols.agent(_expect_sym(arg, "agent name"), _loc(arg))
-        sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
-        try:
-            traits.append(LearntTrait(pattern, action, exemplar, sources))
-        except UnboundActionVariable as exc:
-            raise UnboundActionVariable(exc.message, *_loc(secs["action"]))
-    return traits
+    try:
+        return [_parse_trait(sx, fp) for sx in read_all(text)]
+    except SourceError as exc:
+        raise locate(exc, text)
+
+
+def _parse_trait(sx, fp) -> LearntTrait:
+    if not (isinstance(sx, SList) and sx.items
+            and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
+        raise ParseError("trait file entries must be (trait ...) records", sx.pos)
+    secs = _sections(sx.items[1:], {"signatures", "pattern", "action", "exemplar", "sources"})
+    fp.freevars, fp.symvars = _parse_signatures(_section_items(secs, "signatures"))
+    pattern = tuple(map(fp.formula, _section_items(secs, "pattern")))
+    if "action" not in secs:
+        raise ParseError("trait record lacks an (action ...) section", sx.pos)
+    action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
+    exemplar = None
+    if "exemplar" in secs:
+        arg = _section_arg(secs["exemplar"], "agent")
+        exemplar = fp.table.agent(_expect_sym(arg, "agent name"), arg.pos)
+    sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
+    try:
+        return LearntTrait(pattern, action, exemplar, sources)
+    except UnboundActionVariable as exc:
+        raise UnboundActionVariable(exc.message, secs["action"].pos)
 
 
 def _parse_signatures(items):
@@ -588,15 +564,15 @@ def _parse_signatures(items):
     variables, symbols = {}, {}
     for item in items:
         if not (isinstance(item, SList) and len(item.items) in (2, 3)):
-            raise ParseError("a signature is (name sort) or (name (sorts) sort)", *_loc(item))
+            raise ParseError("a signature is (name sort) or (name (sorts) sort)", item.pos)
         name = _expect_sym(item.items[0], "variable name")
         if name in variables or name in symbols:
-            raise DuplicateDeclaration(f"duplicate signature {name!r}", *_loc(item))
+            raise DuplicateDeclaration(f"duplicate signature {name!r}", item.pos)
         if len(item.items) == 2:
             variables[name] = Variable(name, _parse_sort(item.items[1]))
             continue
         if not isinstance(item.items[1], SList):
-            raise ParseError("expected argument sort list", *_loc(item.items[1]))
+            raise ParseError("expected argument sort list", item.items[1].pos)
         symbols[name] = SymbolVariable(name, tuple(_parse_sort(a) for a in item.items[1].items),
                                        _parse_sort(item.items[2]))
     return variables, symbols

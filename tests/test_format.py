@@ -17,7 +17,7 @@ from vz.errors import NoAlignment, UnboundActionVariable
 from vz.learner import learn_trait
 from vz.scenario import (SymbolTable, _FormulaParser, parse_scenario, parse_traits,
                          print_trait)
-from vz.sexpr import SList, SNum, read_all
+from vz.sexpr import MAX_NESTING, SList, SNum, read_all, where
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, TERMS, And, Application, Atom,
                       Constant, Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
                       ModalOp, Not, Or, Ought, Sort, SymbolVariable, Variable, children,
@@ -195,9 +195,11 @@ def test_memo_prints_a_node_free_and_bound_apart():
 
 
 def test_print_term_refuses_a_non_term():
-    for x in (object(), 3):
-        with pytest.raises(UnknownSymbol, match="not a term or formula"):
-            print_term(x)
+    # an unhashable one too, under no binder (where printed nodes are kept) or one
+    for x in (object(), 3, [], {}):
+        for bound in (frozenset(), frozenset({Variable("x", Sort.AGENT)})):
+            with pytest.raises(UnknownSymbol, match="not a term or formula"):
+                print_term(x, bound)
 
 
 def _declare(x, reader):
@@ -396,10 +398,10 @@ def _documents(draw):
     return "".join(out), tree, gaps
 
 
-def _read_tree(sx):
+def _read_tree(sx, text):
     if isinstance(sx, SList):
-        return ("list", tuple(_read_tree(i) for i in sx.items), sx.line, sx.col)
-    return ("num" if isinstance(sx, SNum) else "sym", sx.text, sx.line, sx.col)
+        return ("list", tuple(_read_tree(i, text) for i in sx.items), *where(text, sx.pos))
+    return ("num" if isinstance(sx, SNum) else "sym", sx.text, *where(text, sx.pos))
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,7 +410,7 @@ def test_reader_matches_token_oracle(doc, data):
     """read_all gives the recorded tree, and names one injected fault
     where it stands."""
     text, tree, gaps = doc
-    assert [_read_tree(sx) for sx in read_all(text)] == tree
+    assert [_read_tree(sx, text) for sx in read_all(text)] == tree
     offset, line, col, open_lists = data.draw(st.sampled_from(gaps))
     fault = data.draw(st.sampled_from(["character", "number", "paren"]))
     insert = lambda bad: text[:offset] + bad + text[offset:]
@@ -426,3 +428,46 @@ def test_reader_matches_token_oracle(doc, data):
     with pytest.raises(ParseError) as exc:
         read_all(faulty)
     assert (exc.value.line, exc.value.col, exc.value.message) == where
+
+
+@pytest.mark.parametrize("text, where", [
+    # a structural fault (unmatched, unclosed, too deep) comes first in each
+    (")(@", (1, 3, "unexpected character '@'")),
+    ("(a (b\n  1.2.3", (2, 3, "bad number '1.2.3'")),
+    ("(x))\n+1.2.3", (2, 1, "bad number '+1.2.3'")),
+    ("(" * (MAX_NESTING + 1) + "\n; é\n\t$", (3, 2, "unexpected character '$'")),
+    # a sign or a dot that starts no number
+    ("(a)) +", (1, 6, "unexpected character '+'")),
+    ("(a +b)", (1, 4, "unexpected character '+'")),
+    ("(a .5)", (1, 4, "unexpected character '.'")),
+])
+def test_a_lexical_fault_is_named_before_a_structural_one(text, where):
+    with pytest.raises(ParseError) as exc:
+        read_all(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == where
+
+
+# tokens, each a comment (ended by a newline), a paren or an atom; the
+# separators hold tabs and carriage returns, each one column
+_TOKEN_TEXTS = st.sampled_from(["(", ")", "ab", "-5", "+1.5", "?x", "-", "; cé\t\r\n"])
+_SEPARATORS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "\r\n"]), min_size=1,
+                       max_size=3).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_SEPARATORS, _TOKEN_TEXTS), max_size=12))
+def test_where_counts_from_the_start_of_the_text(pieces):
+    """where(text, pos) is the line and column of the pos-th token, as a
+    count of the characters before it from the start of the text gives."""
+    text, starts = "", []
+    for gap, token in pieces:
+        text += gap
+        starts.append(len(text))
+        text += token
+    expected = []
+    for start in starts:
+        line, col = 1, 1
+        for ch in text[:start]:
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+        expected.append((line, col))
+    assert [where(text, pos) for pos in range(len(starts))] == expected

@@ -69,11 +69,12 @@ def test_reports_match_recorded_digests(capsys, tmp_path, name):
                     "effects-timed.vz": 3}.get(name, 18)
 
 
-# strings with quotes, backslashes, control characters and non-ASCII text
-_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u00e9\u2028\U0001f600') | st.characters())
+# strings with quotes, backslashes, control characters, non-ASCII text and
+# a lone surrogate
+_STRINGS = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u00e9\u2028\U0001f600\ud800')
+                   | st.characters())
 _VALUES = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
-           | st.integers(max_value=-2**64) | st.floats(allow_nan=False, allow_infinity=False)
-           | _STRINGS | st.lists(_STRINGS))
+           | st.integers(max_value=-2**64) | st.floats() | _STRINGS | st.lists(_STRINGS))
 # (record type, fields) over every record type, each field any value a record may hold
 _RECORDS = st.sampled_from(sorted(_TEXT)).flatmap(lambda rtype: st.tuples(
     st.just(rtype), st.fixed_dictionaries(
@@ -83,12 +84,12 @@ _RECORDS = st.sampled_from(sorted(_TEXT)).flatmap(lambda rtype: st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_RECORDS, max_size=4))
 def test_json_lines_are_the_standard_encoding(records):
-    """Each --json line is what json.JSONEncoder(sort_keys=True) makes of
+    """Each --json line is what json.dumps(record, sort_keys=True) makes of
     the record, also when one report encodes several."""
     rep = Report(as_json=True)
     for rtype, fields in records:
         rep.emit(rtype, **fields)
-    assert rep.lines == [json.JSONEncoder(sort_keys=True).encode({"type": rtype, **fields})
+    assert rep.lines == [json.dumps({"type": rtype, **fields}, sort_keys=True)
                          for rtype, fields in records]
 
 
@@ -120,6 +121,22 @@ def test_emit_each_is_an_emit_loop(run, ints, as_json):
     marked = dict(shared, **{"fluent" if rtype == "holds" else "event": f"(p{Report._MARK})"})
     with pytest.raises(ValueError):
         rep.emit_each(rtype, key, ints, **marked)
+
+
+def test_json_line_refuses_a_value_json_cannot_encode():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        Report(as_json=True).emit("formula", formula=object())
+
+
+def test_json_report_imports_no_json_package():
+    # a fresh interpreter: the encoder is _json's, so the json package,
+    # with its decoder and scanner, is not loaded
+    code = ("import sys, vz.cli; vz.cli.main(['project', '--json', sys.argv[1]]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    out = subprocess.run([sys.executable, "-c", code, os.path.join(CORPUS, "marketplace.vz")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_json_real_is_null_for_nan_and_infinities():

@@ -59,8 +59,8 @@ def test_every_import_is_used(path):
 
 
 def test_start_up_imports_no_heavy_module():
-    # a fresh interpreter, as each `vz` call starts one; json is imported
-    # only for a --json report
+    # a fresh interpreter, as each `vz` call starts one; a --json report
+    # imports no json package either (tests/test_reports.py)
     code = ("import sys, vz.cli; vz.cli.build_parser(); "
             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -188,9 +188,9 @@ def record_samples():
         Modal: [(ModalOp.KNOWS, (JACK,), moment(1), AT),
                 (ModalOp.BELIEVES, (JACK,), moment(1), AT)],
         Ought: [(JACK, moment(1), AT, DO_WAVE), (JACK, moment(2), AT, DO_WAVE)],
-        SSym: [("a", 1, 2), ("a", 1, 3)],
-        SNum: [("1", 1, 2), ("2", 1, 2)],
-        SList: [((), 1, 1), ((SSym("a", 1, 2),), 1, 1)],
+        SSym: [("a", 1), ("a", 2)],
+        SNum: [("1", 1), ("2", 1)],
+        SList: [((), 0), ((SSym("a", 1),), 0)],
         EffectRule: [(EVENT, A, T), (EVENT, A, moment(1))],
         Situation: [("s", 1, (AT,)), ("s", 1, (AT,), (), WAVE())],
         LearntTrait: [((AT,), WAVE()), ((AT,), WAVE(), JACK)],
@@ -323,7 +323,7 @@ def test_record_repr():
     assert repr(Situation("s", 1, (hungry,))) == (
         "Situation(id='s', time=1, formulas=((hungry jack:agent),), alternatives=(), "
         "performed=None, agent=None)")
-    assert repr(SNum("1.5", 3, 4)) == "SNum(text='1.5', line=3, col=4)"
+    assert repr(SNum("1.5", 3)) == "SNum(text='1.5', pos=3)"
     # classes with a repr of their own keep it
     assert repr(X) == "?x:agent" and repr(SymbolVariable("P0", (), Sort.FLUENT)) == "?P0"
 
