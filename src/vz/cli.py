@@ -139,16 +139,16 @@ def cmd_project(args, rep):
 
 def cmd_utility(args, rep):
     from . import ec
-    from .utility import mu_bar, nu_bar
+    from .utility import moment_index, mu_bar, nu_bar
     doc = _load(args.file, args)
     tl = ec.project(doc)
-    agents = doc.symbols.agents
+    agents, index = doc.symbols.agents, moment_index(doc.nu)
     for occ in tl.occurrences:
         rep.emit("mu-bar", event=print_term(occ.event), time=occ.time,
-                 value=rep.real(mu_bar(occ, doc.nu, agents, tl.horizon)))
+                 value=rep.real(mu_bar(occ, doc.nu, agents, tl.horizon, index)))
         for a in agents:
             rep.emit("nu-bar", agent=a.name, event=print_term(occ.event), time=occ.time,
-                     value=rep.real(nu_bar(a, occ, doc.nu, tl.horizon)))
+                     value=rep.real(nu_bar(a, occ, doc.nu, tl.horizon, index)))
 
 
 def _emit_records(sweep, rep):

@@ -14,7 +14,7 @@ from collections import defaultdict
 from .ec import Timeline
 from .printer import print_term
 from .terms import ACTION, Application, Constant, Record, Term
-from .utility import mu, mu_bar, nu_bar
+from .utility import entry_moments, moment_index, mu, mu_bar, nu_bar
 
 
 def _open(theta: dict, agent: Constant, t: int) -> bool:
@@ -44,12 +44,13 @@ class EmotionRecord(Record):
 class World:
     """Everything emotion evaluation needs: the projected timeline, ν and
     θ (dicts as in ScenarioDoc.nu and ScenarioDoc.theta), the declared
-    agents, and the horizon."""
-    __slots__ = ("timeline", "nu", "theta", "agents", "horizon")
+    agents, and the horizon; and ν's moment index, built here once."""
+    __slots__ = ("timeline", "nu", "theta", "agents", "horizon", "index")
 
     def __init__(self, timeline: Timeline, nu: dict, theta: dict, agents, horizon: int):
         self.timeline, self.nu, self.theta = timeline, nu, theta
         self.agents, self.horizon = agents, horizon
+        self.index = moment_index(nu)
 
 
 # Each kind's appraisal: whose it reads and its sign. SELF reads the
@@ -69,12 +70,14 @@ def _appraised(world: World, occ, who) -> int:
     μ) of the opposite sign at some moment in [0, H]. ν is μ over one
     agent."""
     if who is None:
-        total, owners = mu_bar(occ, world.nu, world.agents, world.horizon), world.agents
+        total = mu_bar(occ, world.nu, world.agents, world.horizon, world.index)
+        owners = world.agents
     else:
-        total, owners = nu_bar(who, occ, world.nu, world.horizon), (who,)
+        total, owners = nu_bar(who, occ, world.nu, world.horizon, world.index), (who,)
     sign = (total > 0) - (total < 0)
     return 0 if sign and any(sign * mu(f, y, world.nu, owners) < 0 for f in occ.initiated
-                             for y in range(world.horizon + 1)) else sign
+                             for y in entry_moments(world.index, owners, (f,), -1,
+                                                    world.horizon)) else sign
 
 
 def _holds(kind: EmotionKind, a: Constant, b, occ, t2: int, world: World) -> bool:

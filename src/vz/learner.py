@@ -12,14 +12,31 @@ from typing import Optional
 
 from .emotions import EmotionKind
 from .errors import NoAlignment, UnsupportedFragment
-from .generalize import FIRST_ORDER, VarNamer, anti_unify, generalize_sets
-from .inference import horn_closure
 from .printer import print_term
-from .scenario import LearntTrait, Situation
+from .scenario import FIRST_ORDER, LearntTrait, Situation
 from .subst import apply_substitution, match
 from .terms import (ACTION, HAPPENS, INITIATES, TERMINATES, Application, Atom,
                     Constant, Not, Record, Sort, Term, free_variables, is_ground,
                     moment)
+
+
+# vz.generalize loads only when a trait is learnt, and vz.inference only
+# when consistency is checked: `vz run` on a scenario that observes and
+# queries nothing compiles neither. Each forwarder stays bound here for
+# good, so a wrapper put on it (perfbench/tracing.py) sees every call.
+def generalize_sets(*args, **kwargs):
+    from .generalize import generalize_sets
+    return generalize_sets(*args, **kwargs)
+
+
+def anti_unify(*args, **kwargs):
+    from .generalize import anti_unify
+    return anti_unify(*args, **kwargs)
+
+
+def horn_closure(gamma) -> frozenset:
+    from .inference import ground_horn_closure
+    return ground_horn_closure(gamma)
 
 
 class ExemplarRecord(Record, admitted_at=None):
@@ -105,6 +122,7 @@ def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
         raise NoAlignment("one performed instance per situation required")
     if len(situations) < min_situations:
         raise NoAlignment(f"need at least {min_situations} situations")
+    from .generalize import VarNamer
     namer = VarNamer([f for s in situations for f in s.formulas] + performed_instances)
     gen = generalize_sets([s.formulas for s in situations], mode, namer=namer)
     action = anti_unify(performed_instances, mode, namer=namer)

@@ -1,5 +1,11 @@
+import pathlib
+from collections import Counter
+
 import pytest
 
+import vz.inference
+import vz.learner
+from vz.cli import main
 from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.generalize import FIRST_ORDER, HIGHER_ORDER
@@ -353,6 +359,36 @@ def test_apply_trait_disjoint_patterns_one_proposal(monkeypatch):
     (event,) = apply_trait(trait, sigma, OBSERVER)
     assert print_term(event) == "(action observer (utter a))"
     assert checked == [UTTER(FLUENTS[0])]
+
+
+MARKETPLACE = str(pathlib.Path(__file__).resolve().parent.parent / "corpus" / "marketplace.vz")
+
+
+def test_learning_stages_are_called_through_the_learner_s_bindings(monkeypatch, capsys):
+    # perfbench/tracing.py wraps these three names in vz.learner: every
+    # call the learner makes must pass through them, each call once, and
+    # no binding may replace itself while a run goes on
+    names = ("generalize_sets", "anti_unify", "horn_closure")
+    plain = main(["run", MARKETPLACE]), capsys.readouterr()
+    assert all(getattr(vz.learner, name).__module__ == "vz.learner" for name in names)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counting(name, getattr(vz.learner, name)) for name in names}
+    for name, wrapper in wrappers.items():
+        monkeypatch.setattr(vz.learner, name, wrapper)
+    # saturate's binding of the closure, which the tracer wraps as well
+    monkeypatch.setattr(vz.inference, "horn_closure",
+                        counting("saturate's", vz.inference.horn_closure))
+    assert (main(["run", MARKETPLACE]), capsys.readouterr()) == plain
+    assert all(calls[name] >= 1 for name in wrappers), calls
+    assert calls["saturate's"] == 0
+    assert all(getattr(vz.learner, name) is wrapper for name, wrapper in wrappers.items())
 
 
 # ---------------------------------------------------------------------------

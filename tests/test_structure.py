@@ -105,19 +105,29 @@ ON_DEMAND = {"vz.ec", "vz.emotions", "vz.generalize", "vz.inference", "vz.learne
              "vz.subst", "vz.utility"}
 
 
-@pytest.mark.parametrize("command, scenario, loads", [
-    ("check", "marketplace.vz", set()),
-    ("project", "marketplace.vz", {"vz.ec", "vz.subst"}),
-    ("infer", "obligation.vz", {"vz.inference"}),
-    ("utility", "marketplace.vz", {"vz.ec", "vz.subst", "vz.utility"}),
-    ("emotions", "marketplace.vz", {"vz.ec", "vz.emotions", "vz.subst", "vz.utility"}),
-    ("generalize", "likes.vz", {"vz.generalize", "vz.subst"}),
-], ids=["check", "project", "infer", "utility", "emotions", "generalize"])
-def test_subcommand_loads_only_the_modules_it_runs(command, scenario, loads):
+LEARNER = {"vz.ec", "vz.emotions", "vz.learner", "vz.subst", "vz.utility"}
+
+
+@pytest.mark.parametrize("command, scenario, extra, loads", [
+    ("check", "marketplace.vz", (), set()),
+    ("project", "marketplace.vz", (), {"vz.ec", "vz.subst"}),
+    ("infer", "obligation.vz", (), {"vz.inference"}),
+    ("utility", "marketplace.vz", (), {"vz.ec", "vz.subst", "vz.utility"}),
+    ("emotions", "marketplace.vz", (), {"vz.ec", "vz.emotions", "vz.subst", "vz.utility"}),
+    ("generalize", "likes.vz", (), {"vz.generalize", "vz.subst"}),
+    # likes.vz observes and queries nothing: no trait is learnt, no
+    # consistency checked
+    ("run", "likes.vz", (), LEARNER),
+    ("run", "marketplace.vz", (), LEARNER | {"vz.generalize", "vz.inference"}),
+    ("act", "marketplace.vz", ("--traits", os.devnull), LEARNER),
+], ids=["check", "project", "infer", "utility", "emotions", "generalize", "run-likes",
+        "run-marketplace", "act-no-traits"])
+def test_subcommand_loads_only_the_modules_it_runs(command, scenario, extra, loads):
+    argv = [command, str(CORPUS / scenario), *extra]
     code = ("import contextlib, io, sys, vz.cli\n"
             "vz.cli.build_parser()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    status = vz.cli.main([{command!r}, {str(CORPUS / scenario)!r}])\n"
+            f"    status = vz.cli.main({argv!r})\n"
             "print(status, sorted(m for m in sys.modules if m.startswith('vz.')))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vz.ec import project
+from vz.ec import Occurrence, Timeline, project
+from vz.emotions import World, _appraised
 from vz.errors import UnknownOccurrence
 from vz.scenario import parse_scenario
-from vz.utility import mu, mu_bar, nu_bar
+from vz.terms import Constant, Sort
+from vz.utility import moment_index, mu, mu_bar, nu_bar
 
 from conftest import add_effects, make_doc
 
@@ -145,3 +149,85 @@ def test_event_totals_match_double_sum_oracle(rng):
                     expected_mu -= sum(table.get((a, f, y), 0.0) for a in agents)
             assert math.isclose(mu_bar(occ, table, agents, doc.horizon),
                                 expected_mu, abs_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The totals visit only the moments with a ν entry. Against the defining
+# per-moment double sums over every moment, on the values that make float
+# addition order show: signed zeros, infinities, nan, overflow, the
+# smallest subnormal. Compared by repr, since no report shows NaN's sign
+# bit (repr prints nan; --json renders a non-finite total as null).
+
+UTILITY_AGENTS = tuple(Constant(f"ag{i}", Sort.AGENT) for i in range(3))
+UTILITY_FLUENTS = tuple(Constant(f"fl{i}", Sort.FLUENT) for i in range(4))
+UTILITY_VALUES = (st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                                   5e-324, -5e-324, 0.1, 0.2, -0.3])
+                  | st.floats(-3, 3))
+
+
+@st.composite
+def utility_cases(draw):
+    """An occurrence with disjoint initiated and terminated fluents, the
+    declared agents, a horizon, and a ν table whose entries may name an
+    undeclared agent, a fluent of no effect, or a moment past the horizon."""
+    horizon = draw(st.integers(0, 6))
+    agents = UTILITY_AGENTS[:draw(st.integers(1, 3))]
+    fluents = draw(st.permutations(UTILITY_FLUENTS))
+    k = draw(st.integers(0, 4))
+    split = draw(st.integers(0, k))
+    occ = Occurrence(Constant("e0", Sort.EVENT), draw(st.integers(0, horizon)),
+                     tuple(fluents[:split]), tuple(fluents[split:k]))
+    keys = st.tuples(st.sampled_from(UTILITY_AGENTS), st.sampled_from(UTILITY_FLUENTS),
+                     st.integers(0, horizon + 2))
+    return occ, draw(st.dictionaries(keys, UTILITY_VALUES, max_size=16)), agents, horizon
+
+
+def double_sum_nu_bar(agent, occ, table, horizon):
+    """ν̄ as defined: at each moment in (t, H], the initiated fluents' ν
+    less the terminated ones'."""
+    total = 0.0
+    for y in range(occ.time + 1, horizon + 1):
+        total += sum(table.get((agent, f, y), 0.0) for f in occ.initiated)
+        total -= sum(table.get((agent, f, y), 0.0) for f in occ.terminated)
+    return total
+
+
+def double_sum_mu_bar(occ, table, agents, horizon):
+    """μ̄ as defined: the same double sum over μ."""
+    total = 0.0
+    for y in range(occ.time + 1, horizon + 1):
+        total += sum(mu(f, y, table, agents) for f in occ.initiated)
+        total -= sum(mu(f, y, table, agents) for f in occ.terminated)
+    return total
+
+
+def scanned_appraisal(total, occ, table, owners, horizon):
+    """The total's sign, or 0 when an initiated fluent's μ over the owners
+    has the opposite sign at some moment in [0, H]."""
+    sign = (total > 0) - (total < 0)
+    opposite = any(sign * mu(f, y, table, owners) < 0
+                   for f in occ.initiated for y in range(horizon + 1))
+    return 0 if sign and opposite else sign
+
+
+@settings(max_examples=600, deadline=None)
+@given(utility_cases())
+def test_indexed_totals_match_the_per_moment_double_sums(case):
+    occ, table, agents, horizon = case
+    index = moment_index(table)
+    world = World(Timeline(horizon, frozenset(), (occ,)), table, {}, agents, horizon)
+    for a in agents:
+        expected = double_sum_nu_bar(a, occ, table, horizon)
+        assert repr(nu_bar(a, occ, table, horizon, index)) == repr(expected)
+        assert repr(nu_bar(a, occ, table, horizon)) == repr(expected)
+        assert _appraised(world, occ, a) == scanned_appraisal(expected, occ, table, (a,), horizon)
+    expected = double_sum_mu_bar(occ, table, agents, horizon)
+    assert repr(mu_bar(occ, table, agents, horizon, index)) == repr(expected)
+    assert repr(mu_bar(occ, table, agents, horizon)) == repr(expected)
+    assert _appraised(world, occ, None) == scanned_appraisal(expected, occ, table, agents, horizon)
+
+
+def test_moment_index_lists_each_pair_s_moments_ascending():
+    a, f, g = UTILITY_AGENTS[0], UTILITY_FLUENTS[0], UTILITY_FLUENTS[1]
+    table = {(a, f, 5): 1.0, (a, g, 2): 0.0, (a, f, 0): -1.0, (a, f, 3): math.nan}
+    assert moment_index(table) == {(a, f): [0, 3, 5], (a, g): [2]}
