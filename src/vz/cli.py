@@ -220,7 +220,7 @@ def _learn_pipeline(doc):
     sweep = emotions.sweep_emotions(emotions.world_from_doc(doc, tl))
     config = doc.config
     lrn = _learner_agent(doc)
-    exemplars = learner.identify_exemplars(sweep.admirations(lrn), lrn, config["n"])
+    exemplars = learner.identify_exemplars(sweep, lrn, config["n"])
     traits = []
     for ex in exemplars:
         if ex.admitted_at is None:
@@ -252,22 +252,20 @@ def _emit_exemplar(ex, rep):
              count=ex.admiration_count, admitted_at=ex.admitted_at)
 
 
-def _emit_trait(trait, rep) -> str:
-    """Report the trait; return its (trait ...) record, the line a trait file holds."""
-    line = print_trait(trait)
-    rep.emit("trait", trait=line)
-    return line
+def _emit_trait(trait, rep):
+    rep.emit("trait", trait=print_trait(trait))
 
 
 def cmd_learn(args, rep):
     doc = _load(args.file, args)
     _, _, exemplars, traits, _ = _learn_pipeline(doc)
-    for ex in exemplars:
-        _emit_exemplar(ex, rep)
-    lines = [_emit_trait(t, rep) for t in traits]
     if args.traits:
         with open(args.traits, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+            fh.writelines(print_trait(t) + "\n" for t in traits)
+    for ex in exemplars:
+        _emit_exemplar(ex, rep)
+    for t in traits:
+        _emit_trait(t, rep)
 
 
 def _load_traits(path: str, doc) -> list:

@@ -115,11 +115,6 @@ def eval_admiration(a: Constant, b: Constant, action_type: Term, t: int,
     return _holds(EmotionKind.ADMIRATION_FOR, a, b, occ, t2, world)
 
 
-class Admiration(Record):
-    """An admiration as identify_exemplars reads it, lighter than its EmotionRecord."""
-    __slots__ = ("kind", "subject", "object", "hold_time")
-
-
 class Emotions:
     """The sweep's value, kept as its product: groups (kind, subject, object,
     occurrences, open moments) in report order, each of which holds a record
@@ -143,13 +138,6 @@ class Emotions:
         return list(self) == list(other)
 
     __hash__ = None
-
-    def admirations(self, subject: Constant) -> list:
-        """subject's admirations with the fields identify_exemplars reads
-        (kind, subject, object, hold_time), without building their records."""
-        return [Admiration(kind, a, b, t2) for kind, a, b, occs, moments in self.groups
-                if kind is EmotionKind.ADMIRATION_FOR and a is subject
-                for _ in occs for t2 in moments]
 
 
 def sweep_emotions(world: World) -> Emotions:

@@ -7,6 +7,7 @@ as opaque facts inside the oracle.
 from __future__ import annotations
 
 from .errors import DepthExceeded, UnsupportedFragment
+from .printer import print_formula
 from .scenario import DEFAULT_MAX_DEPTH
 from .terms import (And, Atom, Constant, Implies, Modal, ModalOp, Not, Ought,
                     Record, Sort, children, modal_depth, moment, moment_value)
@@ -30,9 +31,9 @@ def _horn_parts(f, facts, rules):
         if all(_is_literal(a) for a in ants) and _is_literal(f.rhs):
             rules.append((frozenset(ants), f.rhs))
         else:
-            raise UnsupportedFragment(f"non-Horn implication: {f!r}")
+            raise UnsupportedFragment(f"non-Horn implication: {print_formula(f)}")
     else:
-        raise UnsupportedFragment(f"outside the Horn fragment: {f!r}")
+        raise UnsupportedFragment(f"outside the Horn fragment: {print_formula(f)}")
 
 
 def horn_closure(gamma) -> frozenset:

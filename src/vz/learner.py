@@ -1,6 +1,6 @@
 """Exemplar identification and trait learning.
 
-Exemplars come from admiration records; traits are learnt by
+Exemplars come from the sweep's admiration groups; traits are learnt by
 generalizing the situations in which the exemplar acted and
 anti-unifying the performed action instances against the same variable
 memo, which links situation variables to action variables whenever
@@ -95,18 +95,18 @@ def detect_trait(history, alpha_root, m: int, gamma: float) -> bool:
     return performed / eligible >= gamma
 
 
-def identify_exemplars(records, learner: Constant, n: int) -> list[ExemplarRecord]:
-    """One record per admired agent; admission happens at the hold time
-    of the n-th admiration in chronological order."""
-    hold_times: dict[Constant, list[int]] = {}
-    for r in records:
-        if r.kind is EmotionKind.ADMIRATION_FOR and r.subject == learner:
-            hold_times.setdefault(r.object, []).append(r.hold_time)
+def identify_exemplars(sweep, learner: Constant, n: int) -> list[ExemplarRecord]:
+    """One record per agent b whose action the learner admires, from the
+    sweep's (admiration, learner, b, occurrences, open moments) groups, in
+    their order (b by name). The learner admires each of the k occurrences
+    at each open moment, so the n-th admiration in chronological order,
+    where admission happens, falls at the ceil(n/k)-th open moment."""
     out = []
-    for exemplar in sorted(hold_times, key=lambda c: c.name):
-        times = sorted(hold_times[exemplar])
-        admitted_at = times[n - 1] if len(times) >= n else None
-        out.append(ExemplarRecord(learner, exemplar, len(times), admitted_at))
+    for kind, a, b, occs, moments in sweep.groups:
+        if kind is EmotionKind.ADMIRATION_FOR and a == learner and occs:
+            count = len(occs) * len(moments)
+            admitted_at = moments[(n - 1) // len(occs)] if count >= n else None
+            out.append(ExemplarRecord(learner, b, count, admitted_at))
     return out
 
 

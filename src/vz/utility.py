@@ -34,26 +34,16 @@ def mu(fluent: Term, t: int, table: dict, agents) -> float:
     return sum(table.get((a, fluent, t), 0.0) for a in agents)
 
 
-def nu_bar(agent: Constant, occ: Occurrence, table: dict, horizon: int,
-           index: dict | None = None) -> float:
-    """Total utility for one agent of an event occurrence: future nu of
-    initiated fluents minus future nu of terminated fluents, up to H,
+def nu_bar(agent: Constant, occ: Occurrence, table: dict, horizon: int, index: dict) -> float:
+    """Total utility for one agent of an event occurrence: its μ̄ over that
+    agent alone."""
+    return mu_bar(occ, table, (agent,), horizon, index)
+
+
+def mu_bar(occ: Occurrence, table: dict, agents, horizon: int, index: dict) -> float:
+    """Total agent-neutral utility of an event occurrence: future mu of
+    initiated fluents minus future mu of terminated fluents, up to H,
     summed moment by moment. ``index`` is table's moment_index."""
-    if index is None:
-        index = moment_index(table)
-    total = 0.0
-    for y in entry_moments(index, (agent,), occ.initiated + occ.terminated, occ.time, horizon):
-        total += sum(table.get((agent, f, y), 0.0) for f in occ.initiated)
-        total -= sum(table.get((agent, f, y), 0.0) for f in occ.terminated)
-    return total
-
-
-def mu_bar(occ: Occurrence, table: dict, agents, horizon: int,
-           index: dict | None = None) -> float:
-    """Total agent-neutral utility of an event occurrence; the same
-    double sum as nu_bar but over mu."""
-    if index is None:
-        index = moment_index(table)
     total = 0.0
     for y in entry_moments(index, agents, occ.initiated + occ.terminated, occ.time, horizon):
         total += sum(mu(f, y, table, agents) for f in occ.initiated)

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 from vz.ec import project
-from vz.emotions import EmotionKind
+from vz.emotions import EmotionKind, Emotions
 from vz.generalize import HIGHER_ORDER, anti_unify, generalize_sets
 from vz.inference import KnowledgeBase, saturate
 from vz.learner import (Situation, apply_trait, detect_trait, identify_exemplars,
@@ -20,7 +20,7 @@ from vz.printer import print_formula, print_term
 from vz.scenario import parse_scenario
 from vz.subst import apply_substitution, match
 from vz.terms import Atom, ForAll, Implies, Modal, ModalOp, Variable
-from vz.utility import mu_bar, nu_bar
+from vz.utility import moment_index, mu_bar, nu_bar
 
 from conftest import (HONESTY, HUNGRY, JACK, JILL, JIM, LIKES, LOVES, TALKING_WITH,
                       renaming_equal)
@@ -131,7 +131,7 @@ def test_c4_utility_identities():
     rng = _rng()
     for _ in range(500):
         doc, agents, table = random_world(rng)
-        tl = project(doc)
+        tl, index = project(doc), moment_index(table)
         for f in doc.fluents:
             for t in range(doc.horizon + 1):
                 assert math.isclose(mu(f, t, table, agents),
@@ -139,8 +139,8 @@ def test_c4_utility_identities():
                                     abs_tol=1e-9)
         for occ in tl.occurrences:
             assert math.isclose(
-                mu_bar(occ, table, agents, doc.horizon),
-                sum(nu_bar(a, occ, table, doc.horizon) for a in agents),
+                mu_bar(occ, table, agents, doc.horizon, index),
+                sum(nu_bar(a, occ, table, doc.horizon, index) for a in agents),
                 abs_tol=1e-9)
     for _ in range(100):
         doc, agents, table = random_world(rng)
@@ -156,7 +156,7 @@ def test_c4_utility_identities():
                     expected += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
                     expected -= sum(table.get((a, f, y), 0.0) for a in agents)
-            assert mu_bar(occ, table, agents, doc.horizon) == expected
+            assert mu_bar(occ, table, agents, doc.horizon, moment_index(table)) == expected
 
 
 def test_c5_event_calculus_oracle():
@@ -189,15 +189,15 @@ def test_c7_inference_suite():
 
 
 def test_c8_threshold_behavior():
-    from test_learner import OBSERVER, SELLER, TestDetectTrait, adm
-    recs = [adm(OBSERVER, SELLER, i, i + 1) for i in range(5)]
-    for n in range(1, 7):
-        out = identify_exemplars(recs, OBSERVER, n)
-        (r,) = out
-        if n <= 5:
-            assert r.admitted_at == n  # hold time of the n-th admiration
-        else:
-            assert r.admitted_at is None
+    from test_learner import OBSERVER, SELLER, TestDetectTrait, admires
+    for k in (1, 2):  # admired occurrences, each admired at the open moments 1..5
+        sweep = Emotions([admires(OBSERVER, SELLER, range(k), range(1, 6))])
+        for n in range(1, 5 * k + 2):
+            (r,) = identify_exemplars(sweep, OBSERVER, n)
+            if n <= 5 * k:
+                assert r.admitted_at == -(-n // k)  # hold time of the n-th admiration
+            else:
+                assert r.admitted_at is None
     TestDetectTrait().test_gamma_sweep_flips_at_threshold()
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vz.cli import _COMMANDS, main
+from vz.cli import _COMMANDS, Report, main
 from vz.errors import VzError
 from vz.scenario import parse_scenario
 from vz.sexpr import MAX_NESTING, SList, read_all
@@ -32,6 +32,17 @@ import run as perfbench  # noqa: E402  (the benchmark's workload generators)
 # act requires --traits; in the loops over every subcommand a scenario
 # fault stops it before it reads this file, which need not exist
 UNREAD_TRAITS = {"act": ["--traits", "unread-traits.vz"]}
+
+
+def non_horn_marketplace(tmp_path, formula):
+    """The marketplace scenario whose query also holds ``formula``."""
+    with open(MARKETPLACE) as fh:
+        text = fh.read()
+    query = "(query fresh (time 5) (formulas (holds (broken) 5)))"
+    assert query in text
+    path = tmp_path / "non-horn.vz"
+    path.write_text(text.replace(query, query[:-2] + f" {formula}))"))
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +183,37 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         # the location is in the trait file, not in the scenario
         assert err == f"{traits}:{where}\n"
+
+    @pytest.mark.parametrize("command", ["run", "act"])
+    @pytest.mark.parametrize("formula, message", [
+        ("(or (holds (unbroken) 5) (holds (trusted) 5))", "outside the Horn fragment"),
+        ("(implies (or (holds (unbroken) 5) (holds (broken) 5)) (holds (trusted) 5))",
+         "non-Horn implication")])
+    def test_query_outside_the_horn_fragment(self, capsys, tmp_path, command, formula, message):
+        # the learnt trait matches the query, whose consistency check then
+        # meets a formula the Horn closure cannot read: named as printed
+        traits = tmp_path / "traits.vz"
+        traits.write_text("(trait (pattern (holds ?X0 ?t)) (action (utter ?X0)))\n")
+        code, out, err = run_cli(capsys, command, str(non_horn_marketplace(tmp_path, formula)),
+                                 "--traits", str(traits))
+        assert (code, out, err) == (1, "", f"error: {message}: {formula}\n")
+
+    @pytest.mark.parametrize("fault", ["traits", "query"])
+    def test_late_failure_of_a_large_report_writes_nothing(self, capsys, tmp_path, fault):
+        # at horizon 3000 vz run has emitted more than Report._CHUNK lines
+        # when it reads a malformed trait file, or checks a non-Horn query
+        code, out, _ = run_cli(capsys, "run", MARKETPLACE, "--horizon", "3000")
+        assert code == 0 and out.count("\n") > Report._CHUNK
+        if fault == "traits":
+            traits = tmp_path / "traits.vz"
+            traits.write_text("(trait foo)\n")
+            argv, want = [MARKETPLACE, "--traits", str(traits)], \
+                f"{traits}:1:8: expected a (section ...) entry\n"
+        else:
+            formula = "(or (holds (unbroken) 5) (holds (trusted) 5))"
+            argv = [str(non_horn_marketplace(tmp_path, formula))]
+            want = f"error: outside the Horn fragment: {formula}\n"
+        assert run_cli(capsys, "run", *argv, "--horizon", "3000") == (1, "", want)
 
 
     @pytest.mark.parametrize("text, where", [

@@ -11,7 +11,7 @@ from vz.emotions import (EmotionKind, EmotionRecord, World, eval_admiration,
                          eval_distress, eval_happy_for, eval_joy,
                          eval_occ_table_emotion, sweep_emotions, world_from_doc)
 from vz.errors import UnknownOccurrence
-from vz.learner import identify_exemplars
+from vz.learner import ExemplarRecord, identify_exemplars
 from vz.printer import print_term
 from vz.scenario import parse_scenario
 from vz.terms import ACTION, Application, Sort
@@ -511,7 +511,7 @@ def test_sweep_hoists_subject_checks_only():
 
 def test_reports_build_no_emotion_record(monkeypatch, tmp_path, capsys):
     """vz run and vz emotions --json report the sweep from its groups and
-    admit exemplars from the learner's admirations: on the run-sweep input
+    admit exemplars from the sweep's admiration groups: on the run-sweep input
     they build no EmotionRecord, though its sweep holds one per emotion
     line, as iterating it shows."""
     path = tmp_path / "run-sweep.vz"
@@ -534,14 +534,79 @@ def test_reports_build_no_emotion_record(monkeypatch, tmp_path, capsys):
     assert len(emotions) == count == len(list(emotions)) == built["records"] > 0
 
 
+def reference_exemplars(records, learner, n):
+    """Exemplar admission as defined, over emotion records: one record per
+    agent the learner admires, by name, admitted at the hold time of the
+    n-th admiration in chronological order."""
+    hold_times = {}
+    for r in records:
+        if r.kind is EmotionKind.ADMIRATION_FOR and r.subject == learner:
+            hold_times.setdefault(r.object, []).append(r.hold_time)
+    out = []
+    for exemplar in sorted(hold_times, key=lambda c: c.name):
+        times = sorted(hold_times[exemplar])
+        admitted_at = times[n - 1] if len(times) >= n else None
+        out.append(ExemplarRecord(learner, exemplar, len(times), admitted_at))
+    return out
+
+
 def test_admirations_admit_as_the_records_do(rng):
-    """identify_exemplars on one learner's admirations is what it makes of
-    every record of the sweep, for each learner and threshold."""
+    """identify_exemplars on the sweep's groups is what the definition makes
+    of every record of the sweep, for each learner and threshold."""
     for _ in range(100):
         w = crowded_emotion_world(rng)
         emotions = sweep_emotions(w)
         records = list(emotions)
         for learner in w.agents:
             for n in (1, 2, 3):
-                assert identify_exemplars(emotions.admirations(learner), learner, n) == \
-                    identify_exemplars(records, learner, n)
+                assert identify_exemplars(emotions, learner, n) == \
+                    reference_exemplars(records, learner, n)
+
+
+def admiring_world(rng):
+    """Three agents, some of whom wave or bow, each such action at one to
+    three moments, so that one actor's admired occurrences can be several.
+    ν is mostly positive, so that admiration is common; each agent's gate
+    is as in crowded_emotion_world."""
+    doc = make_doc(3, 0, horizon=rng.randint(2, 6))
+    doc.symbols.declare_constant("ag2", Sort.AGENT)
+    agents = tuple(doc.symbols.constants[f"ag{i}"] for i in range(3))
+    acts = [doc.symbols.declare_function(name, (), Sort.ACTION_TYPE) for name in ("wave", "bow")]
+    for ev in [Application(ACTION, (b, alpha())) for b in agents for alpha in acts]:
+        if rng.random() < 0.5:
+            # fl0 and fl1 are only initiated, fl2 only terminated: no conflict
+            add_effects(doc, ev, rng.sample(doc.fluents[:2], rng.randint(1, 2)),
+                        doc.fluents[2:rng.randint(2, 3)])
+            for t in rng.sample(range(doc.horizon + 1), rng.randint(1, 3)):
+                doc.happens[ev, t] = None
+    entries = {(a, f, t): rng.choice([-1.0, 0.0, 1.0, 2.0])
+               for a in agents for f in doc.fluents
+               for t in range(doc.horizon + 1) if rng.random() < 0.4}
+    gates = {}
+    for a in agents:
+        gate = rng.choice(["always", "always", "never", "at", None])
+        if gate == "at":
+            gates[a] = frozenset(t for t in range(doc.horizon + 1) if rng.random() < 0.5)
+        elif gate is not None:
+            gates[a] = gate
+    return World(project(doc), entries, gates, agents, doc.horizon)
+
+
+def test_exemplars_match_the_definition_on_planted_admirations(rng):
+    """The closed form, admission at the ceil(n/k)-th open moment of k
+    admired occurrences, is the definition over the transcription's
+    records, for every agent and threshold; many cases admit an exemplar
+    of several admired occurrences."""
+    several = 0
+    for _ in range(200):
+        w = admiring_world(rng)
+        emotions, records = sweep_emotions(w), reference_records(w)
+        for learner in w.agents:
+            for n in (1, 2, 3, 5, 8):
+                out = identify_exemplars(emotions, learner, n)
+                assert out == reference_exemplars(records, learner, n)
+                occurrences = {(r.object, r.event, r.event_time) for r in records
+                               if r.kind is EmotionKind.ADMIRATION_FOR and r.subject == learner}
+                several += any(ex.admitted_at is not None and
+                               sum(b == ex.exemplar for b, *_ in occurrences) >= 2 for ex in out)
+    assert several >= 100, several

@@ -6,7 +6,8 @@ import pytest
 import vz.inference
 import vz.learner
 from vz.cli import main
-from vz.emotions import EmotionKind, EmotionRecord
+from vz.ec import Occurrence
+from vz.emotions import EmotionKind, Emotions
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.generalize import FIRST_ORDER, HIGHER_ORDER
 from vz.learner import (ExemplarRecord, LearntTrait, Situation, apply_trait,
@@ -126,10 +127,12 @@ class TestDetectTrait:
         assert not detect_trait([blocked, blocked], UTTER, 2, 0.9)
 
 
-def adm(subject, obj, event_time, hold_time):
-    ev = Application(ACTION, (obj, BE_TRUTHFUL()))
-    return EmotionRecord(EmotionKind.ADMIRATION_FOR, subject, obj, ev,
-                         event_time, hold_time)
+def admires(subject, obj, event_times, moments):
+    """A sweep group: subject admires obj's truthful acts at each event time
+    at each of its open moments."""
+    occs = [Occurrence(Application(ACTION, (obj, BE_TRUTHFUL())), t, (), ())
+            for t in event_times]
+    return EmotionKind.ADMIRATION_FOR, subject, obj, occs, list(moments)
 
 
 SELLER = Constant("seller", Sort.AGENT)
@@ -138,29 +141,36 @@ OBSERVER = Constant("observer", Sort.AGENT)
 
 class TestIdentifyExemplars:
     def test_no_records(self):
-        assert identify_exemplars([], OBSERVER, 2) == []
+        assert identify_exemplars(Emotions([]), OBSERVER, 2) == []
+        # an agent none of whose actions is admired is no candidate
+        assert identify_exemplars(Emotions([admires(OBSERVER, SELLER, [], [1, 2])]),
+                                  OBSERVER, 2) == []
 
     def test_admitted_at_second_admiration(self):
-        recs = [adm(OBSERVER, SELLER, 1, 3), adm(OBSERVER, SELLER, 1, 5)]
-        (r,) = identify_exemplars(recs, OBSERVER, 2)
+        sweep = Emotions([admires(OBSERVER, SELLER, [1], [3, 5])])
+        (r,) = identify_exemplars(sweep, OBSERVER, 2)
         assert r == ExemplarRecord(OBSERVER, SELLER, 2, admitted_at=5)
 
     def test_threshold_separates_agents(self):
-        recs = [adm(OBSERVER, SELLER, 1, 2), adm(OBSERVER, SELLER, 2, 3),
-                adm(OBSERVER, JILL, 1, 2)]
-        out = identify_exemplars(recs, OBSERVER, 2)
+        # open at 2 and 3: two admired acts of seller make four admirations,
+        # one of jill two
+        sweep = Emotions([admires(OBSERVER, JILL, [1], [2, 3]),
+                          admires(OBSERVER, SELLER, [1, 2], [2, 3])])
+        out = identify_exemplars(sweep, OBSERVER, 3)
         by_name = {r.exemplar.name: r for r in out}
         assert by_name["seller"].admitted_at == 3
         assert by_name["jill"].admitted_at is None
 
     def test_other_learners_records_ignored(self):
-        recs = [adm(JILL, SELLER, 1, 2), adm(JILL, SELLER, 2, 3)]
-        assert identify_exemplars(recs, OBSERVER, 2) == []
+        # nor are the learner's emotions of another kind
+        happy_for = (EmotionKind.HAPPY_FOR,) + admires(OBSERVER, SELLER, [1, 2], [2, 3])[1:]
+        sweep = Emotions([admires(JILL, SELLER, [1, 2], [2, 3]), happy_for])
+        assert identify_exemplars(sweep, OBSERVER, 2) == []
 
     def test_monotone_admission(self):
-        recs = [adm(OBSERVER, SELLER, 1, 2), adm(OBSERVER, SELLER, 2, 3)]
-        before = identify_exemplars(recs, OBSERVER, 2)
-        after = identify_exemplars(recs + [adm(OBSERVER, SELLER, 3, 4)],
+        before = identify_exemplars(Emotions([admires(OBSERVER, SELLER, [1], [2, 3])]),
+                                    OBSERVER, 2)
+        after = identify_exemplars(Emotions([admires(OBSERVER, SELLER, [1, 3], [2, 3, 4])]),
                                    OBSERVER, 2)
         admitted = {r.exemplar for r in before if r.admitted_at is not None}
         still = {r.exemplar for r in after if r.admitted_at is not None}

@@ -1,7 +1,7 @@
 import pytest
 
 from vz.ec import Occurrence, Timeline
-from vz.emotions import Admiration, EmotionKind, EmotionRecord
+from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import SortMismatch
 from vz.generalize import Generalization, SetGeneralization
 from vz.inference import KnowledgeBase
@@ -198,8 +198,6 @@ def record_samples():
         Timeline: [(3, frozenset(), ()), (3, frozenset({(A, 0)}), ())],
         EmotionRecord: [(EmotionKind.JOY, JACK, None, EVENT, 1, 2),
                         (EmotionKind.PITY_FOR, JACK, JILL, EVENT, 1, 2)],
-        Admiration: [(EmotionKind.ADMIRATION_FOR, JACK, JILL, 2),
-                     (EmotionKind.ADMIRATION_FOR, JACK, JILL, 3)],
         ExemplarRecord: [(JACK, JILL, 2), (JACK, JILL, 2, 5)],
         Generalization: [(AT, ()), (Not(AT), ())],
         SetGeneralization: [((AT,), (), True, ()), ((AT,), (), False, ())],

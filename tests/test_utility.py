@@ -57,7 +57,7 @@ class TestEventTotals:
         tl = project(doc)
         table = {(a0, f, t): 1.0 for t in range(5)}
         # y ranges over 2..4; the entry at the event's own moment is excluded
-        assert nu_bar(a0, tl.occurrence(e, 1), table, 4) == 3.0
+        assert nu_bar(a0, tl.occurrence(e, 1), table, 4, moment_index(table)) == 3.0
 
     def test_nu_bar_subtracts_terminated(self):
         doc = make_doc(1, 1, horizon=3)
@@ -67,13 +67,13 @@ class TestEventTotals:
         a0 = doc.symbols.constants["ag0"]
         tl = project(doc)
         table = {(a0, f, t): 2.0 for t in range(4)}
-        assert nu_bar(a0, tl.occurrence(e, 0), table, 3) == -6.0
+        assert nu_bar(a0, tl.occurrence(e, 0), table, 3, moment_index(table)) == -6.0
 
     def test_mu_bar_example(self):
         doc, f, e, a0, a1 = two_agent_world()
         tl = project(doc)
         table = {(a0, f, 2): 1.0, (a1, f, 2): 1.0, (a0, f, 3): -0.5}
-        assert mu_bar(tl.occurrence(e, 1), table, [a0, a1], 4) == 1.5
+        assert mu_bar(tl.occurrence(e, 1), table, [a0, a1], 4, moment_index(table)) == 1.5
 
     def test_unknown_occurrence(self):
         doc, f, e, a0, _ = two_agent_world()
@@ -117,10 +117,10 @@ def test_mu_bar_is_sum_of_nu_bar(rng):
     """Linearity: mu_bar(e,t) == sum over agents of nu_bar(a,e,t)."""
     for _ in range(500):
         doc, agents, table = random_world(rng)
-        tl = project(doc)
+        tl, index = project(doc), moment_index(table)
         for occ in tl.occurrences:
-            total = sum(nu_bar(a, occ, table, doc.horizon) for a in agents)
-            assert math.isclose(mu_bar(occ, table, agents, doc.horizon),
+            total = sum(nu_bar(a, occ, table, doc.horizon, index) for a in agents)
+            assert math.isclose(mu_bar(occ, table, agents, doc.horizon, index),
                                 total, rel_tol=0, abs_tol=1e-9)
 
 
@@ -129,7 +129,7 @@ def test_event_totals_match_double_sum_oracle(rng):
     the occurrence's effect sets and the raw table."""
     for _ in range(100):
         doc, agents, table = random_world(rng)
-        tl = project(doc)
+        tl, index = project(doc), moment_index(table)
         for e, t in doc.happens:
             occ = tl.occurrence(e, t)
             for a in agents:
@@ -139,7 +139,7 @@ def test_event_totals_match_double_sum_oracle(rng):
                                     for f in sorted(occ.initiated, key=str))
                     expected -= sum(table.get((a, f, y), 0.0)
                                     for f in sorted(occ.terminated, key=str))
-                assert math.isclose(nu_bar(a, occ, table, doc.horizon),
+                assert math.isclose(nu_bar(a, occ, table, doc.horizon, index),
                                     expected, abs_tol=1e-9)
             expected_mu = 0.0
             for y in range(t + 1, doc.horizon + 1):
@@ -147,7 +147,7 @@ def test_event_totals_match_double_sum_oracle(rng):
                     expected_mu += sum(table.get((a, f, y), 0.0) for a in agents)
                 for f in occ.terminated:
                     expected_mu -= sum(table.get((a, f, y), 0.0) for a in agents)
-            assert math.isclose(mu_bar(occ, table, agents, doc.horizon),
+            assert math.isclose(mu_bar(occ, table, agents, doc.horizon, index),
                                 expected_mu, abs_tol=1e-9)
 
 
@@ -219,11 +219,9 @@ def test_indexed_totals_match_the_per_moment_double_sums(case):
     for a in agents:
         expected = double_sum_nu_bar(a, occ, table, horizon)
         assert repr(nu_bar(a, occ, table, horizon, index)) == repr(expected)
-        assert repr(nu_bar(a, occ, table, horizon)) == repr(expected)
         assert _appraised(world, occ, a) == scanned_appraisal(expected, occ, table, (a,), horizon)
     expected = double_sum_mu_bar(occ, table, agents, horizon)
     assert repr(mu_bar(occ, table, agents, horizon, index)) == repr(expected)
-    assert repr(mu_bar(occ, table, agents, horizon)) == repr(expected)
     assert _appraised(world, occ, None) == scanned_appraisal(expected, occ, table, agents, horizon)
 
 
