@@ -243,29 +243,26 @@ def anti_unify(inputs, mode: str = FIRST_ORDER, namer: VarNamer | None = None) -
 # Set-level generalization
 
 
-def _structure_key(f, mode: str) -> str:
+def _structure_key(node, mode: str) -> str:
     """Alignment key: connective/modal skeleton plus predicate symbols
     (signatures only, in higher-order mode)."""
-    def sym(s):
+    if isinstance(node, Atom):
+        # predicate symbol and arity only; term arguments are blanked
+        # so differing constants still align
+        symbol = node.pred.symbol
         if mode == HIGHER_ORDER:
-            return f"#{','.join(x.value for x in s.arg_sorts)}->{s.result_sort.value}"
-        return s.name
-
-    def walk(node):
-        if isinstance(node, Atom):
-            # predicate symbol and arity only; term arguments are blanked
-            # so differing constants still align
-            return f"({sym(node.pred.symbol)}/{len(node.pred.args)})"
-        subs = [walk(sub) for sub in children(node) if not isinstance(sub, TERMS)]
-        if isinstance(node, (ForAll, Exists)):
-            head = f"{KEYWORDS[type(node)]}/{len(node.vars)}"
-        elif isinstance(node, Modal):
-            head = f"{node.op.value}/{len(node.agents)}"
+            name = f"#{','.join(x.value for x in symbol.arg_sorts)}->{symbol.result_sort.value}"
         else:
-            head = KEYWORDS[type(node)]
-        return f"({' '.join([head, *subs])})"
-
-    return walk(f)
+            name = symbol.name
+        return f"({name}/{len(node.pred.args)})"
+    subs = [_structure_key(sub, mode) for sub in children(node) if not isinstance(sub, TERMS)]
+    if isinstance(node, (ForAll, Exists)):
+        head = f"{KEYWORDS[type(node)]}/{len(node.vars)}"
+    elif isinstance(node, Modal):
+        head = f"{node.op.value}/{len(node.agents)}"
+    else:
+        head = KEYWORDS[type(node)]
+    return f"({' '.join([head, *subs])})"
 
 
 class SetGeneralization(Record):

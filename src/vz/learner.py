@@ -8,8 +8,6 @@ their witnessing ground values agree across all inputs.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .emotions import EmotionKind
 from .errors import NoAlignment, UnsupportedFragment
 from .printer import print_term
@@ -111,7 +109,7 @@ def identify_exemplars(sweep, learner: Constant, n: int) -> list[ExemplarRecord]
 
 
 def learn_trait(situations, performed_instances, mode: str = FIRST_ORDER,
-                exemplar: Optional[Constant] = None, *,
+                exemplar: Constant | None = None, *,
                 min_situations: int) -> LearntTrait:
     """Generalize the situations and the performed action instances with
     a shared variable memo, yielding a trait whose situation and action

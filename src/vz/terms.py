@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import functools
 import types
-from typing import Union
 
 from .errors import ArityMismatch, SortMismatch, UnknownSymbol
 
@@ -157,9 +156,9 @@ class Application(Record, interned=True, args=()):
         return f"({self.symbol.name} {' '.join(map(repr, self.args))})"
 
 
-Term = Union[Variable, Constant, Application]
+Term = Variable | Constant | Application
 # The same classes as a tuple: isinstance on a tuple is much faster than on
-# a typing.Union.
+# a union.
 TERMS = (Variable, Constant, Application)
 
 
@@ -292,7 +291,7 @@ class Ought(Record, interned=True):
             raise SortMismatch("ought body must concern an action event")
 
 
-Formula = Union[Atom, Not, And, Or, Implies, Iff, ForAll, Exists, Modal, Ought]
+Formula = Atom | Not | And | Or | Implies | Iff | ForAll | Exists | Modal | Ought
 
 
 # The s-expression keyword of each connective; a Modal's keyword is its
@@ -353,21 +352,24 @@ def rebuild(node, kids):
 def free_variables(x) -> set:
     """Free Variables (and SymbolVariables) of a term or formula."""
     out = set()
-
-    def walk(node, bound):
-        if isinstance(node, Variable):
-            if node not in bound:
-                out.add(node)
-            return
-        if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
-            out.add(node.symbol)
-        elif isinstance(node, (ForAll, Exists)):
-            bound = bound | set(node.vars)
-        for sub in children(node):
-            walk(sub, bound)
-
-    walk(x, frozenset())
+    _add_free(x, frozenset(), out)
     return out
+
+
+def _add_free(node, bound, out: set):
+    """Add to out the free variables of node under the bound ones. A
+    module-level function, not a closure, which would refer to itself
+    and leave a reference cycle on each call."""
+    if isinstance(node, Variable):
+        if node not in bound:
+            out.add(node)
+        return
+    if isinstance(node, Application) and isinstance(node.symbol, SymbolVariable):
+        out.add(node.symbol)
+    elif isinstance(node, (ForAll, Exists)):
+        bound = bound | set(node.vars)
+    for sub in children(node):
+        _add_free(sub, bound, out)
 
 
 def is_ground(x) -> bool:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import glob
 import io
 import itertools
@@ -24,6 +25,8 @@ MARKETPLACE = os.path.join(CORPUS, "marketplace.vz")
 LIKES = os.path.join(CORPUS, "likes.vz")
 HONESTY = os.path.join(CORPUS, "honesty.vz")
 OBLIGATION = os.path.join(CORPUS, "obligation.vz")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import run as perfbench  # noqa: E402  (the benchmark's workload generators)
@@ -197,6 +200,27 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, command, str(non_horn_marketplace(tmp_path, formula)),
                                  "--traits", str(traits))
         assert (code, out, err) == (1, "", f"error: {message}: {formula}\n")
+
+    @pytest.mark.parametrize("command", ["learn", "run"])
+    def test_situation_outside_the_horn_fragment_is_ineligible(self, capsys, tmp_path,
+                                                               command):
+        # unlike a query (above), an observed situation whose formulas the
+        # Horn closure cannot read is not an error: it is eligible for no
+        # root. Both of seller's situations hold an or, so utter is detected
+        # in none, and no trait is learnt.
+        with open(MARKETPLACE) as fh:
+            text = fh.read()
+        for fluent in ("broken", "unbroken"):
+            formulas = f"(formulas (holds ({fluent}) ?t))"
+            assert text.count(formulas) == 1
+            text = text.replace(formulas, formulas[:-1]
+                                + " (or (holds (trusted) 1) (holds (broken) 1)))")
+        p = tmp_path / "non-horn.vz"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == 0 and err == ""
+        assert "(exemplar observer seller 14 0)" in out.splitlines()
+        assert "(trait" not in out
 
     @pytest.mark.parametrize("fault", ["traits", "query"])
     def test_late_failure_of_a_large_report_writes_nothing(self, capsys, tmp_path, fault):
@@ -956,6 +980,92 @@ class TestOverrides:
 # Mutation test: corpus s-expressions with items dropped, duplicated,
 # swapped or replaced by another atom of the same file must end in exit 0
 # or exit 1 with a diagnostic, never in an exception.
+
+
+def _fresh(argv, **kwargs):
+    """A fresh interpreter on this checkout's src/, as each `vz` call starts one."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), **kwargs)
+
+
+class TestProgram:
+    """vz.cli.program, the `vz` process: main with the cyclic collector off,
+    and what is left frozen before exit."""
+
+    def test_no_run_leaves_a_reference_cycle(self, tmp_path):
+        # with the collector off, each run leaves to collect exactly what
+        # building the argument parser alone does (argparse's object graph);
+        # a closure that calls itself, say, would add a cycle on each call
+        traits = str(tmp_path / "traits.vz")
+        argvs = [[command, path, *flags] + (["--traits", traits] if command in ("learn", "act")
+                                            else [])
+                 for path in sorted(glob.glob(os.path.join(CORPUS, "*.vz"))
+                                    + glob.glob(os.path.join(DATA, "*.vz")))
+                 for command in _COMMANDS for flags in ([], ["--json"])]
+        for workload, (args, *_) in perfbench.WORKLOADS.items():
+            path = tmp_path / f"{workload}.vz"
+            path.write_text(perfbench.generate(workload, 0)[0], encoding="utf-8")
+            argvs.append(args + [str(path)])
+        code = ("import contextlib, gc, io, json, vz.cli\n"
+                "gc.collect()\n"
+                "gc.disable()\n"
+                "vz.cli.build_parser()\n"
+                "found = [gc.collect()]\n"
+                f"for argv in {argvs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                "            contextlib.redirect_stderr(io.StringIO()):\n"
+                "        status = vz.cli.main(argv)\n"
+                "    found.append((argv, status, gc.collect()))\n"
+                "print(json.dumps(found))")
+        parser, *runs = json.loads(_fresh(["-c", code], check=True).stdout)
+        assert parser > 0
+        assert [(argv, n) for argv, _, n in runs if n != parser] == []
+        # every run completes but generalize on the inputs that have nothing to generalize
+        assert {argv[0] for argv, status, _ in runs if status != 0} == {"generalize"}
+
+    def test_main_leaves_the_collector_as_it_finds_it(self, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        try:
+            assert run_cli(capsys, "run", MARKETPLACE)[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+        finally:
+            if before[0]:
+                gc.enable()
+
+    def test_program_runs_main_with_the_collector_off_and_frozen(self):
+        # what the collector looks like as the interpreter exits
+        code = ("import atexit, gc, sys, vz.cli\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,\n"
+                "                              file=sys.stderr))\n"
+                f"sys.argv = ['vz', 'check', {MARKETPLACE!r}]\n"
+                "vz.cli.program()")
+        proc = _fresh(["-c", code])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok: 13 facts\n",
+                                                               "False True\n")
+
+    @pytest.mark.parametrize("argv, status", [
+        (["run", MARKETPLACE], 0), (["project", "--json", MARKETPLACE], 0),
+        (["learn", MARKETPLACE, "--traits", "{traits}"], 0), (["check", "no-such-file.vz"], 1),
+        (["frobnicate", "x.vz"], 2)], ids=["run", "project-json", "learn-traits", "missing",
+                                           "usage"])
+    def test_program_reports_as_main_does(self, capsys, tmp_path, argv, status):
+        # exit code, stdout, stderr and the trait file learn writes, if any
+        results = []
+        for name in ("program", "main"):
+            traits = tmp_path / f"{name}.vz"
+            args = [a.format(traits=traits) for a in argv]
+            if name == "program":
+                proc = _fresh(["-m", "vz.cli", *args])
+                result = (proc.returncode, proc.stdout, proc.stderr)
+            else:
+                try:
+                    result = run_cli(capsys, *args)
+                except SystemExit as exc:  # a usage error
+                    result = (exc.code, *capsys.readouterr())
+            results.append((*result, traits.read_text() if traits.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] == status
+        assert ("--traits" in argv) == bool(results[0][3])
 
 
 def _nest(k, head, inner):

@@ -1,7 +1,8 @@
 """Import discipline of the vz package, read from its source with ``ast``:
 modules share only public names, and every imported name is used; what
-starting the command line, and running a subcommand, imports; and how
-often defining the record classes compiles source."""
+starting the command line, and running a subcommand, imports (no
+typing, either); and how often defining the record classes compiles
+source."""
 import ast
 import os
 import pathlib
@@ -67,6 +68,19 @@ def test_start_up_imports_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_a_run_imports_no_typing():
+    # under -S, without the site hooks, which may import typing themselves;
+    # vz writes its unions with |, which needs no typing at run time
+    code = ("import contextlib, io, sys, vz.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = vz.cli.main(['run', {str(CORPUS / 'marketplace.vz')!r}])\n"
+            "print(status, 'typing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0 False\n"
 
 
 def test_record_methods_compile_once_per_shape():
