@@ -6,14 +6,16 @@ writes a deterministic text report (or line-delimited JSON with
 """
 from __future__ import annotations
 
-import argparse
 import gc
+import getopt
 import math
 import sys
+from types import SimpleNamespace
 
-from .errors import Incompatible, NoAlignment, SourceError, UnboundActionVariable, VzError
+from .errors import (Incompatible, NoAlignment, ParseError, SourceError, UnboundActionVariable,
+                     VzError)
 from .printer import print_formula, print_real, print_term
-from .scenario import check_setting, parse_scenario, parse_traits, print_trait
+from .scenario import check_setting, parse_scenario
 from .sexpr import locate
 from .terms import Constant, SymbolVariable
 # A command imports the later stages it runs itself, so it starts without the others.
@@ -101,9 +103,21 @@ class Report:
 _OVERRIDES = ("n", "m", "gamma", "mode")
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file, its newlines read as open() reads them; a
+    byte that is not UTF-8 is a ParseError at the line and column it starts."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # from the one read, whose input was the whole file
+        head = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        err = ParseError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})")
+        err.line, err.col, err.path = head.count("\n") + 1, len(head) - head.rfind("\n"), path
+        raise err from None
+
+
 def _load(path: str, args):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_scenario(fh.read(), args.horizon)
+    doc = parse_scenario(_read(path), args.horizon)
     for key in _OVERRIDES:
         if getattr(args, key) is not None:
             doc.config[key] = getattr(args, key)
@@ -254,6 +268,7 @@ def _emit_exemplar(ex, rep):
 
 
 def _emit_trait(trait, rep):
+    from .traits import print_trait
     rep.emit("trait", trait=print_trait(trait))
 
 
@@ -261,6 +276,7 @@ def cmd_learn(args, rep):
     doc = _load(args.file, args)
     _, _, exemplars, traits, _ = _learn_pipeline(doc)
     if args.traits:
+        from .traits import print_trait
         with open(args.traits, "w", encoding="utf-8") as fh:
             fh.writelines(print_trait(t) + "\n" for t in traits)
     for ex in exemplars:
@@ -270,8 +286,8 @@ def cmd_learn(args, rep):
 
 
 def _load_traits(path: str, doc) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    from .traits import parse_traits
+    text = _read(path)
     try:
         return parse_traits(text, doc)
     except SourceError as exc:
@@ -313,18 +329,53 @@ _COMMANDS = {"check": cmd_check, "project": cmd_project, "utility": cmd_utility,
              "learn": cmd_learn, "act": cmd_act, "run": cmd_run}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)  # every subcommand's arguments
-    common.add_argument("file")
-    for flag, kind in (("horizon", int), ("n", int), ("m", int), ("gamma", float), ("mode", str)):
-        common.add_argument(f"--{flag}", type=kind, default=None)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--traits", default=None)
-    parser = argparse.ArgumentParser(prog="vz", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
-    return parser
+# Every command's options, as getopt reads them: a long option with "=" takes a value.
+_LONG = ["help", "json", "horizon=", "n=", "m=", "gamma=", "mode=", "traits="]
+_TYPES = {"horizon": int, "n": int, "m": int, "gamma": float}  # the others are str
+_USAGE = (f"usage: vz {{{','.join(_COMMANDS)}}} FILE [--horizon H] [--n N] [--m M]"
+          " [--gamma G] [--mode {fo,ho}] [--json] [--traits PATH]")
+
+
+class Parser:
+    """vz's command line, COMMAND FILE, read with getopt: the options may
+    stand anywhere among them, a long option may be a unique prefix of its
+    name, --key=value is --key value, and -- ends the options."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        try:
+            opts, positional = getopt.gnu_getopt(sys.argv[1:] if argv is None else argv,
+                                                 "h", _LONG)
+        except getopt.GetoptError as exc:
+            self.error(exc.msg)
+        if ("-h", "") in opts or ("--help", "") in opts:
+            print(_USAGE, "", __doc__.strip(), sep="\n")
+            sys.exit(0)
+        if not positional or positional[0] not in _COMMANDS:
+            got = f", not {positional[0]!r}" if positional else ""
+            self.error(f"the command is one of {', '.join(_COMMANDS)}{got}")
+        if len(positional) != 2:
+            self.error("the command takes one FILE" if len(positional) == 1 else
+                       f"unrecognized arguments: {' '.join(positional[2:])}")
+        args = SimpleNamespace(command=positional[0], file=positional[1], json=False,
+                               horizon=None, n=None, m=None, gamma=None, mode=None, traits=None)
+        for opt, value in opts:  # a repeated option's last value wins
+            key = opt[2:]
+            if key in _TYPES:
+                try:
+                    value = _TYPES[key](value)
+                except ValueError:
+                    self.error(f"argument {opt}: invalid {_TYPES[key].__name__} value: {value!r}")
+            setattr(args, key, True if key == "json" else value)
+        return args
+
+    def error(self, message):
+        """A usage error: the usage line and message on stderr, then exit 2."""
+        print(_USAGE, f"vz: error: {message}", sep="\n", file=sys.stderr)
+        sys.exit(2)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:

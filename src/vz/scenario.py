@@ -1,10 +1,11 @@
-"""Scenario documents and trait files: the ``.vz`` DSL.
+"""Scenario documents: the ``.vz`` DSL.
 
 A document is a sequence of declarations, facts, and config entries.
 Every symbol must be declared before use; the parser is sort-directed,
 so variables written ``?x`` pick up their sort from the argument
-position they appear in. A trait file holds (trait ...) records, read
-against a scenario's symbols and written by ``print_trait``.
+position they appear in. ``LearntTrait`` is the record a trait file
+holds; ``vz.traits`` reads and writes those files with the formula
+parser and section readers here.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ class ScenarioDoc:
 # Parsing
 
 
-def _expect_sym(sx, what="identifier") -> str:
+def expect_sym(sx, what="identifier") -> str:
     if not isinstance(sx, SSym):
         raise ParseError(f"expected {what}", sx.pos)
     return sx.text
@@ -152,8 +153,8 @@ def _expect_moment(sx) -> int:
     return n
 
 
-def _parse_sort(sx) -> Sort:
-    name = _expect_sym(sx, "sort name")
+def parse_sort(sx) -> Sort:
+    name = expect_sym(sx, "sort name")
     if name not in SORT_NAMES:
         raise ParseError(f"unknown sort {name!r}", sx.pos)
     return SORT_NAMES[name]
@@ -162,7 +163,7 @@ def _parse_sort(sx) -> Sort:
 _NO_ENV: dict = {}  # the quantifier-bound variables outside any quantifier; never written
 
 
-class _FormulaParser:
+class FormulaParser:
     """Parses terms and formulas against a symbol table. ``freevars``
     accumulates ``?name`` variables so repeated mentions agree on sort;
     its scope is one fact (or one observe/query block). ``symvars`` holds
@@ -197,7 +198,7 @@ class _FormulaParser:
             raise SortMismatch(f"number not allowed where {expected.value} expected", sx.pos)
         if not sx.items:
             raise ParseError("empty application", sx.pos)
-        head = _expect_sym(sx.items[0], "symbol name")
+        head = expect_sym(sx.items[0], "symbol name")
         sym = self.symvars.get(head[1:]) if head[0] == "?" else self.table.functions.get(head)
         if sym is None:
             raise (ParseError("symbol variables are not part of the input grammar", sx.pos)
@@ -243,8 +244,8 @@ class _FormulaParser:
             for b in body[0].items:
                 if not (isinstance(b, SList) and len(b.items) == 2):
                     raise ParseError("binder must be (name sort)", b.pos)
-                vname = _expect_sym(b.items[0], "variable name")
-                v = Variable(vname, _parse_sort(b.items[1]))
+                vname = expect_sym(b.items[0], "variable name")
+                v = Variable(vname, parse_sort(b.items[1]))
                 env2[vname] = v
                 bvars.append(v)
             return (ForAll if name == "forall" else Exists)(tuple(bvars),
@@ -330,7 +331,7 @@ _SITUATION_SECTIONS = {"observe": {"agent", "time", "formulas", "alternatives", 
                        "query": {"time", "formulas"}}
 
 
-class _ScenarioReader(_FormulaParser):
+class _ScenarioReader(FormulaParser):
     """Files each item of a scenario into doc, by the reader of its
     keyword in ITEMS; each item is a fresh scope of variables. Observe
     and query items share one namespace of ids."""
@@ -359,10 +360,10 @@ class _ScenarioReader(_FormulaParser):
         return t
 
     def declare_agent(self, head, body, pos):
-        self.table.declare_constant(_expect_sym(body[0]), Sort.AGENT, pos)
+        self.table.declare_constant(expect_sym(body[0]), Sort.AGENT, pos)
 
     def declare_constant(self, head, body, pos):
-        name, sort = _expect_sym(body[0]), _parse_sort(body[1])
+        name, sort = expect_sym(body[0]), parse_sort(body[1])
         if sort is Sort.MOMENT:
             # moments are the numerals 0, 1, 2, ...; a name cannot be one
             raise SortMismatch(f"moment constant {name!r}: moments are written as numerals",
@@ -370,12 +371,12 @@ class _ScenarioReader(_FormulaParser):
         self.table.declare_constant(name, sort, pos)
 
     def declare_function(self, head, body, pos):
-        name = _expect_sym(body[0])
+        name = expect_sym(body[0])
         if not isinstance(body[1], SList):
             raise ParseError("expected argument sort list", body[1].pos)
         result = {"declare-action-type": Sort.ACTION_TYPE, "declare-fluent": Sort.FLUENT,
                   "declare-predicate": Sort.BOOLEAN}[head]
-        self.table.declare_function(name, tuple(map(_parse_sort, body[1].items)), result, pos)
+        self.table.declare_function(name, tuple(map(parse_sort, body[1].items)), result, pos)
 
     def horizon(self, head, body, pos):
         if self.doc.horizon is not None:
@@ -383,7 +384,7 @@ class _ScenarioReader(_FormulaParser):
         self.doc.horizon = _expect_moment(body[0])
 
     def setting(self, head, body, pos):
-        key = _expect_sym(body[0])
+        key = expect_sym(body[0])
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", pos)
         if key in ("n", "m", "max-depth"):
@@ -393,7 +394,7 @@ class _ScenarioReader(_FormulaParser):
                 raise ParseError("gamma must be a number", pos)
             value = float(body[1].text)
         else:
-            value = _expect_sym(body[1])
+            value = expect_sym(body[1])
         self.doc.config[key] = check_setting(key, value, body[1].pos, self.table)
 
     def initially(self, head, body, pos):
@@ -419,7 +420,7 @@ class _ScenarioReader(_FormulaParser):
         if len(body) not in (2, 3):
             raise ParseError("(theta ...) expects 2 or 3 parts", pos)
         agent = self.term(body[0], Sort.AGENT, ground=True)
-        mode = _expect_sym(body[1])
+        mode = expect_sym(body[1])
         if mode not in ("always", "never", "at"):
             raise ParseError("theta mode must be always, never, or at", pos)
         if len(body) != 2 + (mode == "at"):
@@ -450,21 +451,21 @@ class _ScenarioReader(_FormulaParser):
         agent, alternatives and performed action types are ground."""
         if not body:
             raise ParseError(f"({head} ...) needs an id", pos)
-        sid = _expect_sym(body[0], "situation id")
+        sid = expect_sym(body[0], "situation id")
         if sid in self.situation_ids:
             raise DuplicateDeclaration(f"duplicate situation id {sid!r}", body[0].pos)
         self.situation_ids.add(sid)
-        secs = _sections(body[1:], _SITUATION_SECTIONS[head])
-        agent = (self.term(_section_arg(secs["agent"], "agent"), Sort.AGENT, ground=True)
+        secs = sections(body[1:], _SITUATION_SECTIONS[head])
+        agent = (self.term(section_arg(secs["agent"], "agent"), Sort.AGENT, ground=True)
                  if "agent" in secs else None)
-        time = self.fact_moment(_section_arg(secs["time"], "moment")) if "time" in secs else 0
-        formulas = tuple(map(self.formula, _section_items(secs, "formulas")))
+        time = self.fact_moment(section_arg(secs["time"], "moment")) if "time" in secs else 0
+        formulas = tuple(map(self.formula, section_items(secs, "formulas")))
         if head == "query":
             self.doc.queries.append(Situation(sid, time, formulas))
             return
         alts = tuple(self.term(t, Sort.ACTION_TYPE, ground=True)
-                     for t in _section_items(secs, "alternatives"))
-        performed = (self.term(_section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE,
+                     for t in section_items(secs, "alternatives"))
+        performed = (self.term(section_arg(secs["performed"], "action type"), Sort.ACTION_TYPE,
                                ground=True) if "performed" in secs else None)
         self.doc.observations.append(Situation(sid, time, formulas, alts, performed, agent))
 
@@ -481,19 +482,19 @@ class _ScenarioReader(_FormulaParser):
              "group": (group, None, True)}
 
 
-def _section_arg(sec, what):
+def section_arg(sec, what):
     """The single argument of a (key arg) section."""
     if len(sec.items) != 2:
         raise ParseError(f"({sec.items[0].text} ...) takes one {what}", sec.pos)
     return sec.items[1]
 
 
-def _section_items(secs, key):
+def section_items(secs, key):
     """The arguments of an optional (key ...) section; none when it is absent."""
     return secs[key].items[1:] if key in secs else ()
 
 
-def _sections(body, allowed):
+def sections(body, allowed):
     """The (key ...) sections of a record by key; each key at most once."""
     out = {}
     for part in body:
@@ -509,8 +510,7 @@ def _sections(body, allowed):
 
 
 # ---------------------------------------------------------------------------
-# Trait files: (trait [(signatures ...)] (pattern ...) (action ...)
-# [(exemplar a)] [(sources ...)])
+# Learnt traits
 
 
 class LearntTrait(Record, exemplar=None, source_situations=()):
@@ -526,80 +526,3 @@ class LearntTrait(Record, exemplar=None, source_situations=()):
         if loose:
             raise UnboundActionVariable(
                 f"action variables without a situation anchor: {sorted(v.name for v in loose)}")
-
-
-def parse_traits(text: str, doc: ScenarioDoc) -> list[LearntTrait]:
-    """Read a trait file against the scenario's symbol table."""
-    fp = _FormulaParser(doc.symbols)
-    try:
-        return [_parse_trait(sx, fp) for sx in read_all(text)]
-    except SourceError as exc:
-        raise locate(exc, text)
-
-
-def _parse_trait(sx, fp) -> LearntTrait:
-    if not (isinstance(sx, SList) and sx.items
-            and isinstance(sx.items[0], SSym) and sx.items[0].text == "trait"):
-        raise ParseError("trait file entries must be (trait ...) records", sx.pos)
-    secs = _sections(sx.items[1:], {"signatures", "pattern", "action", "exemplar", "sources"})
-    fp.freevars, fp.symvars = _parse_signatures(_section_items(secs, "signatures"))
-    pattern = tuple(map(fp.formula, _section_items(secs, "pattern")))
-    if "action" not in secs:
-        raise ParseError("trait record lacks an (action ...) section", sx.pos)
-    action = fp.term(_section_arg(secs["action"], "action type"), Sort.ACTION_TYPE)
-    exemplar = None
-    if "exemplar" in secs:
-        arg = _section_arg(secs["exemplar"], "agent")
-        exemplar = fp.table.agent(_expect_sym(arg, "agent name"), arg.pos)
-    sources = tuple(_expect_sym(i, "situation id") for i in _section_items(secs, "sources"))
-    try:
-        return LearntTrait(pattern, action, exemplar, sources)
-    except UnboundActionVariable as exc:
-        raise UnboundActionVariable(exc.message, secs["action"].pos)
-
-
-def _parse_signatures(items):
-    """The variables and symbol variables a (signatures ...) section
-    declares, by name: (X sort) or (P (arg sorts) result sort)."""
-    variables, symbols = {}, {}
-    for item in items:
-        if not (isinstance(item, SList) and len(item.items) in (2, 3)):
-            raise ParseError("a signature is (name sort) or (name (sorts) sort)", item.pos)
-        name = _expect_sym(item.items[0], "variable name")
-        if name in variables or name in symbols:
-            raise DuplicateDeclaration(f"duplicate signature {name!r}", item.pos)
-        if len(item.items) == 2:
-            variables[name] = Variable(name, _parse_sort(item.items[1]))
-            continue
-        if not isinstance(item.items[1], SList):
-            raise ParseError("expected argument sort list", item.items[1].pos)
-        symbols[name] = SymbolVariable(name, tuple(_parse_sort(a) for a in item.items[1].items),
-                                       _parse_sort(item.items[2]))
-    return variables, symbols
-
-
-def _signature(v) -> str:
-    if isinstance(v, SymbolVariable):
-        args = " ".join(a.value for a in v.arg_sorts)
-        return f"({v.name} ({args}) {v.result_sort.value})"
-    return f"({v.name} {v.sort.value})"
-
-
-def print_trait(trait: LearntTrait) -> str:
-    """One (trait ...) record. Its signatures section states what the
-    reader could not infer from positions: the signature of each symbol
-    variable, and the sort of each action variable, which an event
-    position would otherwise read as an event."""
-    free = free_variables(trait.action_pattern).union(*map(free_variables, trait.pattern))
-    sigs = sorted((v for v in free if isinstance(v, SymbolVariable) or v.sort is Sort.ACTION),
-                  key=lambda v: v.name)
-    pats = " ".join(print_formula(p) for p in trait.pattern)
-    parts = ["(trait"]
-    if sigs:
-        parts.append(f"(signatures {' '.join(map(_signature, sigs))})")
-    parts.append(f"(pattern {pats}) (action {print_term(trait.action_pattern)})")
-    if trait.exemplar is not None:
-        parts.append(f"(exemplar {trait.exemplar.name})")
-    if trait.source_situations:
-        parts.append(f"(sources {' '.join(trait.source_situations)})")
-    return " ".join(parts) + ")"

@@ -48,6 +48,11 @@ def non_horn_marketplace(tmp_path, formula):
     return path
 
 
+# each setting flag with a value out of its range, a usage error
+OUT_OF_RANGE = [("--n", "0"), ("--m", "0"), ("--gamma", "0"), ("--gamma", "nan"),
+                ("--horizon", "-1"), ("--mode", "xx"), ("--horizon", "10001")]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -77,6 +82,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "x.vz"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("data, where", [
+        (b"(declare-agent a\xff)\n", "1:17: not UTF-8: byte 0xff (invalid start byte)"),
+        # columns count characters, and a line ends at \n, \r\n or \r, as in a scenario read
+        (b"; caf\xc3\xa9\r\n(declare-agent \xe9t)\n",
+         "2:16: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+        (b"(declare-agent a)\r(x \xc3", "2:4: not UTF-8: byte 0xc3 (unexpected end of data)"),
+    ], ids=["start", "continuation", "end"])
+    def test_file_not_utf8(self, capsys, tmp_path, data, where):
+        # the scenario, or the trait file that act and run read
+        bad = tmp_path / "bad.vz"
+        bad.write_bytes(data)
+        assert run_cli(capsys, "check", str(bad)) == (1, "", f"{bad}:{where}\n")
+        for command in ("act", "run"):
+            assert run_cli(capsys, command, MARKETPLACE, "--traits", str(bad)) == (
+                1, "", f"{bad}:{where}\n")
 
     @pytest.mark.parametrize("last, want", [
         # a cross-event conflict at 1 comes before a self-conflicting flip at 2
@@ -118,6 +139,45 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert err == f"{p}:{where}\n"
         assert run_cli(capsys, "check", str(p), "--horizon", "3") == (0, "ok: 1 facts\n", "")
+
+
+class TestCommandLine:
+    """vz COMMAND FILE, with options: what is a usage error, --help, and
+    the spellings of one option."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["run"], ["frobnicate", MARKETPLACE], ["run", MARKETPLACE, "--frob"],
+        ["run", MARKETPLACE, "--n"], ["run", MARKETPLACE, "--n", "x"],
+        ["run", MARKETPLACE, "--gamma", "x"], ["run", MARKETPLACE, "extra"],
+        ["run", MARKETPLACE, "--h", "5"], ["act", MARKETPLACE],
+        *(["run", MARKETPLACE, *flag] for flag in OUT_OF_RANGE),
+    ], ids=["none", "no-file", "unknown-command", "unknown-option", "no-value", "not-int",
+            "not-float", "extra-positional", "ambiguous-prefix", "act-no-traits",
+            *(f"{flag}={value}" for flag, value in OUT_OF_RANGE)])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: vz")
+        assert "error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", MARKETPLACE, "-h"]])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: vz")
+
+    @pytest.mark.parametrize("spelling", [["--hor", "4"], ["--horizon=4"], ["--hor=4"]])
+    def test_option_spellings(self, capsys, spelling):
+        # a unique prefix of a long option names it, and --key=value is --key value;
+        # options and -- may stand among the positionals
+        want = run_cli(capsys, "project", MARKETPLACE, "--horizon", "4")
+        assert want[0] == 0 and want[1].startswith("(horizon 4)\n")
+        assert run_cli(capsys, "project", MARKETPLACE, *spelling) == want
+        assert run_cli(capsys, "project", *spelling, "--", MARKETPLACE) == want
 
 
 class TestMalformedInput:
@@ -465,9 +525,7 @@ class TestMalformedInput:
         p.write_text(text.format(10000))
         assert run_cli(capsys, "check", str(p)) == (0, "ok: 1 facts\n", "")
 
-    @pytest.mark.parametrize("flag", [("--n", "0"), ("--m", "0"), ("--gamma", "0"),
-                                      ("--gamma", "nan"), ("--horizon", "-1"),
-                                      ("--mode", "xx"), ("--horizon", "10001")])
+    @pytest.mark.parametrize("flag", OUT_OF_RANGE)
     def test_setting_flag_out_of_range(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["run", MARKETPLACE, *flag])
@@ -993,9 +1051,10 @@ class TestProgram:
     and what is left frozen before exit."""
 
     def test_no_run_leaves_a_reference_cycle(self, tmp_path):
-        # with the collector off, each run leaves to collect exactly what
-        # building the argument parser alone does (argparse's object graph);
-        # a closure that calls itself, say, would add a cycle on each call
+        # with the collector off, building the argument parser leaves
+        # nothing to collect, and neither does any run; a closure that calls
+        # itself, say, would leave a cycle on each call, as the deliberate
+        # cycle here does, which the collector must count
         traits = str(tmp_path / "traits.vz")
         argvs = [[command, path, *flags] + (["--traits", traits] if command in ("learn", "act")
                                             else [])
@@ -1011,15 +1070,19 @@ class TestProgram:
                 "gc.disable()\n"
                 "vz.cli.build_parser()\n"
                 "found = [gc.collect()]\n"
+                "cycle = []\n"
+                "cycle.append(cycle)\n"
+                "del cycle\n"
+                "found.append(gc.collect())\n"
                 f"for argv in {argvs!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
                 "            contextlib.redirect_stderr(io.StringIO()):\n"
                 "        status = vz.cli.main(argv)\n"
                 "    found.append((argv, status, gc.collect()))\n"
                 "print(json.dumps(found))")
-        parser, *runs = json.loads(_fresh(["-c", code], check=True).stdout)
-        assert parser > 0
-        assert [(argv, n) for argv, _, n in runs if n != parser] == []
+        parser, control, *runs = json.loads(_fresh(["-c", code], check=True).stdout)
+        assert (parser, control) == (0, 1)
+        assert [(argv, n) for argv, _, n in runs if n != 0] == []
         # every run completes but generalize on the inputs that have nothing to generalize
         assert {argv[0] for argv, status, _ in runs if status != 0} == {"generalize"}
 

@@ -15,13 +15,13 @@ from vz import printer
 from vz.printer import print_formula, print_term
 from vz.errors import NoAlignment, UnboundActionVariable
 from vz.learner import learn_trait
-from vz.scenario import (SymbolTable, _FormulaParser, parse_scenario, parse_traits,
-                         print_trait)
+from vz.scenario import FormulaParser, SymbolTable, parse_scenario
 from vz.sexpr import MAX_NESTING, SList, SNum, read_all, where
 from vz.terms import (ACTION, HAPPENS, HOLDS, MODAL_ARITY, TERMS, And, Application, Atom,
                       Constant, Exists, ForAll, FunctionSymbol, Iff, Implies, Modal,
                       ModalOp, Not, Or, Ought, Sort, SymbolVariable, Variable, children,
                       moment, rebuild, sort_of)
+from vz.traits import parse_traits, print_trait
 
 from conftest import alpha_equal
 from test_terms import TERM_CLASSES, record_samples
@@ -225,7 +225,7 @@ def test_every_term_and_formula_class_prints_and_reads_back():
     p0 = SymbolVariable("P0", (Sort.FLUENT,), Sort.FLUENT)
     samples = [cls(*args) for cls in nodes for args in record_samples()[cls]]
     for x in samples + [Application(p0, (Constant("a", Sort.FLUENT),))]:
-        reader = _FormulaParser(SymbolTable())
+        reader = FormulaParser(SymbolTable())
         _declare(x, reader)
         [sx] = read_all(print_term(x))
         again = reader.term(sx, sort_of(x)) if isinstance(x, TERMS) else reader.formula(sx)

@@ -60,10 +60,12 @@ def test_every_import_is_used(path):
 
 
 def test_start_up_imports_no_heavy_module():
-    # a fresh interpreter, as each `vz` call starts one; a --json report
-    # imports no json package either (tests/test_reports.py)
-    code = ("import sys, vz.cli; vz.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    # a fresh interpreter, as each `vz` call starts one, reading a command
+    # line; a --json report imports no json package either (tests/test_reports.py)
+    code = ("import sys, vz.cli; "
+            "vz.cli.build_parser().parse_args(['run', 'x.vz', '--hor', '5', '--json']); "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'json', 'locale'}"
+            " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
@@ -116,7 +118,7 @@ def test_record_methods_compile_once_per_shape():
 
 # The modules that only some subcommands run.
 ON_DEMAND = {"vz.ec", "vz.emotions", "vz.generalize", "vz.inference", "vz.learner",
-             "vz.subst", "vz.utility"}
+             "vz.subst", "vz.traits", "vz.utility"}
 
 
 LEARNER = {"vz.ec", "vz.emotions", "vz.learner", "vz.subst", "vz.utility"}
@@ -132,8 +134,9 @@ LEARNER = {"vz.ec", "vz.emotions", "vz.learner", "vz.subst", "vz.utility"}
     # likes.vz observes and queries nothing: no trait is learnt, no
     # consistency checked
     ("run", "likes.vz", (), LEARNER),
-    ("run", "marketplace.vz", (), LEARNER | {"vz.generalize", "vz.inference"}),
-    ("act", "marketplace.vz", ("--traits", os.devnull), LEARNER),
+    # run on the marketplace prints the trait it learns, act reads --traits
+    ("run", "marketplace.vz", (), LEARNER | {"vz.generalize", "vz.inference", "vz.traits"}),
+    ("act", "marketplace.vz", ("--traits", os.devnull), LEARNER | {"vz.traits"}),
 ], ids=["check", "project", "infer", "utility", "emotions", "generalize", "run-likes",
         "run-marketplace", "act-no-traits"])
 def test_subcommand_loads_only_the_modules_it_runs(command, scenario, extra, loads):
