@@ -274,7 +274,8 @@ class SetGeneralization(Record):
         variables already free in the inputs stay free."""
         out = []
         for p in self.patterns:
-            vs = tuple(v for v in self.introduced if v in free_variables(p))
+            free = free_variables(p)
+            vs = tuple(v for v in self.introduced if v in free)
             out.append(ForAll(vs, p) if vs else p)
         return tuple(out)
 
@@ -340,8 +341,8 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             raise row  # the first failed row's own disagreement
     patterns = [namer.name(row, len(gammas)) for row in rows]
 
-    # every input formula was aligned, and (verified mechanically) is an
-    # instance of some pattern
+    # every input formula was aligned, and matches some pattern (an aligned
+    # formula whose witness is a variable it binds does not match its row's)
     total = all(len(u) == len(set(g)) for u, g in zip(used, gammas)) and all(
         any(match(p, f) is not None for p in patterns) for g in gammas for f in g)
 
