@@ -289,7 +289,14 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
     formulas of each set are taken in printed order. Each aligned row
     keeps its anti-unification pattern, and the next set's candidates for
     the rows (at most 5) are permuted to introduce the fewest distinct
-    variables, the first permutation winning ties."""
+    variables, the first permutation winning ties.
+
+    The result is total when every distinct input formula was aligned and
+    each one under a binder matches some pattern: an aligned formula is
+    its row's pattern with its own witnesses put in, so one without a
+    binder matches that pattern. That needs well-sorted inputs, which the
+    reader guarantees, and a namer made over the inputs, as VarNamer
+    requires."""
     gammas = [tuple(g) for g in gammas]
     if not gammas or any(not g for g in gammas):
         raise NoAlignment("every input set must be nonempty")
@@ -341,10 +348,11 @@ def generalize_sets(gammas, mode: str = FIRST_ORDER,
             raise row  # the first failed row's own disagreement
     patterns = [namer.name(row, len(gammas)) for row in rows]
 
-    # every input formula was aligned, and matches some pattern (an aligned
-    # formula whose witness is a variable it binds does not match its row's)
+    # every input formula was aligned, and each one under a binder matches
+    # some pattern (a witness that holds a variable it binds matches none)
     total = all(len(u) == len(set(g)) for u, g in zip(used, gammas)) and all(
-        any(match(p, f) is not None for p in patterns) for g in gammas for f in g)
+        any(match(p, f) is not None for p in patterns) for k in keyed
+        for key, fs in k.items() if "(forall/" in key or "(exists/" in key for f in fs)
 
     introduced = tuple(namer.vars.values())
     return SetGeneralization(tuple(patterns), tuple(namer.substitutions(len(gammas))),

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from .errors import VzError
 from .terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
-                    Modal, SymbolVariable, Variable, children, fits, rebuild,
-                    sort_of)
+                    Modal, SymbolVariable, Variable, children, fits,
+                    free_variables, rebuild, sort_of)
 
 
 def apply_substitution(s: dict, x):
@@ -27,7 +27,8 @@ def apply_substitution(s: dict, x):
 def match(pattern, target) -> dict | None:
     """One-sided matching: find s with apply_substitution(s, pattern) ==
     target (up to alpha under binders). Returns None when no match. Each
-    binding is checked here to preserve sorts (and signatures)."""
+    binding is checked here to preserve sorts (and signatures), and to
+    hold no variable that a quantifier of the target binds."""
     s: dict = {}
     return s if _match(pattern, target, s, {}) else None
 
@@ -38,10 +39,10 @@ def _match(p, t, s, bound_map):
         if p in bound_map.values():
             # p is a binder-bound pattern variable: must correspond exactly
             return isinstance(t, Variable) and bound_map.get(t) == p
+        if bound_map and not free_variables(t).isdisjoint(bound_map):
+            return False  # t is or holds a variable the target binds
         if p in s:
             return s[p] == t
-        if isinstance(t, Variable) and t in bound_map:
-            return False
         try:
             if not fits(sort_of(t), p.sort):
                 return False

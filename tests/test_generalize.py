@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vz.generalize
 from vz.errors import Incompatible, NoAlignment
 from vz.generalize import (FIRST_ORDER, HIGHER_ORDER, Generalization,
                            SetGeneralization, VarNamer, _Fold,
@@ -898,3 +899,105 @@ def test_total_is_false_where_a_witness_is_a_bound_variable(mode):
         [gammas[0][0], ForAll((x,), Atom(LIKES(x, JACK)))]
     assert match(gen.patterns[0], gammas[0][0]) is None
     assert not gen.total
+
+
+# ---------------------------------------------------------------------------
+# Which formulas `total` matches. The count check decides every formula that
+# holds no binder: aligned, it is its row's pattern with its own witnesses
+# put in, so it matches that pattern. Only a formula under a quantifier is
+# matched, since there a witness may hold a variable the quantifier binds.
+
+
+def counting_match(monkeypatch):
+    """Count the calls generalize_sets makes to match."""
+    calls = []
+
+    def counted(pattern, target):
+        calls.append(target)
+        return match(pattern, target)
+    monkeypatch.setattr(vz.generalize, "match", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_total_matches_only_formulas_under_a_binder(monkeypatch, mode):
+    calls = counting_match(monkeypatch)
+    text, _ = perfbench.generate("learn-traits", 0)
+    gammas = [s.formulas for s in parse_scenario(text).observations]
+    assert not any(bound_variables(f, set()) for g in gammas for f in g)
+    gen = generalize_sets(gammas, mode)
+    assert gen.total and gen == reference_generalize_sets(gammas, mode)[0]
+    assert calls == []
+    x, y = Variable("x", Sort.AGENT), Variable("y", Sort.AGENT)
+    binder = [[Atom(LIKES(JILL, JACK)), ForAll((x,), Atom(LIKES(x, JACK)))],
+              [Atom(LIKES(JILL, JIM)), ForAll((y,), Atom(LIKES(y, JILL)))]]
+    assert generalize_sets(binder, mode).total
+    assert set(calls) == {f for g in binder for f in g if isinstance(f, ForAll)}
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_total_is_false_from_the_count_check_alone(monkeypatch, mode):
+    # hungry(jack) has no counterpart in the second set, so it is not aligned
+    calls = counting_match(monkeypatch)
+    gammas = [[Atom(LIKES(JILL, JACK)), Atom(HUNGRY(JACK))], [Atom(LIKES(JILL, JIM))]]
+    gen = generalize_sets(gammas, mode)
+    assert not gen.total and gen.total == reference_generalize_sets(gammas, mode)[0].total
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Matching under binders. match binds no pattern variable to a term that is
+# or holds a variable the target's own quantifier binds, so every
+# substitution it returns gives the target back up to binder names.
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_total_is_false_where_a_witness_holds_a_bound_variable(mode):
+    # the first and third groups' witness (g x), (g z) holds the variable
+    # that the formula's own quantifier binds
+    x, y, z = (Variable(name, Sort.FLUENT) for name in "xyz")
+    one = Constant("1", Sort.MOMENT)
+    gammas = [[ForAll((x,), Atom(HOLDS(G1(x), one)))], [ForAll((y,), Atom(HOLDS(A, one)))],
+              [ForAll((z,), Atom(HOLDS(G1(z), one)))]]
+    gen = generalize_sets(gammas, mode)
+    x0 = Variable("X0", Sort.FLUENT)
+    assert gen.patterns == (ForAll((x,), Atom(HOLDS(x0, one))),)
+    assert [match(gen.patterns[0], g[0]) for g in gammas] == [None, {x0: A}, None]
+    assert not gen.total
+    assert not reference_generalize_sets(gammas, mode)[0].total
+
+
+@pytest.mark.parametrize("mode", [FIRST_ORDER, HIGHER_ORDER])
+def test_match_gives_the_target_back_under_binders(mode):
+    """Every substitution match returns for a row pattern and a formula
+    under a binder of set_cases gives that formula back up to binder
+    names."""
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(set_cases())
+    def check(case):
+        gammas, _ = case
+        try:
+            gen = generalize_sets(gammas, mode)
+        except (Incompatible, NoAlignment):
+            return
+        for f in {f for g in gammas for f in g if bound_variables(f, set())}:
+            for p in gen.patterns:
+                s = match(p, f)
+                seen["matched" if s is not None else "refused"] += 1
+                if s is not None:
+                    assert alpha_key(apply_substitution(s, p)) == alpha_key(f)
+
+    check()
+    assert seen["matched"] >= 300 and seen["refused"] >= 300, seen
+
+
+def test_match_refuses_a_bound_variable_for_a_variable_bound_before():
+    # ?X0 is bound to the free z first; under (forall ((z agent)) ...) the
+    # same name is the quantifier's, so the target is not an instance
+    x, z, x0 = Variable("x", Sort.AGENT), Variable("z", Sort.AGENT), Variable("X0", Sort.AGENT)
+    pattern = And((Atom(LIKES(x0, JACK)), ForAll((x,), Atom(LIKES(x, x0)))))
+    assert match(pattern, And((Atom(LIKES(z, JACK)), ForAll((z,), Atom(LIKES(z, z)))))) is None
+    assert match(pattern, And((Atom(LIKES(z, JACK)), ForAll((x,), Atom(LIKES(x, z)))))) == \
+        {x0: z}
