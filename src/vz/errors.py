@@ -36,10 +36,6 @@ class UnknownSymbol(SourceError):
     pass
 
 
-class ArityMismatch(SourceError):
-    pass
-
-
 class UndeclaredSymbol(SourceError):
     pass
 

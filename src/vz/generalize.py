@@ -52,6 +52,7 @@ class _SymbolHole:
 
 
 _TERM_NODES = TERMS + (_Hole,)
+_NO_RENAMING: dict = {}  # outside any binder; never written
 
 
 def _witnesses(node, n: int) -> tuple:
@@ -138,9 +139,8 @@ class VarNamer:
 
 def _common_sort(a, b) -> Sort:
     """The sort that generalizes a pattern node (or hole) and an input
-    term."""
-    sorts = {x.symbol.result_sort if isinstance(x, Application)
-             else x.sort if isinstance(x, _Hole) else sort_of(x) for x in (a, b)}
+    term; sort_of reads a hole's sort and a symbol hole's result sort."""
+    sorts = {sort_of(a), sort_of(b)}
     if len(sorts) == 1:
         return sorts.pop()
     if sorts <= {Sort.ACTION, Sort.EVENT}:
@@ -179,9 +179,14 @@ class _Fold:
         self.seen.add(h)
         return h
 
-    def step(self, p, g):
-        """p generalized with g (a term or formula each)."""
-        if p == g:
+    def step(self, p, g, ren=_NO_RENAMING):
+        """p generalized with g (a term or formula each). ren maps the
+        binders of g in scope, inner over outer, to the pattern's, which
+        are the first input's. A term of g is renamed once, where a
+        formula holds it: a term holds no binder to capture it."""
+        if ren and isinstance(p, _TERM_NODES):
+            g, ren = apply_substitution(ren, g), _NO_RENAMING
+        if p == g and not ren:
             return p
         if isinstance(p, _TERM_NODES):
             if isinstance(p, Application) and isinstance(g, Application) \
@@ -194,7 +199,7 @@ class _Fold:
         if type(p) is not type(g):
             raise Incompatible("formulas with different root connectives")
         if isinstance(p, Atom):
-            pred = self.step(p.pred, g.pred)
+            pred = self.step(p.pred, g.pred, ren)
             if not isinstance(pred, Application):
                 raise Incompatible("atoms cannot generalize to a bare variable")
             return Atom(pred)
@@ -203,12 +208,12 @@ class _Fold:
         if isinstance(p, (ForAll, Exists)):
             if [v.sort for v in p.vars] != [v.sort for v in g.vars]:
                 raise Incompatible("binders disagree")
-            # rename g's binders to the pattern's, which are the first input's
-            ren = dict(zip(g.vars, p.vars))
-            return type(p)(p.vars, self.step(p.body, apply_substitution(ren, g.body)))
+            ren = {**ren, **dict(zip(g.vars, p.vars))}
+            ren = {v: w for v, w in ren.items() if v is not w}
+            return type(p)(p.vars, self.step(p.body, g.body, ren))
         if isinstance(p, Modal) and (p.op is not g.op or len(p.agents) != len(g.agents)):
             raise Incompatible("modal operators disagree")
-        return rebuild(p, map(self.step, children(p), children(g)))
+        return rebuild(p, [self.step(a, b, ren) for a, b in zip(children(p), children(g))])
 
     def extend(self, p, g):
         """(p generalized with g, the holes that pattern holds); or the

@@ -160,7 +160,10 @@ def parse_sort(sx) -> Sort:
     return SORT_NAMES[name]
 
 
-_NO_ENV: dict = {}  # the quantifier-bound variables outside any quantifier; never written
+# The quantifier-bound variables outside any quantifier; never written. Inside
+# one, env maps each binder's name to its innermost Variable, and each
+# Variable bound, shadowed or not, to itself.
+_NO_ENV: dict = {}
 
 
 class FormulaParser:
@@ -184,7 +187,11 @@ class FormulaParser:
             if name[0] == "?":
                 if ground:
                     raise ParseError(f"variable {name} where a ground term is expected", sx.pos)
-                return self._variable(name[1:], expected, sx.pos)
+                v = self._variable(name[1:], expected, sx.pos)
+                if v in env:
+                    raise ParseError(f"the binder {v.name} captures the free variable {name}",
+                                     sx.pos)
+                return v
             c = env[name] if name in env else self.table.constants.get(name)
             if c is None:
                 raise UndeclaredSymbol(f"undeclared symbol {name!r}", sx.pos)
@@ -246,7 +253,7 @@ class FormulaParser:
                     raise ParseError("binder must be (name sort)", b.pos)
                 vname = expect_sym(b.items[0], "variable name")
                 v = Variable(vname, parse_sort(b.items[1]))
-                env2[vname] = v
+                env2[vname] = env2[v] = v
                 bvars.append(v)
             return (ForAll if name == "forall" else Exists)(tuple(bvars),
                                                             self.formula(body[1], env2))

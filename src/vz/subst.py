@@ -1,7 +1,6 @@
 """Substitutions (dicts) and one-sided matching."""
 from __future__ import annotations
 
-from .errors import VzError
 from .terms import (Application, Constant, Exists, ForAll, FunctionSymbol,
                     Modal, SymbolVariable, Variable, children, fits,
                     free_variables, rebuild, sort_of)
@@ -43,10 +42,7 @@ def _match(p, t, s, bound_map):
             return False  # t is or holds a variable the target binds
         if p in s:
             return s[p] == t
-        try:
-            if not fits(sort_of(t), p.sort):
-                return False
-        except VzError:
+        if not fits(sort_of(t), p.sort):
             return False
         s[p] = t
         return True

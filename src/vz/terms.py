@@ -10,7 +10,7 @@ import enum
 import functools
 import types
 
-from .errors import ArityMismatch, SortMismatch, UnknownSymbol
+from .errors import SortMismatch, UnknownSymbol
 
 
 class Record:
@@ -192,20 +192,10 @@ BUILTIN_SYMBOLS = {
 
 
 def sort_of(t: Term) -> Sort:
-    """Declared or derived sort of a term, checking arities and argument
-    sorts along the way."""
-    if isinstance(t, (Variable, Constant)):
-        return t.sort
-    if isinstance(t, Application):
-        sym = t.symbol
-        if len(t.args) != len(sym.arg_sorts):
-            raise ArityMismatch(f"{sym.name} expects {len(sym.arg_sorts)} args, got {len(t.args)}")
-        for arg, want in zip(t.args, sym.arg_sorts):
-            got = sort_of(arg)
-            if not fits(got, want):
-                raise SortMismatch(f"{sym.name}: expected {want.value}, got {got.value} ({arg!r})")
-        return sym.result_sort
-    raise UnknownSymbol(f"not a term: {t!r}")
+    """The sort a term was built with: its symbol's result sort for an
+    application. The reader is the sort check: it builds only terms whose
+    arguments fit their symbols' argument sorts."""
+    return t.symbol.result_sort if isinstance(t, Application) else t.sort
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,9 @@ def malformed(root: pathlib.Path, work: pathlib.Path) -> list[tuple]:
         ("sort", [["check", write("sort.vz", obligation.replace(
             belief, "(believes (pay) 1 (payday))"))]]),
         ("non-UTF-8", [["check", write("non-utf-8.vz", b"(declare-agent a\xff)\n")]]),
+        ("captured variable", [["infer", write("captured.vz", (
+            "(declare-agent jack)\n(declare-predicate likes (agent agent))\n"
+            "(assert (forall ((y agent)) (likes y ?y)))\n"))]]),
         ("bad trait file", [["act", market, "--traits", bad_trait],
                             ["run", market, "--traits", bad_trait]]),
         ("non-Horn query", [["act", non_horn, "--traits", trait],

@@ -18,7 +18,7 @@ from vz.cli import _COMMANDS, Report, main
 from vz.errors import VzError
 from vz.scenario import parse_scenario
 from vz.sexpr import MAX_NESTING, SList, read_all
-from vz.terms import TERMS, Atom, Modal, Ought, Sort, children, sort_of
+from vz.terms import TERMS, Application, Atom, Modal, Ought, Sort, children, fits
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 MARKETPLACE = os.path.join(CORPUS, "marketplace.vz")
@@ -238,6 +238,9 @@ class TestMalformedInput:
         # an action variable no pattern binds, at the (action ...) section
         ("(trait (pattern (holds ?X0 ?t)) (action (utter ?X9)))\n",
          "1:33: action variables without a situation anchor: ['X9']"),
+        # a free variable that a binder of its name and sort would capture
+        ("(trait (pattern (forall ((t moment)) (holds ?X0 ?t))) (action (utter ?X0)))\n",
+         "1:49: the binder t captures the free variable ?t"),
     ])
     def test_malformed_trait_file(self, capsys, tmp_path, text, where):
         traits = tmp_path / "traits.vz"
@@ -246,6 +249,30 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         # the location is in the trait file, not in the scenario
         assert err == f"{traits}:{where}\n"
+
+    @pytest.mark.parametrize("formula, where", [
+        ("(forall ((y agent)) (likes y ?y))", "3:38"),
+        # a shadowed binder still binds the ?y of its sort
+        ("(forall ((y agent)) (exists ((y moment)) (likes jack ?y)))", "3:62"),
+    ])
+    def test_free_variable_a_binder_would_capture(self, capsys, tmp_path, formula, where):
+        # a bound y and a free ?y of one sort are one variable, so the
+        # formula would read as if ?y were bound
+        p = tmp_path / "capture.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-predicate likes (agent agent))\n"
+                     f"(assert {formula})\n")
+        assert run_cli(capsys, "infer", str(p)) == \
+            (1, "", f"{p}:{where}: the binder y captures the free variable ?y\n")
+
+    @pytest.mark.parametrize("formula", [
+        "(forall ((y moment)) (likes jack ?y))",  # ?y of another sort
+        "(and (likes ?y jack) (forall ((y agent)) (likes y jack)))",  # ?y outside the binder
+    ])
+    def test_free_variable_no_binder_captures(self, capsys, tmp_path, formula):
+        p = tmp_path / "free.vz"
+        p.write_text(f"(declare-agent jack)\n(declare-predicate likes (agent agent))\n"
+                     f"(assert {formula})\n")
+        assert run_cli(capsys, "infer", str(p)) == (0, f"{formula}\n", "")
 
     @pytest.mark.parametrize("command", ["run", "act"])
     @pytest.mark.parametrize("formula, message", [
@@ -1225,14 +1252,25 @@ def test_mutated_corpus_never_raises(tmp_path_factory, text, command, mode, as_j
     assert (code == 1) == bool(err.getvalue())
 
 
+def _sort(term):
+    """The sort of a term, checked all the way down: each application has
+    its symbol's arity, and each argument fits its symbol's argument sort."""
+    if not isinstance(term, Application):
+        return term.sort
+    sym = term.symbol
+    assert len(term.args) == len(sym.arg_sorts)
+    assert all(fits(_sort(a), want) for a, want in zip(term.args, sym.arg_sorts))
+    return sym.result_sort
+
+
 def _check_sorts(node):
     if isinstance(node, Atom):
-        assert sort_of(node.pred) is Sort.BOOLEAN
+        assert _sort(node.pred) is Sort.BOOLEAN
     elif isinstance(node, Modal):
-        assert all(sort_of(a) is Sort.AGENT for a in node.agents)
-        assert sort_of(node.time) is Sort.MOMENT
+        assert all(_sort(a) is Sort.AGENT for a in node.agents)
+        assert _sort(node.time) is Sort.MOMENT
     elif isinstance(node, Ought):
-        assert sort_of(node.agent) is Sort.AGENT and sort_of(node.time) is Sort.MOMENT
+        assert _sort(node.agent) is Sort.AGENT and _sort(node.time) is Sort.MOMENT
     for sub in children(node):
         if not isinstance(sub, TERMS):
             _check_sorts(sub)
@@ -1242,8 +1280,8 @@ def _check_sorts(node):
 @given(mutated_scenarios())
 def test_parsed_formulas_are_well_sorted(text):
     """The sort-directed reader is the only sort check: every formula it
-    accepts has boolean atoms, agents as modal and deontic agents and
-    moments as their times."""
+    accepts has well-sorted terms, boolean atoms, agents as modal and
+    deontic agents and moments as their times."""
     try:
         doc = parse_scenario(text)
     except VzError:
@@ -1256,12 +1294,17 @@ def test_parsed_formulas_are_well_sorted(text):
 
 # The unmutated corpus files are examples too, and so are ill-sorted
 # variants of obligation.vz, which the reader must reject: an action type
-# as an atom, as a modal or deontic agent, and as a modal time.
+# as an atom, as a modal or deontic agent, and as a modal time; an agent
+# constant as an event argument; one ?variable at two sorts; and an
+# application short of an argument.
 _BELIEF = "(believes jack 1 (payday))"
 _ILL_SORTED = [pathlib.Path(OBLIGATION).read_text().replace(_BELIEF, bad)
                for bad in ("(believes jack 1 (pay))", "(believes (pay) 1 (payday))",
                            "(believes jack (pay) (payday))",
-                           "(ought (pay) 1 (payday) (happens (action jack (pay)) 2))")]
+                           "(ought (pay) 1 (payday) (happens (action jack (pay)) 2))",
+                           "(believes jack 1 (happens jack 2))",
+                           "(believes jack 1 (happens (action ?x (pay)) ?x))",
+                           "(believes jack 1 (happens (action jack (pay))))")]
 for _text_example in CORPUS_TEXTS + _ILL_SORTED:
     test_parsed_formulas_are_well_sorted = example(_text_example)(
         test_parsed_formulas_are_well_sorted)

@@ -1,8 +1,8 @@
 """Import discipline of the vz package, read from its source with ``ast``:
 modules share only public names, and every imported name is used; what
 starting the command line, and running a subcommand, imports (no
-typing, either); and how often defining the record classes compiles
-source."""
+typing, either); how often defining the record classes compiles
+source; and how many modules and lines of vz each command loads."""
 import ast
 import os
 import pathlib
@@ -12,6 +12,9 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vz"
+sys.path.insert(0, str(PACKAGE.parent.parent / "perfbench"))
+import run as perfbench  # noqa: E402  (the benchmark's workload generators)
+
 CORPUS = PACKAGE.parent.parent / "corpus"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -151,3 +154,31 @@ def test_subcommand_loads_only_the_modules_it_runs(command, scenario, extra, loa
                          text=True, check=True).stdout.split(" ", 1)
     assert out[0] == "0"
     assert ON_DEMAND & set(ast.literal_eval(out[1])) == loads
+
+
+# The loading table: what one command loads of vz (the package and its
+# modules) on the seed-0 input of a benchmark workload, and the source
+# lines those modules hold. Each figure is an upper bound; a change that
+# raises one says why in CHANGES.md.
+@pytest.mark.parametrize("command, workload, flags, modules, lines", [
+    ("check", "run-sweep", (), 7, 1605),
+    ("infer", "infer-saturate", (), 8, 1777),
+    ("project", "project-long", ("--json",), 9, 1782),
+    ("run", "run-sweep", (), 12, 2181),
+    ("run", "learn-traits", (), 15, 2809),
+], ids=["check", "infer", "project-json", "run-sweep", "run-learn-traits"])
+def test_loading_table(tmp_path, command, workload, flags, modules, lines):
+    path = tmp_path / f"{workload}.vz"
+    path.write_text(perfbench.generate(workload, 0)[0], encoding="utf-8")
+    argv = [command, str(path), *flags]
+    code = ("import contextlib, os, sys, vz.cli\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            f"    status = vz.cli.main({argv!r})\n"
+            "print(status, *(m.__file__ for n, m in sys.modules.items()\n"
+            "                if n == 'vz' or n.startswith('vz.')), sep='\\n')")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    status, *files = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                    text=True, check=True).stdout.splitlines()
+    assert status == "0"
+    loaded = sum(pathlib.Path(f).read_bytes().count(b"\n") for f in files)
+    assert len(files) <= modules and loaded <= lines, (len(files), loaded)

@@ -1,5 +1,6 @@
 import pytest
 
+from vz.cli import main
 from vz.ec import Occurrence, Timeline
 from vz.emotions import EmotionKind, EmotionRecord
 from vz.errors import SortMismatch
@@ -41,10 +42,14 @@ class TestSorts:
             with pytest.raises(SortMismatch):
                 moment(-1)
 
-    def test_swapped_arguments_rejected(self):
-        running = FunctionSymbol("running", (), Sort.ACTION_TYPE)
-        with pytest.raises(SortMismatch):
-            sort_of(Application(ACTION, (running(), JACK)))
+    def test_swapped_arguments_rejected(self, capsys, tmp_path):
+        # the reader is the sort check: sort_of reads the sort a term was built with
+        path = tmp_path / "swapped.vz"
+        path.write_text("(declare-agent jack)\n(declare-action-type running ())\n"
+                        "(happens (action (running) jack) 1)\n")
+        assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{path}:3:18: running yields action-type, expected agent\n"
 
 
 class TestSubstitution:
